@@ -22,6 +22,7 @@ from .rk import IntegratorStall, bisect_batched, integrate
 __all__ = [
     "PruferTrace",
     "SpectrumWindow",
+    "solve_window",
     "NotLimitPoint",
     "WindowTooWide",
     "IntegratorStall",
@@ -77,6 +78,54 @@ class SpectrumWindow:
     labels: tuple
     count: int
     oracle_deltas: tuple = None
+
+
+def solve_window(defect, lo, hi, tol):
+    """Every root of defect(x) = m*pi in [lo, hi], m integer, for a strictly
+    increasing matching defect evaluated in batches (array in, array out).
+
+    The number of multiples of pi crossed between the window ends counts the
+    eigenvalues. Each is bracketed in one of the grid segments of width
+    <= 0.5 and bisected there until its bracket is narrower than tol / 2.
+    Labels are signed indices ordered by value, anchored so the first
+    eigenvalue above x = 0 gets +1 (a probe at 0 rides in the grid batch)."""
+    lo, hi = float(lo), float(hi)
+    if not hi > lo:
+        raise ValueError("window must satisfy lam_lo < lam_hi")
+    nseg = max(2, int(math.ceil((hi - lo) / 0.5)))
+    grid = np.linspace(lo, hi, nseg + 1)
+    dvals = defect(np.concatenate([grid, [0.0]]))
+    dgrid, d0 = dvals[:-1], dvals[-1]
+    if (dgrid[-1] - dgrid[0]) / math.pi > 1e3:
+        raise WindowTooWide("window holds more than 1e3 eigenvalues")
+
+    m_lo = math.floor(dgrid[0] / math.pi)
+    m_hi = math.floor(dgrid[-1] / math.pi)
+    targets = np.arange(m_lo + 1, m_hi + 1)
+    if targets.size == 0:
+        return SpectrumWindow(lo, hi, (), (), (), 0)
+    seg_of = np.clip(np.searchsorted(dgrid, targets * math.pi) - 1, 0, nseg - 1)
+
+    def resid(xs):
+        return defect(xs) - targets * math.pi
+
+    # Enough halvings to bring a full segment below tol/2; the tol test in
+    # bisect_batched ends the loop there.
+    n_iter = int(math.ceil(math.log2((hi - lo) / nseg / tol))) + 2
+    roots = bisect_batched(resid, grid[seg_of], grid[seg_of + 1], n_iter=n_iter, tol=tol * 0.5)
+    residuals = np.abs(resid(roots))
+
+    labels = targets - math.floor(d0 / math.pi)
+    labels = np.where(labels <= 0, labels - 1, labels)
+    order = np.argsort(roots)
+    return SpectrumWindow(
+        lam_lo=lo,
+        lam_hi=hi,
+        eigenvalues=tuple(float(r) for r in roots[order]),
+        residuals=tuple(float(r) for r in residuals[order]),
+        labels=tuple(int(m) for m in labels[order]),
+        count=int(targets.size),
+    )
 
 
 def prufer_rhs(p, ctx, theta, eta, lam):
@@ -310,58 +359,15 @@ def angular_eigenvalues(
     beta_right=None,
     tol=1e-10,
 ):
-    """All eigenvalues in the window, found by winding-count bracketing of the
-    matching defect D(lambda) = eta_left(c) - eta_right(c) followed by
-    batched bisection on D(lambda) - m*pi.
-
-    D is strictly increasing, so the eigenvalue count in the window equals
-    the number of multiples of pi crossed; each is bracketed in a segment of
-    width <= 0.5 before bisection. Labels are signed indices ordered by
-    value, anchored so the first eigenvalue above lambda=0 gets +1."""
+    """All eigenvalues in the window: the roots of the matching defect
+    D(lambda) = eta_left(c) - eta_right(c) at multiples of pi, located by
+    solve_window."""
     _require_limit_point(p, ctx, beta_left, beta_right)
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must satisfy lam_lo < lam_hi")
 
-    nseg = max(2, int(math.ceil((hi - lo) / 0.5)))
-    grid = np.linspace(lo, hi, nseg + 1)
-    probe = np.concatenate([grid, [0.0]])
-    dvals = _defect(p, ctx, probe, c, eps, beta_left, beta_right)
-    dgrid, d0 = dvals[:-1], dvals[-1]
-    if (dgrid[-1] - dgrid[0]) / math.pi > 1e3:
-        raise WindowTooWide("window holds more than 1e3 eigenvalues")
+    def defect(lams):
+        return _defect(p, ctx, lams, c, eps, beta_left, beta_right)
 
-    m_lo = math.floor(dgrid[0] / math.pi)
-    m_hi = math.floor(dgrid[-1] / math.pi)
-    targets = np.arange(m_lo + 1, m_hi + 1)
-    if targets.size == 0:
-        return SpectrumWindow(lo, hi, (), (), (), 0)
-
-    # Locate the bracketing segment of each target by the grid defect values.
-    seg_of = np.searchsorted(dgrid, targets * math.pi) - 1
-    seg_of = np.clip(seg_of, 0, nseg - 1)
-    blo = grid[seg_of]
-    bhi = grid[seg_of + 1]
-
-    def resid(lams):
-        return _defect(p, ctx, lams, c, eps, beta_left, beta_right) - targets * math.pi
-
-    niter = max(40, int(math.ceil(math.log2(max(1.0, (hi - lo)) / tol))) + 2)
-    roots = bisect_batched(resid, blo, bhi, n_iter=niter, tol=tol * 0.5)
-    residuals = np.abs(resid(roots))
-
-    anchor = math.floor(d0 / math.pi)
-    labels = targets - anchor
-    labels = np.where(labels <= 0, labels - 1, labels)
-    order = np.argsort(roots)
-    return SpectrumWindow(
-        lam_lo=lo,
-        lam_hi=hi,
-        eigenvalues=tuple(float(r) for r in roots[order]),
-        residuals=tuple(float(r) for r in residuals[order]),
-        labels=tuple(int(m) for m in labels[order]),
-        count=int(targets.size),
-    )
+    return solve_window(defect, window[0], window[1], tol)
 
 
 def eigenvalues_by_label(p, ctx, labels, window_hint=None, c=DEFAULT_MATCHING_POINT):

@@ -33,7 +33,7 @@ from .geometry import (
     find_horizons,
     komar,
 )
-from .operators import DomainError, ModeContext, tortoise_map
+from .operators import DomainError, ModeContext, QuadratureFailure, tortoise_map
 from .rk import IntegratorStall
 
 
@@ -45,6 +45,7 @@ _SOLVER_ERRORS = (
     NoHorizon,
     OutsideExterior,
     DomainError,
+    QuadratureFailure,
     IntegratorStall,
     angular_mod.NotLimitPoint,
     angular_mod.WindowTooWide,
@@ -53,6 +54,9 @@ _SOLVER_ERRORS = (
     modescan_mod.ExtremalUnsupported,
     oracle_mod.GridTooCoarse,
 )
+
+# Largest frequency grid a scan accepts; a finer grid is a config error.
+MAX_SCAN_POINTS = 10**5
 
 _REQUIRED = ("m", "a", "q_e", "q_m", "l", "mu", "e", "k")
 _OPTIONAL = {
@@ -385,16 +389,18 @@ def cmd_scan(cfg, args):
         ctx = cfg.mode_ctx(gauge_b=args.gauge_b)
     lo = cfg.omega_min if cfg.omega_min is not None else cfg.omega - 2.0
     hi = cfg.omega_max if cfg.omega_max is not None else cfg.omega + 2.0
-    n = int(round((hi - lo) / cfg.omega_step))
+    if not (math.isfinite(cfg.omega_step) and cfg.omega_step > 0.0):
+        raise ConfigError(f"omega_step must be positive and finite, got {cfg.omega_step}")
+    steps = (hi - lo) / cfg.omega_step
+    if not steps < MAX_SCAN_POINTS - 1:  # n + 1 grid points after rounding
+        raise ConfigError(
+            f"scan grid [{lo}, {hi}] at omega_step {cfg.omega_step} exceeds "
+            f"{MAX_SCAN_POINTS} points"
+        )
+    n = int(round(steps))
     grid = lo + cfg.omega_step * np.arange(n + 1)
     scan = modescan_mod.coupled_scan(
-        p,
-        ctx,
-        grid,
-        j_window=cfg.j_window,
-        r0=cfg.r0,
-        threshold=cfg.threshold,
-        threads=args.threads,
+        p, ctx, grid, j_window=cfg.j_window, r0=cfg.r0, threshold=cfg.threshold
     )
     cols = [
         "omega",
@@ -460,7 +466,6 @@ def build_parser():
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument(
             "--oracle", action="store_true", help="add finite-difference cross-check"
         )

@@ -13,14 +13,12 @@ strictly increasing in lambda and moves by at most a * |omega - omega_0|
 (the Lipschitz bound from the frequency term), so each eigenvalue at each
 frequency is the unique defect root inside a bracket centered on the
 first-frequency value. That makes every (omega, j) item independent of the
-rest of the grid -- no sequential hand-off, no branch-swap risk -- and the
-grid can be partitioned across threads with results merged by index.
+rest of the grid: no sequential hand-off, no branch-swap risk.
 
 The scan is evidence, not proof: the amplitude threshold is conservative
 policy and every raw number is emitted for audit.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 
@@ -85,8 +83,9 @@ def _solve_items(p, ctx0, targets, lam_seed, half_width, domega):
     """Bisect the defect to the integer targets inside per-item brackets.
 
     All arrays are flat over (omega, j) items; ctx0 carries the seed
-    frequency and domega the per-item offsets. Fixed iteration count, so an
-    item's result does not depend on which other items share the batch."""
+    frequency and domega the per-item offsets. The iteration count is fixed,
+    but the integrator controls the error on the worst batch member, so an
+    item's last bits still depend on which other items share the batch."""
     tpi = targets * math.pi
 
     def resid(lams):
@@ -111,7 +110,6 @@ def coupled_scan(
     r0=None,
     y_far=1e3,
     threshold=DEFAULT_THRESHOLD,
-    threads=1,
 ):
     """Scan the frequency grid and certify the absence of normalizable modes.
 
@@ -120,11 +118,8 @@ def coupled_scan(
     brackets around the first-frequency values. Each (omega, j) pair then
     gets radial evidence from the recessive continuation; near omega =
     phi_plus the oscillation slope is meaningless and the Levinson
-    certificate is consulted instead.
-
-    threads > 1 partitions the grid into contiguous blocks processed in
-    parallel and merged by grid index; rerunning with the same inputs and
-    thread count reproduces the output bit for bit."""
+    certificate is consulted instead. Rerunning with the same inputs
+    reproduces the output bit for bit."""
     hd = find_horizons(p)
     if hd.extremal:
         raise ExtremalUnsupported("scan requires a non-extremal horizon")
@@ -152,34 +147,19 @@ def coupled_scan(
     curves = np.empty((omegas.size, nj))
     curves[0] = lam0
     notes = []
-    rest = np.arange(1, omegas.size)
-    n_blocks = max(1, min(int(threads), rest.size)) if rest.size else 1
-    blocks = np.array_split(rest, n_blocks)
-
-    def solve_block(idx):
-        block = blocks[idx]
-        dom = np.repeat(omegas[block] - omegas[0], nj)
-        t = np.tile(targets, block.size)
-        seed_flat = np.tile(lam0, block.size)
-        h = lip * np.abs(dom) + _TRACK_MARGIN
-        return _solve_items(p, ctx0, t, seed_flat, h, dom)
-
-    if rest.size:
-        if n_blocks == 1:
-            solved = [solve_block(0)]
-        else:
-            with ThreadPoolExecutor(max_workers=n_blocks) as ex:
-                solved = list(ex.map(solve_block, range(n_blocks)))
-        for block, (roots, res) in zip(blocks, solved):
-            curves[block] = roots.reshape(block.size, nj)
-            for bi, i in enumerate(block):
-                bad = res[bi * nj : (bi + 1) * nj]
-                if np.max(bad) > 1e-6:
-                    # bracket failed; recover with a full window solve
-                    ctx_i = ctx_base.with_omega(float(omegas[i]))
-                    got = eigenvalues_by_label(p, ctx_i, labels)
-                    curves[i] = [got[j] for j in labels]
-                    notes.append(f"full re-solve at omega={omegas[i]:.6g}")
+    n_rest = omegas.size - 1
+    dom = np.repeat(omegas[1:] - omegas[0], nj)
+    half = lip * np.abs(dom) + _TRACK_MARGIN
+    roots, res = _solve_items(
+        p, ctx0, np.tile(targets, n_rest), np.tile(lam0, n_rest), half, dom
+    )
+    curves[1:] = roots.reshape(n_rest, nj)
+    for i, bad in enumerate(res.reshape(n_rest, nj), start=1):
+        if np.max(bad) > 1e-6:
+            # bracket failed; recover with a full window solve
+            got = eigenvalues_by_label(p, ctx_base.with_omega(float(omegas[i])), labels)
+            curves[i] = [got[j] for j in labels]
+            notes.append(f"full re-solve at omega={omegas[i]:.6g}")
 
     rates = np.abs(np.diff(curves, axis=0)) / np.diff(omegas)[:, None]
     max_rate = float(rates.max()) if rates.size else 0.0
@@ -193,28 +173,9 @@ def coupled_scan(
     ph = phi_plus(p, ctx_base)
     lam_flat = curves.reshape(-1)
     om_flat = np.repeat(omegas, nj)
-    slopes = np.empty_like(lam_flat)
-    amps = np.empty_like(lam_flat)
-    decays = np.empty_like(lam_flat)
-    all_idx = np.arange(omegas.size)
-    rad_blocks = np.array_split(all_idx, max(1, min(int(threads), omegas.size)))
-
-    def radial_block(idx):
-        sel = np.repeat(rad_blocks[idx] * nj, nj) + np.tile(
-            np.arange(nj), rad_blocks[idx].size
-        )
-        s, a_, d_, _ = horizon_continuation_evidence(
-            p, ctx_base, lam_flat[sel], om_flat[sel], r0=r0, y_far=y_far
-        )
-        return sel, s, a_, d_
-
-    if len(rad_blocks) == 1:
-        rad_done = [radial_block(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(rad_blocks)) as ex:
-            rad_done = list(ex.map(radial_block, range(len(rad_blocks))))
-    for sel, s, a_, d_ in rad_done:
-        slopes[sel], amps[sel], decays[sel] = s, a_, d_
+    slopes, amps, decays, _ = horizon_continuation_evidence(
+        p, ctx_base, lam_flat, om_flat, r0=r0, y_far=y_far
+    )
 
     rows = []
     lev_cache = {}

@@ -318,12 +318,11 @@ class TortoiseMap:
                     )
                 else:
                     v = np.exp(-s[~inside])
-                    vals[~inside] = self._solv(np.minimum(v, self.v_hi))[0]
-                    over = v > self.v_hi
-                    if over.any():
-                        vals[~inside][over] = self.y_at_v_hi + self._a_inf * (
-                            v[over] - self.v_hi
-                        )
+                    vals[~inside] = np.where(
+                        v > self.v_hi,
+                        self.y_at_v_hi + self._a_inf * (v - self.v_hi),
+                        self._solv(np.minimum(v, self.v_hi))[0],
+                    )
             out[near] = vals
         return float(out[0]) if scalar else out
 

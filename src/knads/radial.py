@@ -1,10 +1,13 @@
 """Radial spectral certificates and the confined-operator eigenvalue solver.
 
-Everything runs in the tortoise coordinates: horizon-side work in y (where
-the potential V approaches the constant phi_plus * I exponentially fast in
-the non-extremal case, like 1/y in the extremal case) and infinity-side work
-in x = -y (where the confining mass term behaves like mu*l/|x| and the
-recessive solution decays like |x|^(mu*l)).
+Everything runs in the tortoise coordinate y, with one Prüfer phase
+equation per coordinate: _phase_rhs_y from the matching radius toward the
+horizon (where the potential V approaches the constant phi_plus * I
+exponentially fast in the non-extremal case, like 1/y in the extremal case)
+and _phase_rhs_logt in log(y) from the infinity end (where the confining
+mass term behaves like mu*l/y and the recessive solution decays like
+y^(mu*l)). The system is first written in x = -y, dX/dx = A X with
+X = rho (cos eta, sin eta); slopes are still reported in that convention.
 
 Certificate evidence is numeric and reproducible: decade-resolved integrals
 with Cauchy-tail ratios, linear fits of Prüfer phase slopes, and growth
@@ -16,10 +19,10 @@ import math
 
 import numpy as np
 
-from .angular import NotLimitPoint, SpectrumWindow
+from .angular import NotLimitPoint, solve_window
 from .geometry import find_horizons
 from .operators import _p_function, phi_plus, sqrt_delta_r_from_u, tortoise_map
-from .rk import bisect_batched, fit_line, integrate
+from .rk import fit_line, integrate
 
 DEFAULT_DELTA = 1e-5
 
@@ -68,26 +71,29 @@ def _potential_terms(p, ctx, y, potential_shift=0.0):
     return diag, conf, unit, r
 
 
-def _phase_rhs_x(p, ctx, lam, omegas, potential_shift=0.0):
-    """d(eta, log rho)/dx for the batch of omega values (state (B, 2))."""
+def _phase_rhs_y(p, ctx, lam, omegas, potential_shift=0.0):
+    """d(eta, log rho)/dy for the batch of omega values (state (B, 2)).
+
+    Both components are the exact negations of the x-picture derivatives
+    (dy = -dx), so an integration in y mirrors the one in x bit for bit."""
     lam = np.asarray(lam, dtype=float)
 
-    def f(x, state):
-        diag, conf, unit, _r = _potential_terms(p, ctx, -x, potential_shift)
+    def f(y, state):
+        diag, conf, unit, _r = _potential_terms(p, ctx, y, potential_shift)
         v12 = lam * unit
         eta = state[:, 0]
         c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
         out = np.empty_like(state)
-        out[:, 0] = omegas - diag - conf * c2 - v12 * s2
-        out[:, 1] = v12 * c2 - conf * s2
+        out[:, 0] = -(omegas - diag - conf * c2 - v12 * s2)
+        out[:, 1] = -(v12 * c2 - conf * s2)
         return out
 
     return f
 
 
 def _phase_rhs_logt(p, ctx, lam, omegas, potential_shift=0.0):
-    """Same phase equation in tau = log(-x), integrating away from the
-    infinity endpoint; the confining 1/t singularity becomes the smooth
+    """Same phase equation in tau = log(y), integrating away from the
+    infinity endpoint; the confining 1/y singularity becomes the smooth
     bounded term (mu*l) cos(2 eta)."""
     lam = np.asarray(lam, dtype=float)
 
@@ -106,7 +112,7 @@ def _phase_rhs_logt(p, ctx, lam, omegas, potential_shift=0.0):
 
 
 def _infinity_init(p, ctx, lam, omegas, delta):
-    """Recessive phase at x = -delta with the first-order correction."""
+    """Recessive phase at y = delta with the first-order correction."""
     mul = ctx.mu * p.l
     return math.pi / 4 + (lam / p.l - np.asarray(omegas, float)) * delta / (
         1.0 + 2.0 * mul
@@ -117,14 +123,14 @@ def default_r0(p):
     return find_horizons(p).r_plus + p.l
 
 
-def _defect_hinf(p, ctx, lam, omegas, x0, xc, delta, beta, beta_infinity, shift):
+def _defect_hinf(p, ctx, lam, omegas, y0, yc, delta, beta, beta_infinity, shift):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     yl = np.zeros((omegas.size, 2))
     yl[:, 0] = beta
     left, _, _ = integrate(
-        _phase_rhs_x(p, ctx, lam, omegas, shift),
-        x0,
-        xc,
+        _phase_rhs_y(p, ctx, lam, omegas, shift),
+        y0,
+        yc,
         yl,
         rtol=1e-11,
         atol=1e-12,
@@ -138,7 +144,7 @@ def _defect_hinf(p, ctx, lam, omegas, x0, xc, delta, beta, beta_infinity, shift)
     right, _, _ = integrate(
         _phase_rhs_logt(p, ctx, lam, omegas, shift),
         math.log(delta),
-        math.log(-xc),
+        math.log(yc),
         yr,
         rtol=1e-11,
         atol=1e-12,
@@ -161,14 +167,14 @@ def hinf_eigenvalues(
     tol=1e-10,
 ):
     """Eigenvalues of the confined radial operator on (r0, infinity) in the
-    frequency window, by two-sided Prüfer shooting in x.
+    frequency window, by two-sided Prüfer shooting.
 
     The boundary condition at r0 is the phase beta (default pi/4, equal
     components); the infinity side starts on the recessive branch at
-    x = -delta unless mu*l < 1/2, in which case that endpoint is limit
-    circle and an explicit beta_infinity is required. The matching defect is
-    strictly increasing in omega; winding brackets plus bisection locate
-    every eigenvalue."""
+    y = delta unless mu*l < 1/2, in which case that endpoint is limit
+    circle and an explicit beta_infinity is required. The two sides meet at
+    y(r0)/2; the matching defect is strictly increasing in omega and
+    solve_window locates every eigenvalue."""
     if ctx.mu == 0.0:
         raise NotConfining("mu = 0 has no confining term; spectrum not discrete")
     if ctx.mu * p.l < 0.5 and beta_infinity is None:
@@ -177,45 +183,17 @@ def hinf_eigenvalues(
         )
     if r0 is None:
         r0 = default_r0(p)
-    tm = tortoise_map(p)
-    x0 = tm.x(r0)
-    xc = 0.5 * x0
-    if not xc < -10.0 * delta:
+    y0 = tortoise_map(p).y(r0)
+    yc = 0.5 * y0
+    if not yc > 10.0 * delta:
         raise ValueError("r0 too close to the infinity cutoff")
 
-    lo, hi = float(window[0]), float(window[1])
-    nseg = max(4, int(math.ceil((hi - lo) / 0.5)))
-    grid = np.linspace(lo, hi, nseg + 1)
-    probe = np.concatenate([grid, [0.0]])
-    dv = _defect_hinf(p, ctx, lam, probe, x0, xc, delta, beta, beta_infinity, potential_shift)
-    dgrid, d0 = dv[:-1], dv[-1]
-    m_lo = math.floor(dgrid[0] / math.pi)
-    m_hi = math.floor(dgrid[-1] / math.pi)
-    targets = np.arange(m_lo + 1, m_hi + 1)
-    if targets.size == 0:
-        return SpectrumWindow(lo, hi, (), (), (), 0)
-    seg_of = np.clip(np.searchsorted(dgrid, targets * math.pi) - 1, 0, nseg - 1)
-
-    def resid(oms):
-        return (
-            _defect_hinf(p, ctx, lam, oms, x0, xc, delta, beta, beta_infinity, potential_shift)
-            - targets * math.pi
+    def defect(omegas):
+        return _defect_hinf(
+            p, ctx, lam, omegas, y0, yc, delta, beta, beta_infinity, potential_shift
         )
 
-    roots = bisect_batched(resid, grid[seg_of], grid[seg_of + 1], n_iter=44, tol=tol * 0.5)
-    residuals = np.abs(resid(roots))
-    anchor = math.floor(d0 / math.pi)
-    labels = targets - anchor
-    labels = np.where(labels <= 0, labels - 1, labels)
-    order = np.argsort(roots)
-    return SpectrumWindow(
-        lam_lo=lo,
-        lam_hi=hi,
-        eigenvalues=tuple(float(r) for r in roots[order]),
-        residuals=tuple(float(r) for r in residuals[order]),
-        labels=tuple(int(m) for m in labels[order]),
-        count=int(targets.size),
-    )
+    return solve_window(defect, window[0], window[1], tol)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -365,20 +343,15 @@ def horizon_oscillation(p, ctx, lam, omega, y_start=1.0, y_max=1e4):
             f"|omega - phi_plus| = {abs(omega - ph):.2e} < 1e-6"
         )
 
-    def f(y, state):
-        diag, conf, unit, _ = _potential_terms(p, ctx, y)
-        v12 = lam * unit
-        eta = state[:, 0]
-        c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
-        out = np.empty_like(state)
-        # d eta/dy = -(d eta/dx)
-        out[:, 0] = -(omega - diag - conf * c2 - v12 * s2)
-        out[:, 1] = v12 * c2 - conf * s2
-        return out
-
-    y0 = np.zeros((1, 2))
     _, ts, ys = integrate(
-        f, y_start, y_max, y0, rtol=1e-11, atol=1e-12, max_step=y_max / 64, record=True
+        _phase_rhs_y(p, ctx, lam, omega),
+        y_start,
+        y_max,
+        np.zeros((1, 2)),
+        rtol=1e-11,
+        atol=1e-12,
+        max_step=y_max / 64,
+        record=True,
     )
     etas = ys[:, 0, 0]
     logr = ys[:, 0, 1]
@@ -499,41 +472,31 @@ def horizon_continuation_evidence(
 ):
     """Batched non-normalizability evidence for (omega, lambda) pairs.
 
-    The recessive-at-infinity solution is continued from x = -delta through
+    The recessive-at-infinity solution is continued from y = delta through
     the matching radius r0 and out to y_far on the horizon side. For a
     normalizable mode the amplitude would have to collapse toward the
-    horizon; instead it stays of order one (oscillation), which is what the
-    amplitude ratio measures. Also fits the infinity-side decay exponent
-    (should be mu*l) and the horizon-side phase slope (should be
-    omega - phi_plus in the x convention).
+    horizon; instead it stays of order one (oscillation). The amplitude
+    ratio is min rho(y >= 0.1 * y_far) / rho(r0), the smallest Prüfer
+    radius over the fitted horizon stretch relative to its value at r0.
+    Also fits the infinity-side decay exponent (should be mu*l) and the
+    horizon-side phase slope (should be omega - phi_plus in the x
+    convention).
 
     Returns arrays (slope, amplitude_ratio, decay_exponent, phi_plus)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if r0 is None:
         r0 = default_r0(p)
-    tm = tortoise_map(p)
-    x0 = tm.x(r0)
+    y0 = tortoise_map(p).y(r0)
     ph = phi_plus(p, ctx)
 
-    def f_logt(tau, state):
-        t = math.exp(tau)
-        diag, conf, unit, _ = _potential_terms(p, ctx, t)
-        v12 = lams * unit
-        eta = state[:, 0]
-        c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
-        out = np.empty_like(state)
-        out[:, 0] = -t * (omegas - diag) + t * (conf * c2 + v12 * s2)
-        out[:, 1] = -t * (v12 * c2 - conf * s2)
-        return out
-
-    y0g = np.zeros((lams.size, 2))
-    y0g[:, 0] = _infinity_init(p, ctx, lams, omegas, delta)
+    init = np.zeros((lams.size, 2))
+    init[:, 0] = _infinity_init(p, ctx, lams, omegas, delta)
     end, ts, ys = integrate(
-        f_logt,
+        _phase_rhs_logt(p, ctx, lams, omegas),
         math.log(delta),
-        math.log(-x0),
-        y0g,
+        math.log(y0),
+        init,
         rtol=1e-11,
         atol=1e-12,
         max_step=0.5,
@@ -541,28 +504,16 @@ def horizon_continuation_evidence(
         record=True,
     )
     # infinity-side decay exponent: log rho vs log t on the early decades
-    sel = ts <= math.log(delta) + 0.5 * (math.log(-x0) - math.log(delta))
+    sel = ts <= math.log(delta) + 0.5 * (math.log(y0) - math.log(delta))
     decay = np.array(
         [fit_line(ts[sel], ys[sel, i, 1])[0] for i in range(lams.size)]
     )
 
-    def f_y(y, state):
-        diag, conf, unit, _ = _potential_terms(p, ctx, y)
-        v12 = lams * unit
-        eta = state[:, 0]
-        c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
-        out = np.empty_like(state)
-        out[:, 0] = -(omegas - diag - conf * c2 - v12 * s2)
-        out[:, 1] = v12 * c2 - conf * s2
-        return out
-
-    start = end.copy()
-    logrho_switch = start[:, 1].copy()
     _, ts2, ys2 = integrate(
-        f_y,
-        -x0,
+        _phase_rhs_y(p, ctx, lams, omegas),
+        y0,
         y_far,
-        start,
+        end,
         rtol=1e-10,
         atol=1e-12,
         max_step=y_far / 64,
@@ -572,5 +523,5 @@ def horizon_continuation_evidence(
     slopes = np.array(
         [-fit_line(ts2[sel2], ys2[sel2, i, 0])[0] for i in range(lams.size)]
     )
-    amp = np.exp(ys2[sel2][:, :, 1].min(axis=0) - logrho_switch)
+    amp = np.exp(ys2[sel2][:, :, 1].min(axis=0) - end[:, 1])
     return slopes, amp, decay, ph

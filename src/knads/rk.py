@@ -12,8 +12,6 @@ scaled max norm. An optional per-step cap on the first state component keeps
 phase increments below pi/2 so winding counts cannot slip a branch.
 """
 
-import math
-
 import numpy as np
 
 

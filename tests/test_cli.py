@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import knads.cli as cli_mod
 from knads.angular import eigenvalues_by_label
 from knads.cli import main, parse_config
 from knads.geometry import BlackHoleParams, extremal_mass, find_horizons
-from knads.operators import ModeContext
+from knads.operators import ModeContext, QuadratureFailure
 
 BASE = {
     "m": 1.0,
@@ -262,3 +263,32 @@ def test_config_lambda_field_mapping(tmp_path):
     cfg = parse_config(json.dumps(dict(BASE, **{"lambda": 2.5})))
     assert cfg.lam == 2.5
     assert json.loads(cfg.to_json())["lambda"] == 2.5
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])
+def test_scan_rejects_bad_omega_step(tmp_path, capsys, step):
+    cfg = write_config(tmp_path, omega_step=step)
+    rc, _, err = run(capsys, ["scan", "--config", cfg])
+    assert rc == 2 and "omega_step" in err
+
+
+def test_scan_rejects_oversized_grid(tmp_path, capsys):
+    # 4e9 frequencies: refused before any grid array is allocated
+    cfg = write_config(tmp_path, omega_step=1e-9)
+    rc, _, err = run(capsys, ["scan", "--config", cfg])
+    assert rc == 2 and "omega_step" in err and "points" in err
+
+
+def test_quadrature_failure_is_a_solver_error(tmp_path, capsys, monkeypatch):
+    def failing(p):
+        raise QuadratureFailure("Required step size is less than spacing between numbers.")
+
+    monkeypatch.setattr(cli_mod, "tortoise_map", failing)
+    rc, _, err = run(capsys, ["tortoise", "--config", write_config(tmp_path)])
+    assert rc == 3 and "QuadratureFailure" in err
+
+
+def test_threads_flag_is_retired(tmp_path, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["scan", "--config", write_config(tmp_path), "--threads", "2"])
+    assert ex.value.code == 2

@@ -72,14 +72,6 @@ def test_scan_deterministic_rerun(scan):
     assert scan.rows == again.rows
 
 
-def test_threaded_partition_agrees(scan):
-    threaded = coupled_scan(P0, CTX, GRID, j_window=1, threads=3)
-    for j in scan.lambda_curves:
-        d = np.array(scan.lambda_curves[j]) - threaded.lambda_curves[j]
-        assert np.max(np.abs(d)) < 1e-9
-    assert threaded.verdict == scan.verdict
-
-
 def test_zero_rotation_curves_constant():
     p = BlackHoleParams(m=1.0, a=0.0, q_e=0.1, q_m=0.0, l=1.0)
     res = coupled_scan(p, CTX, np.linspace(-0.3, 0.3, 4), j_window=1)

@@ -201,6 +201,23 @@ def test_tortoise_extremal_branch():
         horizon_slope(p)
 
 
+@pytest.mark.parametrize("r0", [0.6, 0.95])
+def test_tortoise_extremal_linear_extension_near_r_plus(r0):
+    # Closest to an extremal horizon the map continues linearly in
+    # v = 1/(r - r_plus), so y ~ a_inf / u there: one ulp above r_plus, y is
+    # twice its value two ulps above. r0 = 0.6 is criterion 6's background;
+    # at r0 = 0.95 two floats lie on the linear branch.
+    tm = tortoise_map(extremal_params(r0))
+    rs = [tm.r_plus]
+    for _ in range(6):
+        rs.append(np.nextafter(rs[-1], np.inf))
+    rs = np.array(rs[1:])
+    ys = tm.y(rs)
+    u = rs - tm.r_plus
+    assert ys[0] == pytest.approx(ys[1] * u[1] / u[0], rel=1e-6)
+    assert np.all(np.diff(ys) < 0)
+
+
 def test_tortoise_map_cached():
     assert tortoise_map(P0) is tortoise_map(P0)
 

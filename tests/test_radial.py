@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from knads.angular import NotLimitPoint
 from knads.geometry import BlackHoleParams, find_horizons, reparameterize
 from knads.operators import ModeContext, phi_plus, tortoise_map
 from knads.radial import (
+    DEFAULT_DELTA,
     NotConfining,
     TooCloseToPhiPlus,
+    _infinity_init,
+    _potential_terms,
     confinement_certificate,
     default_r0,
     hinf_eigenvalues,
@@ -188,6 +192,52 @@ def test_horizon_continuation_evidence_batch():
     assert np.all(amps > 1e-3)
     # recessive branch decays like t^(mu l) toward infinity
     assert np.max(np.abs(decays - CTX.mu * P0.l)) < 0.05
+
+
+def _linear_continuation_amplitude(p, ctx, lam, omega, y_far=1e3, delta=DEFAULT_DELTA):
+    """min |X(y >= 0.1 y_far)| / |X(y(r0))| for the recessive-at-infinity
+    solution of dX/dy = -A X, with X = rho (cos eta, sin eta) and
+    dX/dx = A X = [[V12, V22 - omega], [omega - V11, -V12]] X, by solve_ivp
+    on the linear system itself (log y toward r0, then y toward y_far)."""
+
+    def minus_a(y, x):
+        diag, conf, unit, _ = _potential_terms(p, ctx, y)
+        v12 = lam * float(unit)
+        v11, v22 = float(diag + conf), float(diag - conf)
+        return -np.array(
+            [v12 * x[0] + (v22 - omega) * x[1], (omega - v11) * x[0] - v12 * x[1]]
+        )
+
+    y0 = tortoise_map(p).y(default_r0(p))
+    eta = float(_infinity_init(p, ctx, lam, omega, delta))
+    leg1 = solve_ivp(
+        lambda tau, x: math.exp(tau) * minus_a(math.exp(tau), x),
+        (math.log(delta), math.log(y0)),
+        [math.cos(eta), math.sin(eta)],
+        method="DOP853",
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    x0 = leg1.y[:, -1]
+    ys = np.linspace(0.1 * y_far, y_far, 2001)
+    leg2 = solve_ivp(
+        minus_a, (y0, y_far), x0, method="DOP853", rtol=1e-10, atol=1e-12, t_eval=ys
+    )
+    return np.linalg.norm(leg2.y, axis=0).min() / np.linalg.norm(x0)
+
+
+def test_continuation_amplitude_matches_linear_system():
+    # Regression: the horizon leg once kept the x-picture sign of
+    # d(log rho)/dy, which reported the reciprocal of the true ratio.
+    ph = phi_plus(P0, CTX)
+    lams = np.array([1.0, 1.0, -0.5])
+    omegas = ph + np.array([0.8, -1.1, 0.4])
+    _, amps, _, _ = horizon_continuation_evidence(P0, CTX, lams, omegas)
+    want = [
+        _linear_continuation_amplitude(P0, CTX, lam, om)
+        for lam, om in zip(lams, omegas)
+    ]
+    assert amps == pytest.approx(want, rel=1e-6)
 
 
 def test_default_r0():
