@@ -136,8 +136,10 @@ def parse_config(text):
         if not (isinstance(window, (list, tuple)) and len(window) == 2):
             raise ConfigError("window must be a [lo, hi] pair")
         window = (float(window[0]), float(window[1]))
+        if not window[0] < window[1]:
+            raise ConfigError(f"window must satisfy lo < hi, got {list(window)}")
     try:
-        return RunConfig(
+        cfg = RunConfig(
             m=float(vals["m"]),
             a=float(vals["a"]),
             q_e=float(vals["q_e"]),
@@ -160,6 +162,9 @@ def parse_config(text):
         )
     except (TypeError, ValueError) as ex:
         raise ConfigError(f"bad config value: {ex}") from ex
+    if cfg.j_window < 1:
+        raise ConfigError(f"j_window must be at least 1, got {cfg.j_window}")
+    return cfg
 
 
 def load_config(path):
@@ -398,6 +403,11 @@ def cmd_scan(cfg, args):
             f"{MAX_SCAN_POINTS} points"
         )
     n = int(round(steps))
+    if n < 1:
+        raise ConfigError(
+            f"scan grid [omega_min, omega_max] = [{lo}, {hi}] at omega_step "
+            f"{cfg.omega_step} has fewer than 2 points"
+        )
     grid = lo + cfg.omega_step * np.arange(n + 1)
     scan = modescan_mod.coupled_scan(
         p, ctx, grid, j_window=cfg.j_window, r0=cfg.r0, threshold=cfg.threshold

@@ -206,6 +206,11 @@ class TortoiseMap:
     s = log(r - r_plus) spans the bulk, a closed quadrature covers the far
     tail, and asymptotic branches extend both ends (exponential approach for
     a non-extremal horizon, 1/y approach for an extremal one).
+
+    The radial phase equations integrate in s itself, through y_of_s, so the
+    inverse (log_u_of_y, a Newton solve per call) stays off their hot path.
+    It serves the interval endpoints, the finite-difference oracle,
+    classify and the AC/Levinson certificates.
     """
 
     def __init__(self, p, n_init=4000):
@@ -298,32 +303,34 @@ class TortoiseMap:
         r = np.asarray(r, dtype=float)
         if np.any(r <= self.r_plus):
             raise OutsideExterior("tortoise map is defined on r > r_plus")
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        far = r >= self.r_big
+        return self.y_of_s(np.log(r - self.r_plus))
+
+    def y_of_s(self, s):
+        """y at r = r_plus + e^s, scalar or array, also where e^s underflows:
+        below s_lo the non-extremal map continues linearly in s, the extremal
+        one in v = e^-s (there y ~ a_inf e^-s overflows once s is below
+        about log(a_inf) - 709)."""
+        s = np.asarray(s, dtype=float)
+        scalar = s.ndim == 0
+        s = np.atleast_1d(s)
+        out = np.empty_like(s)
+        far = s >= self.s_hi
         if far.any():
-            out[far] = _tail_integral(self.p, r[far])
-        near = ~far
-        if near.any():
-            s = np.log(r[near] - self.r_plus)
-            inside = s >= self.s_lo
-            vals = np.empty_like(s)
-            if inside.any():
-                vals[inside] = self._sol(s[inside])[0]
-            if (~inside).any():
-                if not self.extremal:
-                    vals[~inside] = self.y_at_s_lo + self.slope * (
-                        self.s_lo - s[~inside]
-                    )
-                else:
-                    v = np.exp(-s[~inside])
-                    vals[~inside] = np.where(
-                        v > self.v_hi,
-                        self.y_at_v_hi + self._a_inf * (v - self.v_hi),
-                        self._solv(np.minimum(v, self.v_hi))[0],
-                    )
-            out[near] = vals
+            out[far] = _tail_integral(self.p, self.r_plus + np.exp(s[far]))
+        inside = ~far & (s >= self.s_lo)
+        if inside.any():
+            out[inside] = self._sol(s[inside])[0]
+        deep = s < self.s_lo
+        if deep.any():
+            if not self.extremal:
+                out[deep] = self.y_at_s_lo + self.slope * (self.s_lo - s[deep])
+            else:
+                v = np.exp(-s[deep])
+                out[deep] = np.where(
+                    v > self.v_hi,
+                    self.y_at_v_hi + self._a_inf * (v - self.v_hi),
+                    self._solv(np.minimum(v, self.v_hi))[0],
+                )
         return float(out[0]) if scalar else out
 
     def x(self, r):
@@ -406,9 +413,6 @@ class TortoiseMap:
 
     def r_of_y(self, y):
         return self.r_plus + self.u_of_y(y)
-
-    def r_of_x(self, x):
-        return self.r_of_y(-np.asarray(x, dtype=float))
 
 
 @lru_cache(maxsize=64)

@@ -1,13 +1,16 @@
 """Radial spectral certificates and the confined-operator eigenvalue solver.
 
-Everything runs in the tortoise coordinate y, with one Prüfer phase
-equation per coordinate: _phase_rhs_y from the matching radius toward the
-horizon (where the potential V approaches the constant phi_plus * I
-exponentially fast in the non-extremal case, like 1/y in the extremal case)
-and _phase_rhs_logt in log(y) from the infinity end (where the confining
-mass term behaves like mu*l/y and the recessive solution decays like
-y^(mu*l)). The system is first written in x = -y, dX/dx = A X with
-X = rho (cos eta, sin eta); slopes are still reported in that convention.
+The system is written in the tortoise coordinate x = -y, dX/dx = A X with
+X = rho (cos eta, sin eta), and slopes are reported in that convention. The
+Prüfer phase equation is integrated in s = log(r - r_plus) by one right-hand
+side, _phase_rhs_s: dy/ds comes in closed form from the factored Delta_r, so
+no step maps y back to r. Toward infinity s ~ -log(y), which keeps the
+confining mass term (mu*l/y in y) bounded; toward a non-extremal horizon
+dy/ds tends to -slope and V to phi_plus * I, finite even where e^s
+underflows. Endpoints given in y are mapped to s once per call
+(TortoiseMap.log_u_of_y), and recorded nodes back to y once per integration
+(TortoiseMap.y_of_s), so fits and selections stay defined in y. The
+AC and Levinson certificates integrate in y directly.
 
 Certificate evidence is numeric and reproducible: decade-resolved integrals
 with Cauchy-tail ratios, linear fits of Prüfer phase slopes, and growth
@@ -21,7 +24,13 @@ import numpy as np
 
 from .angular import NotLimitPoint, solve_window
 from .geometry import find_horizons
-from .operators import _p_function, phi_plus, sqrt_delta_r_from_u, tortoise_map
+from .operators import (
+    _factored_quartic_terms,
+    _p_function,
+    phi_plus,
+    sqrt_delta_r_from_u,
+    tortoise_map,
+)
 from .rk import fit_line, integrate
 
 DEFAULT_DELTA = 1e-5
@@ -71,41 +80,32 @@ def _potential_terms(p, ctx, y, potential_shift=0.0):
     return diag, conf, unit, r
 
 
-def _phase_rhs_y(p, ctx, lam, omegas, potential_shift=0.0):
-    """d(eta, log rho)/dy for the batch of omega values (state (B, 2)).
+def _phase_rhs_s(p, ctx, lam, omegas, potential_shift=0.0):
+    """d(eta, log rho)/ds in s = log(r - r_plus) for the batch of omega
+    values (state (B, 2)): dy/ds times the y-picture derivative, whose
+    components are the exact negations of the x-picture ones (dy = -dx).
 
-    Both components are the exact negations of the x-picture derivatives
-    (dy = -dx), so an integration in y mirrors the one in x bit for bit."""
+    dy/ds = -l^2 (r^2 + a^2) / ((u + r_plus - r_minus) q2(r)) with u = e^s,
+    from the factored Delta_r. Where u underflows to 0 it is -slope and the
+    potential is phi_plus * I, so the right-hand side stays finite."""
+    rp, rm, c1, c0 = _factored_quartic_terms(p)
     lam = np.asarray(lam, dtype=float)
 
-    def f(y, state):
-        diag, conf, unit, _r = _potential_terms(p, ctx, y, potential_shift)
-        v12 = lam * unit
+    def f(s, state):
+        u = math.exp(s)
+        r = rp + u
+        r2a2 = r * r + p.a**2
+        q2 = (r + c1) * r + c0
+        sq = math.sqrt(u * (u + (rp - rm)) * q2) / p.l
+        dyds = -(p.l**2) * r2a2 / ((u + (rp - rm)) * q2)
+        diag = _p_function(p, ctx, r) / r2a2 + potential_shift
+        conf = ctx.mu * r * sq / r2a2
+        v12 = lam * (sq / r2a2)
         eta = state[:, 0]
         c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
         out = np.empty_like(state)
-        out[:, 0] = -(omegas - diag - conf * c2 - v12 * s2)
-        out[:, 1] = -(v12 * c2 - conf * s2)
-        return out
-
-    return f
-
-
-def _phase_rhs_logt(p, ctx, lam, omegas, potential_shift=0.0):
-    """Same phase equation in tau = log(y), integrating away from the
-    infinity endpoint; the confining 1/y singularity becomes the smooth
-    bounded term (mu*l) cos(2 eta)."""
-    lam = np.asarray(lam, dtype=float)
-
-    def f(tau, state):
-        t = math.exp(tau)
-        diag, conf, unit, _r = _potential_terms(p, ctx, t, potential_shift)
-        v12 = lam * unit
-        eta = state[:, 0]
-        c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
-        out = np.empty_like(state)
-        out[:, 0] = -t * (omegas - diag) + t * (conf * c2 + v12 * s2)
-        out[:, 1] = -t * (v12 * c2 - conf * s2)
+        out[:, 0] = -dyds * (omegas - diag - conf * c2 - v12 * s2)
+        out[:, 1] = -dyds * (v12 * c2 - conf * s2)
         return out
 
     return f
@@ -123,18 +123,15 @@ def default_r0(p):
     return find_horizons(p).r_plus + p.l
 
 
-def _defect_hinf(p, ctx, lam, omegas, y0, yc, delta, beta, beta_infinity, shift):
+def _defect_hinf(p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, shift):
+    """Phase mismatch at s = sc between the shots from r0 (s = s0) and from
+    y = delta (s = sd), for a batch of omega values."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    f = _phase_rhs_s(p, ctx, lam, omegas, shift)
     yl = np.zeros((omegas.size, 2))
     yl[:, 0] = beta
     left, _, _ = integrate(
-        _phase_rhs_y(p, ctx, lam, omegas, shift),
-        y0,
-        yc,
-        yl,
-        rtol=1e-11,
-        atol=1e-12,
-        phase_cap=math.pi / 2,
+        f, s0, sc, yl, rtol=1e-11, atol=1e-12, phase_cap=math.pi / 2
     )
     yr = np.zeros((omegas.size, 2))
     if beta_infinity is None:
@@ -142,14 +139,7 @@ def _defect_hinf(p, ctx, lam, omegas, y0, yc, delta, beta, beta_infinity, shift)
     else:
         yr[:, 0] = beta_infinity
     right, _, _ = integrate(
-        _phase_rhs_logt(p, ctx, lam, omegas, shift),
-        math.log(delta),
-        math.log(yc),
-        yr,
-        rtol=1e-11,
-        atol=1e-12,
-        max_step=0.5,
-        phase_cap=math.pi / 2,
+        f, sd, sc, yr, rtol=1e-11, atol=1e-12, max_step=0.5, phase_cap=math.pi / 2
     )
     return left[:, 0] - right[:, 0]
 
@@ -183,14 +173,16 @@ def hinf_eigenvalues(
         )
     if r0 is None:
         r0 = default_r0(p)
-    y0 = tortoise_map(p).y(r0)
-    yc = 0.5 * y0
+    tm = tortoise_map(p)
+    yc = 0.5 * tm.y(r0)
     if not yc > 10.0 * delta:
         raise ValueError("r0 too close to the infinity cutoff")
+    s0 = math.log(r0 - tm.r_plus)
+    sc, sd = tm.log_u_of_y(yc), tm.log_u_of_y(delta)
 
     def defect(omegas):
         return _defect_hinf(
-            p, ctx, lam, omegas, y0, yc, delta, beta, beta_infinity, potential_shift
+            p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, potential_shift
         )
 
     return solve_window(defect, window[0], window[1], tol)
@@ -305,9 +297,9 @@ def levinson_phi_plus(p, ctx, lam, y_start=1.0, y_max=1e4):
         float(np.max(np.linalg.norm(s2 - s1, axis=1) / np.linalg.norm(s2, axis=1)))
         for s1, s2 in zip(states[-3:-1], states[-2:])
     ]
+    # ||Rbar||_F is the deviation norm of V from phi_plus * I
     integrable = _gauss_segments(
-        lambda y: np.array([np.linalg.norm(rbar(t)) for t in np.atleast_1d(y)]),
-        np.geomspace(y_start, y_max, 17),
+        lambda y: _deviation_norm(p, ctx, lam, y), np.geomspace(y_start, y_max, 17)
     )
     cauchy = float(integrable[-4:].sum() / max(integrable.sum(), 1e-300))
     final = states[-1]
@@ -343,16 +335,13 @@ def horizon_oscillation(p, ctx, lam, omega, y_start=1.0, y_max=1e4):
             f"|omega - phi_plus| = {abs(omega - ph):.2e} < 1e-6"
         )
 
-    _, ts, ys = integrate(
-        _phase_rhs_y(p, ctx, lam, omega),
-        y_start,
-        y_max,
-        np.zeros((1, 2)),
-        rtol=1e-11,
-        atol=1e-12,
-        max_step=y_max / 64,
-        record=True,
+    tm = tortoise_map(p)
+    s_start, s_max = tm.log_u_of_y(y_start), tm.log_u_of_y(y_max)
+    _, ss, ys = integrate(
+        _phase_rhs_s(p, ctx, lam, omega), s_start, s_max, np.zeros((1, 2)),
+        rtol=1e-11, atol=1e-12, max_step=(s_start - s_max) / 64, record=True,
     )
+    ts = tm.y_of_s(ss)
     etas = ys[:, 0, 0]
     logr = ys[:, 0, 1]
     sel = ts >= 0.1 * y_max
@@ -360,8 +349,7 @@ def horizon_oscillation(p, ctx, lam, omega, y_start=1.0, y_max=1e4):
     slope = -slope_y  # x-convention
     expected = omega - ph
     rel = abs(slope - expected) / abs(expected)
-    last = ts >= 0.1 * y_max
-    rr = float(np.exp(logr[last].max() - logr[last].min()))
+    rr = float(np.exp(logr[sel].max() - logr[sel].min()))
     return OscillationReport(
         slope=float(slope),
         expected=float(expected),
@@ -487,38 +475,30 @@ def horizon_continuation_evidence(
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if r0 is None:
         r0 = default_r0(p)
-    y0 = tortoise_map(p).y(r0)
+    tm = tortoise_map(p)
+    y0 = tm.y(r0)
+    s0 = math.log(r0 - tm.r_plus)
     ph = phi_plus(p, ctx)
+    f = _phase_rhs_s(p, ctx, lams, omegas)
 
     init = np.zeros((lams.size, 2))
     init[:, 0] = _infinity_init(p, ctx, lams, omegas, delta)
-    end, ts, ys = integrate(
-        _phase_rhs_logt(p, ctx, lams, omegas),
-        math.log(delta),
-        math.log(y0),
-        init,
-        rtol=1e-11,
-        atol=1e-12,
-        max_step=0.5,
-        phase_cap=math.pi / 2,
-        record=True,
+    end, ss, ys = integrate(
+        f, tm.log_u_of_y(delta), s0, init, rtol=1e-11, atol=1e-12,
+        max_step=0.5, phase_cap=math.pi / 2, record=True,
     )
     # infinity-side decay exponent: log rho vs log t on the early decades
+    ts = np.log(tm.y_of_s(ss))
     sel = ts <= math.log(delta) + 0.5 * (math.log(y0) - math.log(delta))
     decay = np.array(
         [fit_line(ts[sel], ys[sel, i, 1])[0] for i in range(lams.size)]
     )
 
-    _, ts2, ys2 = integrate(
-        _phase_rhs_y(p, ctx, lams, omegas),
-        y0,
-        y_far,
-        end,
-        rtol=1e-10,
-        atol=1e-12,
-        max_step=y_far / 64,
-        record=True,
+    s_far = tm.log_u_of_y(y_far)
+    _, ss2, ys2 = integrate(
+        f, s0, s_far, end, rtol=1e-10, atol=1e-12, max_step=(s0 - s_far) / 64, record=True
     )
+    ts2 = tm.y_of_s(ss2)
     sel2 = ts2 >= 0.1 * y_far
     slopes = np.array(
         [-fit_line(ts2[sel2], ys2[sel2, i, 0])[0] for i in range(lams.size)]

@@ -279,6 +279,26 @@ def test_scan_rejects_oversized_grid(tmp_path, capsys):
     assert rc == 2 and "omega_step" in err and "points" in err
 
 
+def test_reversed_window_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, window=[1.0, -1.0])
+    rc, _, err = run(capsys, ["angular", "--config", cfg])
+    assert rc == 2 and "window" in err
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.0, 0.01)])
+def test_reversed_scan_range_is_a_config_error(tmp_path, capsys, lo, hi):
+    # reversed, or too short for a second grid point at omega_step 0.05
+    cfg = write_config(tmp_path, omega_min=lo, omega_max=hi)
+    rc, _, err = run(capsys, ["scan", "--config", cfg])
+    assert rc == 2 and "omega_min" in err and "omega_max" in err
+
+
+def test_empty_label_window_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, j_window=0)
+    rc, _, err = run(capsys, ["scan", "--config", cfg])
+    assert rc == 2 and "j_window" in err
+
+
 def test_quadrature_failure_is_a_solver_error(tmp_path, capsys, monkeypatch):
     def failing(p):
         raise QuadratureFailure("Required step size is less than spacing between numbers.")

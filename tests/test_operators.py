@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from knads.geometry import (
     BlackHoleParams,
@@ -228,3 +229,61 @@ def test_outside_exterior_raises():
         tm.y(tm.r_plus)
     with pytest.raises(ValueError):
         tm.log_u_of_y(-1.0)
+
+
+def _dyds(p, s):
+    """dy/ds = -u (r^2 + a^2) / Delta_r at u = e^s, through the factored
+    Delta_r (accurate near the horizon)."""
+    u = math.exp(s)
+    r = find_horizons(p).r_plus + u
+    return -u * (r * r + p.a**2) / float(sqrt_delta_r_from_u(p, u)) ** 2
+
+
+def _seams(tm):
+    """s values where y_of_s switches branch."""
+    seams = [tm.s_lo, tm.s_hi]
+    if tm.extremal:
+        seams.append(-math.log(tm.v_hi))
+    return seams
+
+
+@pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])
+def test_y_of_s_matches_y_and_is_continuous_at_the_seams(p):
+    tm = tortoise_map(p)
+    rs = tm.r_plus + tm.r_plus * np.geomspace(1e-15, 1e4 - 1.0, 400)
+    seam_r = [tm.r_plus + math.exp(s + d) for s in _seams(tm) for d in (-1e-9, 0.0, 1e-9)]
+    rs = np.sort(np.concatenate([rs, seam_r]))
+    ys = tm.y_of_s(np.log(rs - tm.r_plus))
+    assert np.max(np.abs(ys / tm.y(rs) - 1.0)) < 1e-13
+    # Across each seam the branches join: the increment of y matches the
+    # quadrature of dy/ds over a unit interval around it.
+    for seam in _seams(tm):
+        lo, hi = seam - 0.5, seam + 0.5
+        want, _ = quad(lambda s: _dyds(p, s), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+        got = tm.y_of_s(hi) - tm.y_of_s(lo)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])
+def test_y_of_s_decreasing_round_trip_and_finite(p):
+    tm = tortoise_map(p)
+    s_top = math.log(1e4 * tm.r_plus)
+    if not tm.extremal:
+        # far below where e^s underflows (s < -745) the map is linear in s
+        s_bottom = -1e6
+    else:
+        # y ~ a_inf e^(-s) here, which leaves the float range once
+        # s < log(a_inf) - 709.8; stay just above that
+        s_bottom = -700.0
+    ss = np.concatenate([np.linspace(s_bottom, -50.0, 200), np.linspace(-50.0, s_top, 400)[1:]])
+    ys = tm.y_of_s(ss)
+    assert np.all(np.isfinite(ys)) and np.all(ys > 0.0)
+    assert np.all(np.diff(ys) < 0.0)
+    if not tm.extremal:
+        deep = np.array([-800.0, -1e4, -1e6])
+        assert np.array_equal(
+            tm.y_of_s(deep), tm.y_at_s_lo + tm.slope * (tm.s_lo - deep)
+        )
+    back = tm.log_u_of_y(ys)
+    assert np.max(np.abs(back - ss) / np.maximum(1.0, np.abs(ss))) < 1e-9
+    assert np.max(np.abs(tm.y_of_s(back) / ys - 1.0)) < 1e-12

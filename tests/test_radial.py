@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ from scipy.integrate import solve_ivp
 
 from knads.angular import NotLimitPoint
 from knads.geometry import BlackHoleParams, find_horizons, reparameterize
-from knads.operators import ModeContext, phi_plus, tortoise_map
+from knads.operators import ModeContext, TortoiseMap, phi_plus, tortoise_map
 from knads.radial import (
     DEFAULT_DELTA,
     NotConfining,
     TooCloseToPhiPlus,
+    _defect_hinf,
+    _gauss_segments,
     _infinity_init,
     _potential_terms,
     confinement_certificate,
@@ -244,3 +247,69 @@ def test_default_r0():
     assert default_r0(P0) == pytest.approx(find_horizons(P0).r_plus + P0.l)
     tm = tortoise_map(P0)
     assert tm.x(default_r0(P0)) < -0.1
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """Counts TortoiseMap.u_of_y and log_u_of_y calls by name."""
+    calls = collections.Counter()
+    for name in ("u_of_y", "log_u_of_y"):
+        orig = getattr(TortoiseMap, name)
+
+        def counted(self, y, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, y)
+
+        monkeypatch.setattr(TortoiseMap, name, counted)
+    return calls
+
+
+def test_tortoise_inverse_is_off_the_radial_hot_path(inverse_calls):
+    tm = tortoise_map(P0)
+    r0 = default_r0(P0)
+    s0 = math.log(r0 - tm.r_plus)
+    sc, sd = tm.log_u_of_y(0.5 * tm.y(r0)), tm.log_u_of_y(DEFAULT_DELTA)
+    inverse_calls.clear()
+    omegas = np.linspace(-3.0, 3.0, 9)
+    _defect_hinf(P0, CTX, LAM, omegas, s0, sc, sd, DEFAULT_DELTA, math.pi / 4, None, 0.0)
+    assert not inverse_calls
+
+    # Every other path maps its endpoints once, however wide the window or
+    # the batch.
+    def count(fn):
+        inverse_calls.clear()
+        fn()
+        return dict(inverse_calls)
+
+    ph = phi_plus(P0, CTX)
+    runs = [
+        [count(lambda: hinf_eigenvalues(P0, CTX, LAM, window=w)) for w in ((-1.0, 1.0), (-12.0, 12.0))],
+        [count(lambda: horizon_oscillation(P0, CTX, LAM, ph + d)) for d in (0.5, -2.0)],
+        [
+            count(lambda: horizon_continuation_evidence(P0, CTX, np.ones(n), ph + np.linspace(0.3, 1.0, n)))
+            for n in (1, 12)
+        ],
+    ]
+    for a, b in runs:
+        assert a == b and a.get("u_of_y", 0) == 0 and a["log_u_of_y"] <= 3
+
+
+def test_levinson_segments_resolve_the_confining_deviation():
+    # Regression: the segments once came from the 2x2 matrix
+    # [[-V12, ph - V22], [V11 - ph, V12]], whose entries cancel to 0 once
+    # mu r sqrt(Delta_r) / (r^2 + a^2) drops below an ulp of phi_plus, so deep
+    # segments lost the confining term (27% low on P0). Near the horizon the
+    # norm is sqrt(2 (1 + lambda^2 / (mu r)^2)) * confine to O(u).
+    cert = levinson_phi_plus(P0, CTX, LAM)
+    segs = np.array(cert.evidence["rbar_l1_segments"])
+    breaks = np.geomspace(1.0, 1e4, 17)
+    tm = tortoise_map(P0)
+
+    def leading(y):
+        _, conf, unit, _ = _potential_terms(P0, CTX, y)
+        return np.sqrt(2.0 * (conf**2 + (LAM * unit) ** 2))
+
+    deep = (tm.u_of_y(breaks[:-1]) < 1e-20) & (segs > 0.0)
+    assert deep.sum() >= 3
+    want = _gauss_segments(leading, breaks)
+    assert segs[deep] == pytest.approx(want[deep], rel=1e-12, abs=0.0)
