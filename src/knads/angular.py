@@ -45,7 +45,13 @@ class NotLimitPoint(Exception):
 
 
 class WindowTooWide(Exception):
-    """More than 1e3 eigenvalues requested in a single window."""
+    """More than 1e3 eigenvalues requested in a single window, or a window
+    wider than MAX_WINDOW_SEGMENTS grid segments."""
+
+
+# Largest grid solve_window shoots, in segments of width 0.5: a wider window
+# is refused before the first defect call, which would shoot the whole grid.
+MAX_WINDOW_SEGMENTS = 2000
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,14 @@ def solve_window(defect, lo, hi, tol):
     eigenvalues. Each is bracketed in one of the grid segments of width
     <= 0.5 and bisected there until its bracket is narrower than tol / 2.
     Labels are signed indices ordered by value, anchored so the first
-    eigenvalue above x = 0 gets +1 (a probe at 0 rides in the grid batch)."""
+    eigenvalue above x = 0 gets +1 (a probe at 0 rides in the grid batch).
+    A window of more than MAX_WINDOW_SEGMENTS segments raises WindowTooWide
+    before the first defect call."""
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise ValueError("window must satisfy lam_lo < lam_hi")
+    if not hi - lo <= 0.5 * MAX_WINDOW_SEGMENTS:
+        raise WindowTooWide(f"window [{lo}, {hi}] is wider than {0.5 * MAX_WINDOW_SEGMENTS}")
     nseg = max(2, int(math.ceil((hi - lo) / 0.5)))
     grid = np.linspace(lo, hi, nseg + 1)
     dvals = defect(np.concatenate([grid, [0.0]]))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .geometry import find_horizons
-from .operators import dirac_d, phi_plus, radial_potential_from_u, tortoise_map
+from .operators import deviation_norm, dirac_d, tortoise_map
 
 LIMIT_POINT = "LimitPoint"
 LIMIT_CIRCLE = "LimitCircle"
@@ -142,12 +142,7 @@ def classify_radial_horizon(p, ctx, lam=0.0):
     is an infinite endpoint with bounded potential there. The returned bound
     is the verified sup of ||V(r(y)) - phi_plus I||_F over y in [1, 1e3]
     (lam enters the off-diagonal; the verdict does not depend on it)."""
-    tm = tortoise_map(p)
-    y = np.geomspace(1.0, 1e3, 64)
-    u = tm.u_of_y(y)
-    v11, v22, v12 = radial_potential_from_u(p, ctx, lam, u)
-    ph = phi_plus(p, ctx)
-    dev = np.sqrt((v11 - ph) ** 2 + (v22 - ph) ** 2 + 2.0 * v12**2)
+    dev = deviation_norm(p, ctx, lam, tortoise_map(p).u_of_y(np.geomspace(1.0, 1e3, 64)))
     return EndpointClass(
         "r=horizon", 0.0, LIMIT_POINT, "weidmann", bound=float(np.max(dev))
     )

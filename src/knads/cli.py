@@ -133,11 +133,13 @@ def parse_config(text):
     vals.update(raw)
     window = vals["window"]
     if window is not None:
-        if not (isinstance(window, (list, tuple)) and len(window) == 2):
-            raise ConfigError("window must be a [lo, hi] pair")
-        window = (float(window[0]), float(window[1]))
-        if not window[0] < window[1]:
-            raise ConfigError(f"window must satisfy lo < hi, got {list(window)}")
+        try:
+            lo, hi = (float(w) for w in window) if isinstance(window, (list, tuple)) else ()
+        except (TypeError, ValueError):
+            raise ConfigError(f"window must be two numbers [lo, hi], got {window!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError(f"window must satisfy lo < hi, both finite, got {[lo, hi]}")
+        window = (lo, hi)
     try:
         cfg = RunConfig(
             m=float(vals["m"]),

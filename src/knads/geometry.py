@@ -8,13 +8,14 @@ The horizon is the largest root of the quartic Delta_r; the structure function
 Delta_theta never vanishes for a**2 < l**2.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 import math
 
 
 class NoHorizon(Exception):
-    """Raised when Delta_r has no real root, i.e. m < m_ext."""
+    """Raised when Delta_r has no real root, i.e. m < m_ext, or when its
+    outer root cannot be bracketed before Delta_r overflows."""
 
 
 class InvalidRoots(Exception):
@@ -24,6 +25,14 @@ class InvalidRoots(Exception):
 class OutsideExterior(Exception):
     """Raised when a radius below the outer horizon is passed to an
     exterior-only quantity."""
+
+
+def require_finite(obj):
+    """Raise ValueError naming the first non-finite field of a dataclass."""
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if not math.isfinite(val):
+            raise ValueError(f"{f.name} must be finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,7 @@ class BlackHoleParams:
     l: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if not self.l > 0:
             raise ValueError("AdS radius l must be positive")
         if not self.a**2 < self.l**2:
@@ -170,8 +180,11 @@ def find_horizons(p):
     Declares extremal when the two roots agree within 1e-8 relative.
     """
     r_max = p.l * (1.0 + 2.0 * math.sqrt(max(p.m * p.l, 0.0))) + p.a + 1.0
-    while delta_r_prime(p, r_max) <= 0.0 or delta_r(p, r_max) <= 0.0:
-        r_max *= 2.0
+    try:
+        while delta_r_prime(p, r_max) <= 0.0 or delta_r(p, r_max) <= 0.0:
+            r_max *= 2.0
+    except OverflowError:
+        raise NoHorizon(f"Delta_r overflows at r = {r_max:.3g} bracketing r_plus") from None
     scale = _coefficient_scale(p)
 
     if delta_r_prime(p, 0.0) >= 0.0:

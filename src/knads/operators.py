@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .geometry import OutsideExterior, delta_r_prime, find_horizons
+from .geometry import OutsideExterior, delta_r_prime, find_horizons, require_finite
 
 
 class DomainError(ValueError):
@@ -45,6 +45,7 @@ class ModeContext:
     gauge_b: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         two_k = 2.0 * self.k
         if abs(two_k - round(two_k)) > 1e-12 or round(two_k) % 2 == 0:
             raise ValueError("2k must be an odd integer")
@@ -132,6 +133,17 @@ def sqrt_delta_r_from_u(p, u):
     return np.sqrt(u * (u + (rp - rm)) * q2) / p.l
 
 
+def _radial_terms(p, ctx, lam, u):
+    """(diag, conf, off) at r = r_plus + u, vectorized: V11 = diag + conf,
+    V22 = diag - conf, V12 = off."""
+    rp = find_horizons(p).r_plus
+    u = np.asarray(u, dtype=float)
+    r = rp + u
+    r2a2 = r * r + p.a**2
+    sq = sqrt_delta_r_from_u(p, u)
+    return _p_function(p, ctx, r) / r2a2, ctx.mu * r * sq / r2a2, lam * sq / r2a2
+
+
 def radial_potential_from_u(p, ctx, lam, u):
     """Entries (V11, V22, V12) of the radial potential at r = r_plus + u,
     vectorized and cancellation-free near the horizon:
@@ -139,16 +151,19 @@ def radial_potential_from_u(p, ctx, lam, u):
         V11 = (P + mu r sqrt(Delta_r)) / (r^2 + a^2)
         V22 = (P - mu r sqrt(Delta_r)) / (r^2 + a^2)
         V12 = lambda sqrt(Delta_r) / (r^2 + a^2)."""
-    rp = find_horizons(p).r_plus
-    u = np.asarray(u, dtype=float)
-    r = rp + u
-    r2a2 = r * r + p.a**2
-    sq = sqrt_delta_r_from_u(p, u)
-    pr = _p_function(p, ctx, r)
-    diag = pr / r2a2
-    conf = ctx.mu * r * sq / r2a2
-    off = lam * sq / r2a2
+    diag, conf, off = _radial_terms(p, ctx, lam, u)
     return diag + conf, diag - conf, off
+
+
+def deviation_norm(p, ctx, lam, u):
+    """Frobenius norm of V - phi_plus * I at r = r_plus + u, vectorized.
+
+    Its diagonal is formed as (diag - phi_plus) +- conf, never as
+    V11 - phi_plus: once conf drops below an ulp of phi_plus, V11 and V22
+    round to the same value and the difference would lose it."""
+    diag, conf, off = _radial_terms(p, ctx, lam, u)
+    dev = diag - phi_plus(p, ctx)
+    return np.sqrt((dev + conf) ** 2 + (dev - conf) ** 2 + 2.0 * off**2)
 
 
 def radial_potential(p, ctx, lam, r):
@@ -207,10 +222,11 @@ class TortoiseMap:
     tail, and asymptotic branches extend both ends (exponential approach for
     a non-extremal horizon, 1/y approach for an extremal one).
 
-    The radial phase equations integrate in s itself, through y_of_s, so the
-    inverse (log_u_of_y, a Newton solve per call) stays off their hot path.
-    It serves the interval endpoints, the finite-difference oracle,
-    classify and the AC/Levinson certificates.
+    The radial phase equations, the Levinson certificate included, integrate
+    in s itself, through y_of_s, so the inverse (log_u_of_y, one vectorized
+    Newton loop) stays off their hot path. It maps interval endpoints once
+    per call, and places the y nodes of the finite-difference oracle, of
+    classify's deviation bound and of the AC/Levinson deviation integrals.
     """
 
     def __init__(self, p, n_init=4000):
@@ -249,14 +265,7 @@ class TortoiseMap:
             raise QuadratureFailure(sol.message)
         self._sol = sol.sol
         self.s_lo, self.s_hi = s_lo, s_hi
-        ss = np.linspace(s_hi, s_lo, n_init)
-        ys = self._sol(ss)[0]
-        # y ascends as s descends; keep that order so np.interp sees an
-        # increasing abscissa.
-        self._s_samples = ss
-        self._logy_samples = np.log(ys)
-        self.y_at_s_lo = float(ys[-1])
-        self.y_at_s_hi = y_big
+        self.y_at_s_lo = float(self._sol(s_lo)[0])
         # Horizon-side asymptotics.
         if not self.extremal:
             self.slope = (self.r_plus**2 + p.a**2) / delta_r_prime(p, self.r_plus)
@@ -264,7 +273,7 @@ class TortoiseMap:
             q2e = (self.r_plus + c1) * self.r_plus + c0
             self._a_inf = p.l**2 * (self.r_plus**2 + p.a**2) / q2e
             v_mid = math.exp(-s_lo)
-            v_hi = v_mid * 1e15
+            self.v_hi = v_mid * 1e15
 
             def dydv(v, _y):
                 r = self.r_plus + 1.0 / v
@@ -273,7 +282,7 @@ class TortoiseMap:
 
             solv = solve_ivp(
                 dydv,
-                (v_mid, v_hi),
+                (v_mid, self.v_hi),
                 [self.y_at_s_lo],
                 method="DOP853",
                 rtol=1e-12,
@@ -283,11 +292,13 @@ class TortoiseMap:
             if not solv.success:
                 raise QuadratureFailure(solv.message)
             self._solv = solv.sol
-            self.v_mid, self.v_hi = v_mid, v_hi
-            vv = np.geomspace(v_mid, v_hi, n_init)
-            self._v_samples = vv
-            self._logy_v_samples = np.log(solv.sol(vv)[0])
-            self.y_at_v_hi = float(solv.sol(v_hi)[0])
+            self.y_at_v_hi = float(solv.sol(self.v_hi)[0])
+        # Seed table of the inverse, from the extremal v-branch (or s_lo)
+        # into the far tail (y ~ l^2 / r, down to y ~ 1e-12 l^2 / r_big); s
+        # descends so that log y ascends, as np.interp needs.
+        s_min = -math.log(self.v_hi) if self.extremal else s_lo
+        self._s_table = np.linspace(s_hi + 12.0 * math.log(10.0), s_min, n_init)
+        self._logy_table = np.log(self.y_of_s(self._s_table))
 
     # -- forward map ------------------------------------------------------
 
@@ -296,7 +307,7 @@ class TortoiseMap:
         r = self.r_plus + u
         q2 = (r + self._c1) * r + self._c0
         rp_minus_rm = self.r_plus - self._rm
-        return -(self.p.l**2) * (r * r + self.p.a**2) / ((u + rp_minus_rm) * q2)
+        return -(self.p.l**2) * ((r * r + self.p.a**2) / q2) / (u + rp_minus_rm)
 
     def y(self, r):
         """Tortoise coordinate y(r), scalar or array, for r > r_plus."""
@@ -341,68 +352,31 @@ class TortoiseMap:
 
     def log_u_of_y(self, y):
         """log(r - r_plus) as a function of y; exact even where r - r_plus
-        underflows. Vectorized."""
+        underflows. Vectorized.
+
+        Newton on log y_of_s(s) = log y with the analytic dy/ds, seeded from
+        the (log y, s) table, or past a non-extremal s_lo from the exact
+        linear branch. Each point stops on its own once its step falls below
+        1e-14 max(1, |s|), so a result does not depend on the batch."""
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
         if np.any(y <= 0.0):
             raise ValueError("y must be positive")
-        out = np.empty_like(y)
-        lo = y <= self.y_at_s_hi
-        if lo.any():
-            # r >= r_big: Newton on the tail quadrature, init r ~ l^2 / y.
-            r = np.maximum(self.p.l**2 / y[lo], self.r_big)
-            for _ in range(60):
-                f = _tail_integral(self.p, r) - y[lo]
-                df = -(r * r + self.p.a**2) / delta_r_vec(self.p, r)
-                step = f / df
-                r = np.maximum(r - step, self.r_big)
-                if np.max(np.abs(step) / r) < 1e-15:
-                    break
-            out[lo] = np.log(r - self.r_plus)
-        hi = ~lo
-        if hi.any():
-            yh = y[hi]
-            res = np.empty_like(yh)
-            in_spline = yh <= self.y_at_s_lo
-            if in_spline.any():
-                s = np.interp(
-                    np.log(yh[in_spline]), self._logy_samples, self._s_samples
-                )
-                for _ in range(60):
-                    f = self._sol(s)[0] - yh[in_spline]
-                    step = f / self._dyds(s)
-                    s = np.clip(s - step, self.s_lo, self.s_hi)
-                    if np.max(np.abs(step)) < 1e-14:
-                        break
-                res[in_spline] = s
-            deep = ~in_spline
-            if deep.any():
-                if not self.extremal:
-                    res[deep] = self.s_lo - (yh[deep] - self.y_at_s_lo) / self.slope
-                else:
-                    yd = yh[deep]
-                    v = np.interp(
-                        np.log(yd), self._logy_v_samples, np.log(self._v_samples)
-                    )
-                    v = np.exp(v)
-                    over = yd > self.y_at_v_hi
-                    v[over] = self.v_hi + (yd[over] - self.y_at_v_hi) / self._a_inf
-                    for _ in range(60):
-                        inside = ~over
-                        if not inside.any():
-                            break
-                        f = self._solv(v[inside])[0] - yd[inside]
-                        r = self.r_plus + 1.0 / v[inside]
-                        q2 = (r + self._c1) * r + self._c0
-                        dydv = self.p.l**2 * (r * r + self.p.a**2) / q2
-                        step = f / dydv
-                        v[inside] = np.clip(v[inside] - step, self.v_mid, self.v_hi)
-                        if np.max(np.abs(step / v[inside])) < 1e-15:
-                            break
-                    res[deep] = -np.log(v)
-            out[hi] = res
-        return float(out[0]) if scalar else out
+        yf = y.ravel()
+        logy = np.log(yf)
+        s = np.interp(logy, self._logy_table, self._s_table)
+        if not self.extremal:
+            deep = yf > self.y_at_s_lo
+            s[deep] = self.s_lo - (yf[deep] - self.y_at_s_lo) / self.slope
+        active = np.arange(s.size)
+        for _ in range(60):
+            sa = s[active]
+            ya = self.y_of_s(sa)
+            step = (np.log(ya) - logy[active]) * ya / self._dyds(sa)
+            s[active] = sa - step
+            active = active[np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(sa))]
+            if not active.size:
+                break
+        return float(s[0]) if y.ndim == 0 else s.reshape(y.shape)
 
     def u_of_y(self, y):
         """r - r_plus as a function of y; underflows gracefully to 0 deep in
@@ -410,9 +384,6 @@ class TortoiseMap:
         its limit to machine precision)."""
         with np.errstate(under="ignore"):
             return np.exp(self.log_u_of_y(y))
-
-    def r_of_y(self, y):
-        return self.r_plus + self.u_of_y(y)
 
 
 @lru_cache(maxsize=64)

@@ -10,7 +10,9 @@ dy/ds tends to -slope and V to phi_plus * I, finite even where e^s
 underflows. Endpoints given in y are mapped to s once per call
 (TortoiseMap.log_u_of_y), and recorded nodes back to y once per integration
 (TortoiseMap.y_of_s), so fits and selections stay defined in y. The
-AC and Levinson certificates integrate in y directly.
+Levinson certificate is the same phase equation at omega = phi_plus. Only
+the AC and Levinson deviation integrals stay in y: their Gauss nodes go
+through the inverse in one vectorized call.
 
 Certificate evidence is numeric and reproducible: decade-resolved integrals
 with Cauchy-tail ratios, linear fits of Prüfer phase slopes, and growth
@@ -27,6 +29,7 @@ from .geometry import find_horizons
 from .operators import (
     _factored_quartic_terms,
     _p_function,
+    deviation_norm,
     phi_plus,
     sqrt_delta_r_from_u,
     tortoise_map,
@@ -63,21 +66,6 @@ class OscillationReport:
     omega: float
     y_max: float
     passed: bool
-
-
-def _potential_terms(p, ctx, y, potential_shift=0.0):
-    """(diag_mean, confine, offdiag_unit) at tortoise position y, where
-    V11 = diag_mean + confine, V22 = diag_mean - confine and
-    V12 = lambda * offdiag_unit."""
-    tm = tortoise_map(p)
-    u = tm.u_of_y(y)
-    r = tm.r_plus + u
-    r2a2 = r * r + p.a**2
-    sq = sqrt_delta_r_from_u(p, u)
-    diag = _p_function(p, ctx, r) / r2a2 + potential_shift
-    conf = ctx.mu * r * sq / r2a2
-    unit = sq / r2a2
-    return diag, conf, unit, r
 
 
 def _phase_rhs_s(p, ctx, lam, omegas, potential_shift=0.0):
@@ -193,20 +181,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 def _gauss_segments(f, breaks):
     """Integral of f over consecutive [breaks_i, breaks_{i+1}] segments by
-    fixed Gauss quadrature; returns per-segment values."""
-    out = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        out.append(half * float(f(mid + half * _GL_NODES) @ _GL_WEIGHTS))
-    return np.array(out)
-
-
-def _deviation_norm(p, ctx, lam, y):
-    """Frobenius norm of V(r(y)) - phi_plus * I, vectorized over y."""
-    diag, conf, unit, _ = _potential_terms(p, ctx, y)
-    dev = diag - phi_plus(p, ctx)
-    return np.sqrt((dev + conf) ** 2 + (dev - conf) ** 2 + 2.0 * (lam * unit) ** 2)
+    fixed Gauss quadrature, every node in one call of f; returns per-segment
+    values."""
+    breaks = np.asarray(breaks, dtype=float)
+    mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    return half * (f(mid + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
 
 
 def horizon_ac_certificate(p, ctx, lam, y_start=1.0):
@@ -218,7 +198,8 @@ def horizon_ac_certificate(p, ctx, lam, y_start=1.0):
     plain integral grows while the Cesàro mean (1/Y) * integral still tends
     to 0; both facts are recorded."""
     hd = find_horizons(p)
-    f = lambda y: _deviation_norm(p, ctx, lam, y)
+    tm = tortoise_map(p)
+    f = lambda y: deviation_norm(p, ctx, lam, tm.u_of_y(y))
     breaks = np.concatenate(
         [np.geomspace(y_start, 1e2, 9), np.geomspace(1e2, 1e3, 9)[1:], np.geomspace(1e3, 1e4, 9)[1:]]
     )
@@ -265,55 +246,42 @@ def levinson_phi_plus(p, ctx, lam, y_start=1.0, y_max=1e4):
     Integrates X' = Rbar(y) X for two independent initial vectors, where
     Rbar is the system matrix at omega = phi_plus; since ||Rbar|| is L^1 the
     solutions approach constant non-zero vectors, so no solution is square
-    integrable in y and phi_plus is not an eigenvalue."""
+    integrable in y and phi_plus is not an eigenvalue. The solutions start
+    at the unit vectors, (eta, log rho) = (0, 0) and (pi/2, 0), and follow
+    the exact Prüfer form of that system, _phase_rhs_s at omega = phi_plus,
+    in s; the checkpoints are mapped to s once."""
     hd = find_horizons(p)
     if hd.extremal:
         raise ValueError("Levinson certificate applies to the non-extremal case")
     ph = phi_plus(p, ctx)
-
-    def rbar(y):
-        diag, conf, unit, _ = _potential_terms(p, ctx, y)
-        v12 = lam * unit
-        # dX/dy at omega = phi_plus: [[-V12, ph - V22], [V11 - ph, V12]]
-        return np.array(
-            [[-v12, ph - (diag - conf)], [(diag + conf) - ph, v12]]
-        )
-
-    def f(y, state):
-        m = rbar(y)
-        return state @ m.T
-
-    x0 = np.eye(2)
-    checkpoints = [y_start, y_max / 8, y_max / 4, y_max / 2, y_max]
-    states = [x0.copy()]
-    cur = x0.copy()
-    min_norm = np.linalg.norm(cur, axis=1).min()
+    tm = tortoise_map(p)
+    f = _phase_rhs_s(p, ctx, lam, np.full(2, ph))
+    checkpoints = tm.log_u_of_y(np.array([y_start, y_max / 8, y_max / 4, y_max / 2, y_max]))
+    cur = np.array([[0.0, 0.0], [math.pi / 2, 0.0]])
+    states, min_logr = [cur], 0.0
     for a, b in zip(checkpoints[:-1], checkpoints[1:]):
-        cur, ts, ys = integrate(f, a, b, cur, rtol=1e-11, atol=1e-13, record=True)
-        min_norm = min(min_norm, float(np.sqrt((ys**2).sum(axis=2)).min()))
-        states.append(cur.copy())
-    norms = [np.linalg.norm(s, axis=1) for s in states]
+        cur, _, ys = integrate(f, a, b, cur, rtol=1e-11, atol=1e-13, record=True)
+        min_logr = min(min_logr, float(ys[:, :, 1].min()))
+        states.append(cur)
+    # X = rho (cos eta, sin eta) at each checkpoint
+    vecs = [np.exp(x[:, 1:]) * np.stack([np.cos(x[:, 0]), np.sin(x[:, 0])], 1) for x in states]
     rel_changes = [
-        float(np.max(np.linalg.norm(s2 - s1, axis=1) / np.linalg.norm(s2, axis=1)))
-        for s1, s2 in zip(states[-3:-1], states[-2:])
+        float(np.max(np.linalg.norm(v2 - v1, axis=1) / np.linalg.norm(v2, axis=1)))
+        for v1, v2 in zip(vecs[-3:-1], vecs[-2:])
     ]
     # ||Rbar||_F is the deviation norm of V from phi_plus * I
     integrable = _gauss_segments(
-        lambda y: _deviation_norm(p, ctx, lam, y), np.geomspace(y_start, y_max, 17)
+        lambda y: deviation_norm(p, ctx, lam, tm.u_of_y(y)), np.geomspace(y_start, y_max, 17)
     )
     cauchy = float(integrable[-4:].sum() / max(integrable.sum(), 1e-300))
-    final = states[-1]
-    passed = bool(
-        max(rel_changes) < 1e-4
-        and min_norm > 0.5 * float(min(norms[0]))
-        and cauchy < 0.05
-    )
+    min_norm = math.exp(min_logr)
+    passed = bool(max(rel_changes) < 1e-4 and min_norm > 0.5 and cauchy < 0.05)
     return RadialCertificate(
         kind="Levinson_phi_plus",
         evidence={
-            "final_vectors": final.tolist(),
+            "final_vectors": vecs[-1].tolist(),
             "asymptotic_rel_change": rel_changes,
-            "min_norm_over_traces": float(min_norm),
+            "min_norm_over_traces": min_norm,
             "rbar_l1_segments": integrable.tolist(),
             "rbar_l1_cauchy_tail": cauchy,
             "phi_plus": float(ph),

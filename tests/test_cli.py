@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -279,10 +280,41 @@ def test_scan_rejects_oversized_grid(tmp_path, capsys):
     assert rc == 2 and "omega_step" in err and "points" in err
 
 
-def test_reversed_window_is_a_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, window=[1.0, -1.0])
+@pytest.mark.parametrize(
+    "window",
+    [[1.0, -1.0], ["a", 1], ["-Infinity", 1]],
+    ids=["reversed", "not_a_number", "infinite"],
+)
+def test_reversed_window_is_a_config_error(tmp_path, capsys, window):
+    cfg = write_config(tmp_path, window=window)
     rc, _, err = run(capsys, ["angular", "--config", cfg])
     assert rc == 2 and "window" in err
+
+
+def test_over_wide_window_is_refused_before_shooting(tmp_path, capsys):
+    # Shooting the grid of [-1e6, 1e6] at |lambda| = 1e6 took over a minute.
+    cfg = write_config(tmp_path, window=[-1e6, 1e6])
+    start = time.perf_counter()
+    rc, _, err = run(capsys, ["angular", "--config", cfg])
+    assert rc == 3 and "WindowTooWide" in err
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "field, value", [("m", math.nan), ("a", math.inf), ("mu", -math.inf), ("k", math.inf)]
+)
+def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, field, value):
+    # json.dumps writes NaN and Infinity literals, which json.loads accepts.
+    cfg = write_config(tmp_path, **{field: value})
+    rc, _, err = run(capsys, ["horizons", "--config", cfg])
+    assert rc == 2 and f"{field} must be finite" in err
+
+
+def test_huge_mass_is_refused_without_a_traceback(tmp_path, capsys):
+    # Bracketing the outer horizon once overflowed with a traceback (exit 1).
+    cfg = write_config(tmp_path, m=1e300)
+    rc, _, err = run(capsys, ["horizons", "--config", cfg])
+    assert rc == 3 and "overflows" in err
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.0, 0.01)])

@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -164,7 +165,7 @@ def test_tortoise_round_trip_nonextremal(rng):
         rs = tm.r_plus + np.geomspace(1e-10, 1e4, 60)
         ys = tm.y(rs)
         assert np.all(np.diff(ys) < 0.0)
-        back = tm.r_of_y(ys)
+        back = tm.r_plus + tm.u_of_y(ys)
         assert np.max(np.abs(back / rs - 1.0)) < 1e-9
         # and the u-level inverse holds even where r - r_plus is tiny
         lu = tm.log_u_of_y(ys)
@@ -196,7 +197,7 @@ def test_tortoise_extremal_branch():
     assert tm.y(tm.r_plus + u) * u == pytest.approx(a_inf, rel=1e-5)
     rs = tm.r_plus + np.geomspace(1e-9, 1e3, 40)
     ys = tm.y(rs)
-    back = tm.r_of_y(ys)
+    back = tm.r_plus + tm.u_of_y(ys)
     assert np.max(np.abs(back / rs - 1.0)) < 1e-9
     with pytest.raises(ValueError):
         horizon_slope(p)
@@ -287,3 +288,36 @@ def test_y_of_s_decreasing_round_trip_and_finite(p):
     back = tm.log_u_of_y(ys)
     assert np.max(np.abs(back - ss) / np.maximum(1.0, np.abs(ss))) < 1e-9
     assert np.max(np.abs(tm.y_of_s(back) / ys - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])
+@settings(max_examples=200, deadline=None)
+@given(log10_y=st.floats(-100.0, 100.0))
+def test_log_u_of_y_round_trips(p, log10_y):
+    # Seeded from the table, from the linear branch past s_lo, or by
+    # extrapolating off either end of the table, the Newton loop lands on
+    # the y it was given.
+    tm = tortoise_map(p)
+    y = 10.0**log10_y
+    assert tm.y_of_s(tm.log_u_of_y(y)) == pytest.approx(y, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.floats(-15.0, 6.0),
+    dr=st.floats(-12.0, 0.0),
+    s=st.floats(-700.0, 40.0),
+    ds=st.floats(-9.0, -1.0),
+)
+def test_y_strictly_decreasing_on_every_branch(p, t, dr, s, ds):
+    # r runs from a few ulps above r_plus (the linear branch past s_lo, or
+    # the dense v-branch of an extremal horizon) through the bulk into the
+    # far tail; s also reaches the extremal v > v_hi branch that no float r
+    # resolves.
+    tm = tortoise_map(p)
+    r1 = tm.r_plus * (1.0 + 10.0**t)
+    r2 = r1 * (1.0 + 10.0**dr)
+    assert tm.y(r1) > tm.y(r2)
+    s2 = s + 10.0**ds * max(1.0, abs(s))
+    assert tm.y_of_s(s) > tm.y_of_s(s2) > 0.0

@@ -7,7 +7,13 @@ from scipy.integrate import solve_ivp
 
 from knads.angular import NotLimitPoint
 from knads.geometry import BlackHoleParams, find_horizons, reparameterize
-from knads.operators import ModeContext, TortoiseMap, phi_plus, tortoise_map
+from knads.operators import (
+    ModeContext,
+    TortoiseMap,
+    phi_plus,
+    radial_potential_from_u,
+    tortoise_map,
+)
 from knads.radial import (
     DEFAULT_DELTA,
     NotConfining,
@@ -15,7 +21,6 @@ from knads.radial import (
     _defect_hinf,
     _gauss_segments,
     _infinity_init,
-    _potential_terms,
     confinement_certificate,
     default_r0,
     hinf_eigenvalues,
@@ -203,15 +208,15 @@ def _linear_continuation_amplitude(p, ctx, lam, omega, y_far=1e3, delta=DEFAULT_
     dX/dx = A X = [[V12, V22 - omega], [omega - V11, -V12]] X, by solve_ivp
     on the linear system itself (log y toward r0, then y toward y_far)."""
 
+    tm = tortoise_map(p)
+
     def minus_a(y, x):
-        diag, conf, unit, _ = _potential_terms(p, ctx, y)
-        v12 = lam * float(unit)
-        v11, v22 = float(diag + conf), float(diag - conf)
+        v11, v22, v12 = (float(v) for v in radial_potential_from_u(p, ctx, lam, tm.u_of_y(y)))
         return -np.array(
             [v12 * x[0] + (v22 - omega) * x[1], (omega - v11) * x[0] - v12 * x[1]]
         )
 
-    y0 = tortoise_map(p).y(default_r0(p))
+    y0 = tm.y(default_r0(p))
     eta = float(_infinity_init(p, ctx, lam, omega, delta))
     leg1 = solve_ivp(
         lambda tau, x: math.exp(tau) * minus_a(math.exp(tau), x),
@@ -293,6 +298,13 @@ def test_tortoise_inverse_is_off_the_radial_hot_path(inverse_calls):
     for a, b in runs:
         assert a == b and a.get("u_of_y", 0) == 0 and a["log_u_of_y"] <= 3
 
+    # The certificates place the Gauss nodes of their deviation integrals in
+    # one u_of_y call (one log_u_of_y inside it), and Levinson maps its
+    # checkpoints in one more; the steps of its integration map nothing.
+    for cert in (levinson_phi_plus, horizon_ac_certificate):
+        a, b = [count(lambda: cert(P0, CTX, lam)) for lam in (1.0, 3.0)]
+        assert a == b and a["u_of_y"] == 1 and a["log_u_of_y"] <= 2
+
 
 def test_levinson_segments_resolve_the_confining_deviation():
     # Regression: the segments once came from the 2x2 matrix
@@ -306,10 +318,25 @@ def test_levinson_segments_resolve_the_confining_deviation():
     tm = tortoise_map(P0)
 
     def leading(y):
-        _, conf, unit, _ = _potential_terms(P0, CTX, y)
-        return np.sqrt(2.0 * (conf**2 + (LAM * unit) ** 2))
+        u = tm.u_of_y(y)
+        _, _, v12 = radial_potential_from_u(P0, CTX, LAM, u)
+        conf = CTX.mu * (tm.r_plus + u) * v12 / LAM
+        return np.sqrt(2.0 * (conf**2 + v12**2))
 
     deep = (tm.u_of_y(breaks[:-1]) < 1e-20) & (segs > 0.0)
     assert deep.sum() >= 3
     want = _gauss_segments(leading, breaks)
     assert segs[deep] == pytest.approx(want[deep], rel=1e-12, abs=0.0)
+
+
+def test_gauss_segments_match_a_per_segment_loop():
+    # Every segment's nodes go through f in one call; the per-segment sums
+    # must match one call per segment up to the summation order.
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    breaks = np.geomspace(1.0, 1e4, 17)
+    f = lambda y: np.exp(-0.01 * y) / (1.0 + y)
+    want = []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        half = 0.5 * (hi - lo)
+        want.append(half * float(f(0.5 * (lo + hi) + half * nodes) @ weights))
+    assert _gauss_segments(f, breaks) == pytest.approx(want, rel=1e-14, abs=0.0)
