@@ -3,9 +3,11 @@
 The two-component angular system is integrated as a phase/log-amplitude pair
 from both poles toward a matching point c. Near each pole the phase equation
 has an attracting fixed point selecting the recessive (power-law bounded)
-solution, so shooting away from the poles is well conditioned; integration
-runs in log(distance-to-pole) so the coefficient singularity becomes a smooth
-bounded term. Eigenvalues are the roots of the matching defect
+solution, so shooting away from the poles is well conditioned. One
+right-hand side, _pole_rhs, serves both poles: it integrates in the log
+distance t to the pole, theta = pole + sign * e^t, so the coefficient
+singularity becomes a smooth bounded term, and one loop shoots from theta = 0
+and theta = pi in turn. Eigenvalues are the roots of the matching defect
 eta_left(c) - eta_right(c) = m*pi, which is strictly increasing in lambda;
 the integer m doubles as a global mode label.
 """
@@ -15,7 +17,8 @@ import math
 
 import numpy as np
 
-from .classify import classify_angular
+from .classify import angular_exponents, classify_angular
+from .geometry import delta_theta
 from .operators import _angular_entries, dirac_d
 from .rk import IntegratorStall, bisect_batched, integrate
 
@@ -149,8 +152,7 @@ def prufer_rhs(p, ctx, theta, eta, lam):
     equivalent exact phase equation of the first-order system (the two forms
     coincide when a = 0)."""
     d = dirac_d(p, ctx)
-    dth = 1.0 - (p.a / p.l) ** 2 * math.cos(theta) ** 2
-    sq = math.sqrt(dth)
+    sq = math.sqrt(delta_theta(p, theta))
     sig = d * (math.cos(theta) - ctx.gauge_b) - ctx.k
     s, c = math.sin(eta), math.cos(eta)
     return (
@@ -170,56 +172,30 @@ def _frobenius_init(exponent, lam, mu_a, xi, eps):
     return eta0 + c1 * eps / (1.0 + 2.0 * abs(exponent))
 
 
-def _left_rhs(p, ctx, lam, domega=None):
-    """d(eta, log rho)/d tau with tau = log(theta); smooth up to the pole.
+def _pole_rhs(p, ctx, lam, pole, sign, domega=None):
+    """d(eta, log rho)/dt with theta = pole + sign * e^t, t the log distance
+    to the pole (pole 0 with sign +1, pole pi with sign -1): dtheta/dt times
+    the theta-picture derivative, smooth up to the pole.
 
     domega optionally gives each batch member its own frequency offset from
     ctx.omega (the offset enters only through the a*omega*sin(theta) term)."""
     dw = None if domega is None else np.asarray(domega, dtype=float)
 
-    def f(tau, state):
-        theta = math.exp(tau)
+    def f(t, state):
+        dtheta = sign * math.exp(t)
+        theta = pole + dtheta
         m11, m12 = _angular_entries(p, ctx, theta)
-        sq = math.sqrt(1.0 - (p.a / p.l) ** 2 * math.cos(theta) ** 2)
+        sq = math.sqrt(delta_theta(p, theta))
         if dw is not None:
             m11 = m11 + p.a * dw * math.sin(theta) / sq
         eta = state[:, 0]
         c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
         out = np.empty_like(state)
-        out[:, 0] = theta * (lam - m11 * c2 - m12 * s2) / sq
-        out[:, 1] = theta * (m12 * c2 - m11 * s2) / sq
+        out[:, 0] = dtheta * (lam - m11 * c2 - m12 * s2) / sq
+        out[:, 1] = dtheta * (m12 * c2 - m11 * s2) / sq
         return out
 
     return f
-
-
-def _right_rhs(p, ctx, lam, domega=None):
-    """Same in sigma = log(alpha), alpha = pi - theta (integrating away from
-    the theta=pi pole means decreasing theta, hence the sign)."""
-    dw = None if domega is None else np.asarray(domega, dtype=float)
-
-    def f(sig, state):
-        alpha = math.exp(sig)
-        theta = math.pi - alpha
-        m11, m12 = _angular_entries(p, ctx, theta)
-        sq = math.sqrt(1.0 - (p.a / p.l) ** 2 * math.cos(theta) ** 2)
-        if dw is not None:
-            m11 = m11 + p.a * dw * math.sin(theta) / sq
-        eta = state[:, 0]
-        c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
-        out = np.empty_like(state)
-        out[:, 0] = -alpha * (lam - m11 * c2 - m12 * s2) / sq
-        out[:, 1] = -alpha * (m12 * c2 - m11 * s2) / sq
-        return out
-
-    return f
-
-
-def _exponents(p, ctx):
-    d = dirac_d(p, ctx)
-    nu = ctx.k - d + ctx.gauge_b * d
-    rho0 = ctx.k + d + ctx.gauge_b * d
-    return nu, rho0
 
 
 def _shoot_batch(
@@ -233,53 +209,55 @@ def _shoot_batch(
     beta_right=None,
     domega=None,
 ):
-    """Integrate both sides for a whole array of lambda values at once.
+    """Integrate both sides for a whole array of lambda values at once, from
+    theta = eps and theta = pi - eps to the matching point c.
 
-    Returns (eta_left(c), eta_right(c), logrho_left, logrho_right) arrays,
-    plus the recorded (ts, states) pairs when record is set. domega gives
-    optional per-member frequency offsets (the recessive initialization is
-    frequency independent since the omega term vanishes to first order at
-    the fixed points)."""
+    Returns the final (eta, log rho) states of the left and right shots,
+    plus their PruferTraces when record is set (None otherwise). domega
+    gives optional per-member frequency offsets (the recessive
+    initialization is frequency independent since the omega term vanishes
+    to first order at the fixed points)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    nu, rho0 = _exponents(p, ctx)
+    nu, rho0 = angular_exponents(ctx.k, dirac_d(p, ctx), ctx.gauge_b)
     mu_a = ctx.mu * p.a
-
-    yl = np.empty((lams.size, 2))
-    if beta_left is None:
-        yl[:, 0] = [_frobenius_init(nu, la, mu_a, p.xi, eps) for la in lams]
-    else:
-        yl[:, 0] = beta_left
-    yl[:, 1] = 0.0
-    left, lts, lys = integrate(
-        _left_rhs(p, ctx, lams, domega),
-        math.log(eps),
-        math.log(c),
-        yl,
-        rtol=_RTOL,
-        atol=_ATOL,
-        max_step=0.25,
-        phase_cap=math.pi / 2,
-        record=record,
-    )
-
-    yr = np.empty((lams.size, 2))
-    if beta_right is None:
-        yr[:, 0] = [-_frobenius_init(rho0, la, mu_a, p.xi, eps) for la in lams]
-    else:
-        yr[:, 0] = beta_right
-    yr[:, 1] = 0.0
-    right, rts, rys = integrate(
-        _right_rhs(p, ctx, lams, domega),
-        math.log(eps),
-        math.log(math.pi - c),
-        yr,
-        rtol=_RTOL,
-        atol=_ATOL,
-        max_step=0.25,
-        phase_cap=math.pi / 2,
-        record=record,
-    )
-    return left, right, (lts, lys), (rts, rys)
+    ends, traces = [], []
+    for side, pole, sign, exponent, beta in (
+        ("left", 0.0, 1.0, nu, beta_left),
+        ("right", math.pi, -1.0, rho0, beta_right),
+    ):
+        y0 = np.zeros((lams.size, 2))
+        if beta is None:
+            y0[:, 0] = [sign * _frobenius_init(exponent, la, mu_a, p.xi, eps) for la in lams]
+        else:
+            y0[:, 0] = beta
+        end, ts, ys = integrate(
+            _pole_rhs(p, ctx, lams, pole, sign, domega),
+            math.log(eps),
+            math.log(sign * (c - pole)),
+            y0,
+            rtol=_RTOL,
+            atol=_ATOL,
+            max_step=0.25,
+            phase_cap=math.pi / 2,
+            record=record,
+        )
+        ends.append(end)
+        if record:
+            traces.append(
+                PruferTrace(
+                    thetas=pole + sign * np.exp(ts),
+                    etas=ys[:, 0, 0],
+                    log_rhos=ys[:, 0, 1],
+                    winding=int(math.floor((ys[-1, 0, 0] - ys[0, 0, 0]) / math.pi)),
+                    frobenius_eta0=sign * math.copysign(math.pi / 4, exponent)
+                    if beta is None
+                    else beta,
+                    epsilon=eps,
+                    tol_achieved=_RTOL,
+                    side=side,
+                )
+            )
+    return ends[0], ends[1], tuple(traces) if record else None
 
 
 def _require_limit_point(p, ctx, beta_left, beta_right):
@@ -309,8 +287,7 @@ def shoot_angular(
     recessive initialization is applied at theta = eps and theta = pi - eps,
     with the phase measured in the theta picture on both sides."""
     _require_limit_point(p, ctx, beta_left, beta_right)
-    nu, rho0 = _exponents(p, ctx)
-    left, right, (lts, lys), (rts, rys) = _shoot_batch(
+    left, right, traces = _shoot_batch(
         p,
         ctx,
         [lam],
@@ -320,33 +297,11 @@ def shoot_angular(
         beta_left=beta_left,
         beta_right=beta_right,
     )
-    ltrace = PruferTrace(
-        thetas=np.exp(lts),
-        etas=lys[:, 0, 0],
-        log_rhos=lys[:, 0, 1],
-        winding=int(math.floor((lys[-1, 0, 0] - lys[0, 0, 0]) / math.pi)),
-        frobenius_eta0=math.copysign(math.pi / 4, nu) if beta_left is None else beta_left,
-        epsilon=eps,
-        tol_achieved=_RTOL,
-        side="left",
-    )
-    rtrace = PruferTrace(
-        thetas=math.pi - np.exp(rts),
-        etas=rys[:, 0, 0],
-        log_rhos=rys[:, 0, 1],
-        winding=int(math.floor((rys[-1, 0, 0] - rys[0, 0, 0]) / math.pi)),
-        frobenius_eta0=-math.copysign(math.pi / 4, rho0)
-        if beta_right is None
-        else beta_right,
-        epsilon=eps,
-        tol_achieved=_RTOL,
-        side="right",
-    )
-    return float(left[0, 0]), float(right[0, 0]), (ltrace, rtrace)
+    return float(left[0, 0]), float(right[0, 0]), traces
 
 
 def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None):
-    left, right, _, _ = _shoot_batch(
+    left, right, _ = _shoot_batch(
         p,
         ctx,
         lams,

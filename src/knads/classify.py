@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .geometry import find_horizons
-from .operators import deviation_norm, dirac_d, tortoise_map
+from .operators import decade_integrals, delta_r_vec, deviation_norm, dirac_d, tortoise_map
 
 LIMIT_POINT = "LimitPoint"
 LIMIT_CIRCLE = "LimitCircle"
@@ -176,27 +176,18 @@ def sa_report(p, ctx, lam=0.0):
     )
 
 
-_TAIL_NODES, _TAIL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
 def l2_tail_test(p, mu, r0=None, n_decades=6):
     """Numeric limit-point test at infinity: per-decade integrals of
     r^(2 mu l) (r^2 + a^2) / Delta_r behave like R^(2 mu l - 1), so the
     decade-to-decade ratio fits the exponent 2 mu l - 1. Returns
     (fitted_exponent, verdict): limit point iff the integral diverges, i.e.
     the exponent is >= 0 up to a small tolerance."""
-    from .operators import delta_r_vec
-
     hd = find_horizons(p)
     if r0 is None:
         r0 = hd.r_plus + max(p.l, hd.r_plus)
-    vals = []
-    for j in range(n_decades):
-        lo = math.log(r0) + j * math.log(10.0)
-        t = 0.5 * math.log(10.0) * (_TAIL_NODES + 1.0) + lo
-        r = np.exp(t)
-        f = r ** (2.0 * mu * p.l) * (r * r + p.a**2) / delta_r_vec(p, r) * r
-        vals.append(0.5 * math.log(10.0) * float(f @ _TAIL_WEIGHTS))
+    vals = decade_integrals(
+        lambda r: r ** (2.0 * mu * p.l) * (r * r + p.a**2) / delta_r_vec(p, r), r0, n_decades
+    )
     ratios = np.array(vals[2:]) / np.array(vals[1:-1])
     exponent = float(np.mean(np.log10(ratios)))
     verdict = LIMIT_POINT if exponent >= -5e-3 else LIMIT_CIRCLE

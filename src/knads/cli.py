@@ -205,19 +205,20 @@ def _emit(columns, rows, args, extra_json=None):
         sys.stdout.write(text)
 
 
-def _validated(cfg):
-    """Construct the parameter and mode objects, mapping their validation
-    errors to exit code 2."""
+def _validated(cfg, args):
+    """Construct the parameter and mode objects, with --gauge-b in place of
+    the config's gauge_b when given, mapping their validation errors to exit
+    code 2."""
     try:
         p = cfg.params()
-        ctx = cfg.mode_ctx()
+        ctx = cfg.mode_ctx(gauge_b=args.gauge_b)
     except (ValueError, TypeError) as ex:
         raise ConfigError(str(ex)) from ex
     return p, ctx
 
 
 def cmd_horizons(cfg, args):
-    p, _ = _validated(cfg)
+    p, _ = _validated(cfg, args)
     hd = find_horizons(p)
     mk, jk, qe, qm = komar(p)
     tm = tortoise_map(p)
@@ -237,7 +238,7 @@ def cmd_horizons(cfg, args):
 
 
 def cmd_extremal(cfg, args):
-    p, _ = _validated(cfg)
+    p, _ = _validated(cfg, args)
     m_ext = extremal_mass(p.a, p.z2, p.l)
     row = {
         "a": p.a,
@@ -253,9 +254,7 @@ def cmd_extremal(cfg, args):
 
 
 def cmd_classify(cfg, args):
-    p, ctx = _validated(cfg)
-    if args.gauge_b is not None:
-        ctx = cfg.mode_ctx(gauge_b=args.gauge_b)
+    p, ctx = _validated(cfg, args)
     rep = classify_mod.sa_report(p, ctx)
     rows = []
     for ep in (rep.at_theta0, rep.at_theta_pi, rep.at_horizon, rep.at_infinity):
@@ -284,9 +283,7 @@ def cmd_classify(cfg, args):
 
 
 def cmd_angular(cfg, args):
-    p, ctx = _validated(cfg)
-    if args.gauge_b is not None:
-        ctx = cfg.mode_ctx(gauge_b=args.gauge_b)
+    p, ctx = _validated(cfg, args)
     window = cfg.window or (-4.5, 4.5)
     sw = angular_mod.angular_eigenvalues(p, ctx, window)
     oracle_vals = {}
@@ -313,9 +310,7 @@ def cmd_angular(cfg, args):
 
 
 def cmd_radial(cfg, args):
-    p, ctx = _validated(cfg)
-    if args.gauge_b is not None:
-        ctx = cfg.mode_ctx(gauge_b=args.gauge_b)
+    p, ctx = _validated(cfg, args)
     lam = cfg.lam
     if lam is None:
         lam = angular_mod.eigenvalues_by_label(p, ctx, [1])[1]
@@ -391,9 +386,7 @@ def cmd_radial(cfg, args):
 
 
 def cmd_scan(cfg, args):
-    p, ctx = _validated(cfg)
-    if args.gauge_b is not None:
-        ctx = cfg.mode_ctx(gauge_b=args.gauge_b)
+    p, ctx = _validated(cfg, args)
     lo = cfg.omega_min if cfg.omega_min is not None else cfg.omega - 2.0
     hi = cfg.omega_max if cfg.omega_max is not None else cfg.omega + 2.0
     if not (math.isfinite(cfg.omega_step) and cfg.omega_step > 0.0):
@@ -441,7 +434,7 @@ def cmd_scan(cfg, args):
 
 
 def cmd_tortoise(cfg, args):
-    p, _ = _validated(cfg)
+    p, _ = _validated(cfg, args)
     tm = tortoise_map(p)
     hd = find_horizons(p)
     us = np.geomspace(1e-6 * p.l, 1e3 * p.l, 46)

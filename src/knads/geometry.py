@@ -52,6 +52,16 @@ class BlackHoleParams:
 
     def __post_init__(self):
         require_finite(self)
+        # a, l and the charges enter Delta_r squared (m only linearly; a
+        # huge m is refused by find_horizons when its bracket overflows).
+        squares = {
+            "a**2": self.a * self.a,
+            "l**2": self.l * self.l,
+            "q_e**2 + q_m**2": self.q_e * self.q_e + self.q_m * self.q_m,
+        }
+        for name, sq in squares.items():
+            if not math.isfinite(sq):
+                raise ValueError(f"{name} overflows; the parameters are too large")
         if not self.l > 0:
             raise ValueError("AdS radius l must be positive")
         if not self.a**2 < self.l**2:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .geometry import OutsideExterior, delta_r_prime, find_horizons, require_finite
+from .geometry import OutsideExterior, find_horizons, horizon_slope, require_finite
 
 
 class DomainError(ValueError):
@@ -193,6 +193,22 @@ def delta_r_vec(p, r):
     return (r - rp) * (r - rm) * ((r + c1) * r + c0) / p.l**2
 
 
+_DECADE_NODES, _DECADE_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def decade_integrals(f, r0, n_decades):
+    """Integrals of f(r) dr over the decades [r0 10^j, r0 10^(j+1)],
+    j < n_decades, each by 64-node Gauss-Legendre in log r (dr = r dlog r).
+    f is vectorized over r; returns a list of floats."""
+    vals = []
+    for j in range(n_decades):
+        lo = math.log(r0) + j * math.log(10.0)
+        t = 0.5 * math.log(10.0) * (_DECADE_NODES + 1.0) + lo
+        r = np.exp(t)
+        vals.append(0.5 * math.log(10.0) * float((f(r) * r) @ _DECADE_WEIGHTS))
+    return vals
+
+
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
@@ -234,7 +250,7 @@ class TortoiseMap:
         self.p = p
         self.r_plus = hd.r_plus
         self.extremal = hd.extremal
-        rp, rm, c1, c0 = _factored_quartic_terms(p)
+        _, rm, c1, c0 = _factored_quartic_terms(p)
         self._rm, self._c1, self._c0 = rm, c1, c0
 
         self.r_big = 50.0 * max(self.r_plus, p.l)
@@ -243,17 +259,11 @@ class TortoiseMap:
         s_lo = math.log(u_lo)
         y_big = float(_tail_integral(p, self.r_big))
 
-        def dyds(s, _y):
-            u = math.exp(s)
-            r = self.r_plus + u
-            q2 = (r + c1) * r + c0
-            return -(p.l**2) * (r * r + p.a**2) / ((u + (rp - rm)) * q2)
-
         if self.extremal:
             # Stop the log-range at a moderate u and hand over to v = 1/u.
             s_lo = math.log(0.25 * self.r_plus)
         sol = solve_ivp(
-            dyds,
+            lambda s, _y: self._dyds(s),
             (s_hi, s_lo),
             [y_big],
             method="DOP853",
@@ -268,7 +278,7 @@ class TortoiseMap:
         self.y_at_s_lo = float(self._sol(s_lo)[0])
         # Horizon-side asymptotics.
         if not self.extremal:
-            self.slope = (self.r_plus**2 + p.a**2) / delta_r_prime(p, self.r_plus)
+            self.slope = horizon_slope(p)
         else:
             q2e = (self.r_plus + c1) * self.r_plus + c0
             self._a_inf = p.l**2 * (self.r_plus**2 + p.a**2) / q2e

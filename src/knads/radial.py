@@ -29,6 +29,7 @@ from .geometry import find_horizons
 from .operators import (
     _factored_quartic_terms,
     _p_function,
+    decade_integrals,
     deviation_norm,
     phi_plus,
     sqrt_delta_r_from_u,
@@ -344,12 +345,7 @@ def confinement_certificate(p, ctx, r0=None, n_decades=4):
         u = np.asarray(r, dtype=float) - hd.r_plus
         return ctx.mu * np.asarray(r, float) / sqrt_delta_r_from_u(p, u)
 
-    vals = []
-    for j in range(n_decades):
-        lo = math.log(r0) + j * math.log(10.0)
-        t = 0.5 * math.log(10.0) * (_GL_NODES + 1.0) + lo
-        r = np.exp(t)
-        vals.append(0.5 * math.log(10.0) * float((q_times_r(r) * r) @ _GL_WEIGHTS))
+    vals = decade_integrals(q_times_r, r0, n_decades)
     mul = ctx.mu * p.l
     target = mul * math.log(10.0)
     rel_last = abs(vals[-1] - target) / target
@@ -374,53 +370,24 @@ def infinity_growth_exponents(p, ctx, lam, omega, r1=None, decades=3):
     Integrating outward from r1, a generic solution is dominated by the
     growing branch and log||X|| vs log r fits +mu*l over the last decade;
     integrating inward from the far end, the backward-dominant branch is the
-    decaying one and the fit over the small-r decade gives -mu*l."""
+    decaying one and the fit over the small-r decade gives -mu*l. log||X||
+    is the log rho component of _phase_rhs_s, integrated in s."""
     if r1 is None:
         r1 = default_r0(p)
-    hd = find_horizons(p)
+    rp = find_horizons(p).r_plus
     r2 = r1 * 10.0**decades
-
-    def f(logr, state):
-        r = math.exp(logr)
-        u = r - hd.r_plus
-        r2a2 = r * r + p.a**2
-        sq = float(sqrt_delta_r_from_u(p, u))
-        pr = _p_function(p, ctx, r)
-        v11 = (pr + ctx.mu * r * sq) / r2a2
-        v22 = (pr - ctx.mu * r * sq) / r2a2
-        v12 = lam * sq / r2a2
-        # dX/dx = A x-system matrix; dx/dlog r = r (r^2+a^2)/Delta_r
-        jac = r * r2a2 / (sq * sq)
-        a11, a12 = v12, v22 - omega
-        a21, a22 = omega - v11, -v12
-        x1, x2 = state[:, 0], state[:, 1]
-        out = np.empty_like(state)
-        out[:, 0] = jac * (a11 * x1 + a12 * x2)
-        out[:, 1] = jac * (a21 * x1 + a22 * x2)
-        return out
-
-    # Outward run: renormalize by tracking log scale to avoid overflow.
-    def run(a, b):
-        state = np.array([[1.0, 0.7]])
-        scale = 0.0
-        logs_r, logs_n = [], []
-        n_leg = 30
-        for t0, t1 in zip(np.linspace(a, b, n_leg + 1)[:-1], np.linspace(a, b, n_leg + 1)[1:]):
-            state, _, _ = integrate(f, t0, t1, state, rtol=1e-10, atol=1e-14)
-            nrm = float(np.linalg.norm(state))
-            scale += math.log(nrm)
-            state = state / nrm
-            logs_r.append(t1)
-            logs_n.append(scale)
-        return np.array(logs_r), np.array(logs_n)
-
-    lr, ln = run(math.log(r1), math.log(r2))
-    sel = lr >= math.log(r2 / 10.0)
-    plus, _ = fit_line(lr[sel], ln[sel])
-    lr_b, ln_b = run(math.log(r2), math.log(r1))
-    sel_b = lr_b <= math.log(r1 * 10.0)
-    slope_b, _ = fit_line(lr_b[sel_b], ln_b[sel_b])
-    return float(plus), float(slope_b)
+    f = _phase_rhs_s(p, ctx, lam, omega)
+    s1, s2 = math.log(r1 - rp), math.log(r2 - rp)
+    slopes = []
+    for a, b in ((s1, s2), (s2, s1)):
+        _, ss, ys = integrate(
+            f, a, b, np.array([[math.atan2(0.7, 1.0), 0.0]]),
+            rtol=1e-10, atol=1e-12, max_step=abs(b - a) / 30, record=True,
+        )
+        logr = np.log(rp + np.exp(ss))
+        sel = np.abs(logr - logr[-1]) <= math.log(10.0)  # the decade it ends on
+        slopes.append(fit_line(logr[sel], ys[sel, 0, 1])[0])
+    return slopes[0], slopes[1]
 
 
 def horizon_continuation_evidence(

@@ -98,6 +98,17 @@ def test_not_limit_point_refusal_and_override():
     assert max(sw.residuals) < 1e-8
 
 
+def test_not_limit_point_refusal_and_override_at_pi():
+    # the theta = pi mirror: k = -1/2 puts rho0 = k + d near 0.021
+    ctx = ModeContext(mu=1.0, e=1.0, k=-0.5)
+    assert 0.0 < ctx.k + dirac_d(PMAG, ctx) < 0.05
+    with pytest.raises(NotLimitPoint):
+        angular_eigenvalues(PMAG, ctx, (-2.0, 2.0))
+    sw = angular_eigenvalues(PMAG, ctx, (-2.0, 2.0), beta_right=-math.pi / 4)
+    assert sw.count == 3
+    assert max(sw.residuals) < 1e-8
+
+
 def test_frobenius_exponent_recovered_from_trace():
     # amplitude near each pole grows like theta^|exponent|
     ctx = ModeContext(mu=1.0, e=1.92, k=1.5)

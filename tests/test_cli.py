@@ -317,6 +317,24 @@ def test_huge_mass_is_refused_without_a_traceback(tmp_path, capsys):
     assert rc == 3 and "overflows" in err
 
 
+@pytest.mark.parametrize("command", ["horizons", "extremal", "classify", "angular", "radial", "scan", "tortoise"])
+@pytest.mark.parametrize("field, value, square", [("l", 1e300, "l**2"), ("q_e", 1e200, "q_e**2")])
+def test_huge_squared_parameter_is_a_config_error(tmp_path, capsys, command, field, value, square):
+    # Squaring these once raised OverflowError with a traceback (exit 1).
+    cfg = write_config(tmp_path, **{field: value})
+    rc, _, err = run(capsys, [command, "--config", cfg])
+    assert rc == 2 and square in err and "overflows" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "angular", "radial", "scan"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_gauge_flag_is_a_config_error(tmp_path, capsys, command, value):
+    # The --gauge-b override was once built outside validation (exit 3).
+    cfg = write_config(tmp_path)
+    rc, _, err = run(capsys, [command, "--config", cfg, "--gauge-b", value])
+    assert rc == 2 and "gauge_b must be finite" in err
+
+
 @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.0, 0.01)])
 def test_reversed_scan_range_is_a_config_error(tmp_path, capsys, lo, hi):
     # reversed, or too short for a second grid point at omega_step 0.05
