@@ -1,18 +1,45 @@
-"""Angular eigenvalues by Prüfer-phase shooting.
+"""Angular eigenvalues by Prüfer-phase shooting on a fixed Magnus mesh.
 
-The two-component angular system is integrated as a phase/log-amplitude pair
-from both poles toward a matching point c. Near each pole the phase equation
-has an attracting fixed point selecting the recessive (power-law bounded)
-solution, so shooting away from the poles is well conditioned. One
-right-hand side, _pole_rhs, serves both poles: it integrates in the log
-distance t to the pole, theta = pole + sign * e^t, so the coefficient
-singularity becomes a smooth bounded term, and one loop shoots from theta = 0
-and theta = pi in turn. Eigenvalues are the roots of the matching defect
-eta_left(c) - eta_right(c) = m*pi, which is strictly increasing in lambda;
-the integer m doubles as a global mode label.
+The two-component angular system psi' = A psi is linear and traceless. In
+the log distance t to a pole, theta = pole + sign * e^t (pole 0 with sign
++1, pole pi with sign -1),
+
+    A(t) = (sign e^t / sqrt(Delta_theta)) [[m12, -(lambda + m11')],
+                                           [lambda - m11', -m12]],
+    m11' = m11 + domega a sin(theta) / sqrt(Delta_theta),
+
+which is smooth up to the pole and affine in lambda and in a frequency
+offset domega from ctx.omega. Each side, from theta = eps at its pole to the
+matching point c, is cut into n intervals uniform in t. The coefficients are
+sampled once per (p, ctx, c, eps, n), at 3 Gauss nodes per interval, and
+serve every trial eigenvalue, as in MATSLISE (Ledoux, Van Daele & Vanden
+Berghe, ACM TOMS 31, 2005). The sixth-order Magnus method of Blanes, Casas &
+Ros (BIT 40, 2000) advances psi across an interval by the closed-form
+exponential of a traceless 2x2 matrix, and the Prüfer phase eta is the sum
+of the per-interval rotation angles atan2(cross, dot). Interval propagators
+are built in blocks of at most _BLOCK elements (rows x intervals), so memory
+stays flat however wide the batch. Near each pole the recessive (power-law
+bounded) solution is selected by the Frobenius phase at theta = eps.
+
+mesh_intervals fixes n, a power of two, from (p, ctx, c, eps) and a bound
+on |lambda| and |domega| alone, so that no interval can move the phase by
+more than _PHASE_STEP < pi/2; a mesh above MAX_MESH_INTERVALS is refused
+with WindowTooWide before anything is sampled. Each solve checks its mesh
+once, at the converged roots, against n/2, and doubles n while the
+estimated eigenvalue error |D_n - D_{n/2}| / D' exceeds tol.
+
+Eigenvalues are the roots of the matching defect D = eta_left(c) -
+eta_right(c) at multiples m*pi; D is strictly increasing in lambda and the
+integer m doubles as a global mode label. illinois_batched finds them: a
+batched, safeguarded Illinois (modified regula falsi) iteration in which
+each item stops on its own bracket width and is then frozen. Because the
+mesh depends only on an item's or window's own bounds and every operation
+is elementwise over the batch, no eigenvalue depends on what else shares
+its batch.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -20,12 +47,16 @@ import numpy as np
 from .classify import angular_exponents, classify_angular
 from .geometry import delta_theta
 from .operators import _angular_entries, dirac_d
-from .rk import IntegratorStall, bisect_batched, integrate
+# integrate is unused here, but perfbench/tracer.py wraps angular.integrate by name.
+from .rk import IntegratorStall, integrate  # noqa: F401
 
 __all__ = [
     "PruferTrace",
     "SpectrumWindow",
     "solve_window",
+    "solve_items",
+    "illinois_batched",
+    "mesh_intervals",
     "NotLimitPoint",
     "WindowTooWide",
     "IntegratorStall",
@@ -38,8 +69,20 @@ __all__ = [
 
 DEFAULT_EPSILON = 1e-6 * math.pi
 DEFAULT_MATCHING_POINT = math.pi / 2
-_RTOL = 1e-11
-_ATOL = 1e-12
+
+# Magnus mesh: intervals per side are a power of two in [MIN, MAX]; the
+# phase bound per interval sets n for large |lambda|, the floor for small.
+MIN_MESH_INTERVALS = 1024
+MAX_MESH_INTERVALS = 2**16
+_PHASE_STEP = 0.1
+# Largest propagator block built at once, in rows x intervals.
+_BLOCK = 8192
+# Illinois steps without halving the bracket before a bisection step, and
+# the step budget of one root-finder call.
+_STALE_STEPS = 3
+_MAX_ROOT_STEPS = 200
+# Gauss-Legendre nodes of one interval, as fractions of its length.
+_GAUSS = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
 
 
 class NotLimitPoint(Exception):
@@ -48,8 +91,9 @@ class NotLimitPoint(Exception):
 
 
 class WindowTooWide(Exception):
-    """More than 1e3 eigenvalues requested in a single window, or a window
-    wider than MAX_WINDOW_SEGMENTS grid segments."""
+    """More than 1e3 eigenvalues requested in a single window, a window
+    wider than MAX_WINDOW_SEGMENTS grid segments, or a lambda range whose
+    Magnus mesh would exceed MAX_MESH_INTERVALS."""
 
 
 # Largest grid solve_window shoots, in segments of width 0.5: a wider window
@@ -59,8 +103,10 @@ MAX_WINDOW_SEGMENTS = 2000
 
 @dataclass(frozen=True)
 class PruferTrace:
-    """One shooting trace: theta samples, phase, log amplitude, plus the
-    endpoint initialization actually used."""
+    """One shooting trace: theta at the mesh nodes, phase, log amplitude,
+    plus the endpoint initialization actually used. tol_achieved is the
+    a-posteriori estimate |eta_n(c) - eta_{n/2}(c)| of the phase error at
+    the matching point."""
 
     thetas: np.ndarray
     etas: np.ndarray
@@ -78,7 +124,9 @@ class PruferTrace:
 @dataclass(frozen=True)
 class SpectrumWindow:
     """Sorted eigenvalues in [lam_lo, lam_hi] with matching-defect residuals
-    and signed mode labels (ordered by value, positive labels above lambda=0)."""
+    and signed mode labels (ordered by value, positive labels above lambda=0).
+    mesh_error is the a-posteriori eigenvalue error estimate of a mesh-based
+    defect (None when the solve had no coarse mesh to compare with)."""
 
     lam_lo: float
     lam_hi: float
@@ -87,19 +135,72 @@ class SpectrumWindow:
     labels: tuple
     count: int
     oracle_deltas: tuple = None
+    mesh_error: float = None
 
 
-def solve_window(defect, lo, hi, tol):
+def illinois_batched(fun, lo, hi, flo, fhi, tol):
+    """Batched, safeguarded Illinois (modified regula falsi) root finder.
+
+    fun(x, idx) returns the residuals of items idx at abscissae x, in one
+    call for every live item. Item i starts on [lo_i, hi_i] with residuals
+    flo_i, fhi_i of opposite sign. When the same end moves twice running,
+    the residual kept for the other end is halved (the Illinois step).
+    Every trial point stays tol/4 inside its bracket, and an item whose
+    bracket did not halve over _STALE_STEPS steps bisects next. An item stops once
+    its bracket is narrower than tol and is then frozen, so its iterates
+    never depend on the other items.
+
+    Returns (x, fx): per item the evaluated bracket end with the smaller
+    |residual|, and that residual."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = np.array(flo, dtype=float), np.array(fhi, dtype=float)
+    ga, gb = fa.copy(), fb.copy()  # end residuals with the Illinois halvings
+    moved = np.zeros(a.shape, dtype=int)  # -1: a moved last, +1: b moved last
+    w_ref = b - a  # width when the bracket last halved
+    stale = np.zeros(a.shape, dtype=int)  # steps since then
+    live = (b - a >= tol) & (fa != 0.0) & (fb != 0.0)
+    for _ in range(_MAX_ROOT_STEPS):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        ai, bi, gai, gbi = a[idx], b[idx], ga[idx], gb[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = bi - gbi * (bi - ai) / (gbi - gai)
+        x = np.where((stale[idx] >= _STALE_STEPS) | ~np.isfinite(x), 0.5 * (ai + bi), x)
+        x = np.clip(x, ai + 0.25 * tol, bi - 0.25 * tol)
+        fx = np.asarray(fun(x, idx), dtype=float)
+
+        to_a = np.sign(fx) == np.sign(fa[idx])
+        ia, ib = idx[to_a], idx[~to_a]
+        gb[ia] = np.where(moved[ia] == -1, 0.5 * gb[ia], gb[ia])
+        a[ia], fa[ia], ga[ia], moved[ia] = x[to_a], fx[to_a], fx[to_a], -1
+        ga[ib] = np.where(moved[ib] == 1, 0.5 * ga[ib], ga[ib])
+        b[ib], fb[ib], gb[ib], moved[ib] = x[~to_a], fx[~to_a], fx[~to_a], 1
+
+        width = b[idx] - a[idx]
+        halved = width <= 0.5 * w_ref[idx]
+        w_ref[idx] = np.where(halved, width, w_ref[idx])
+        stale[idx] = np.where(halved, 0, stale[idx] + 1)
+        live[idx] = (width >= tol) & (fx != 0.0)
+    use_a = np.abs(fa) <= np.abs(fb)
+    return np.where(use_a, a, b), np.where(use_a, fa, fb)
+
+
+def solve_window(defect, lo, hi, tol, coarse=None):
     """Every root of defect(x) = m*pi in [lo, hi], m integer, for a strictly
     increasing matching defect evaluated in batches (array in, array out).
 
     The number of multiples of pi crossed between the window ends counts the
     eigenvalues. Each is bracketed in one of the grid segments of width
-    <= 0.5 and bisected there until its bracket is narrower than tol / 2.
-    Labels are signed indices ordered by value, anchored so the first
-    eigenvalue above x = 0 gets +1 (a probe at 0 rides in the grid batch).
-    A window of more than MAX_WINDOW_SEGMENTS segments raises WindowTooWide
-    before the first defect call."""
+    <= 0.5 and located there by illinois_batched to a bracket narrower than
+    tol / 2. Labels are signed indices ordered by value, anchored so the
+    first eigenvalue above x = 0 gets +1 (a probe at 0 rides in the grid
+    batch). A window of more than MAX_WINDOW_SEGMENTS segments raises
+    WindowTooWide before the first defect call.
+
+    coarse, when given, is the same defect on a coarser mesh; the result
+    then carries mesh_error, the largest |coarse - defect| at a root over
+    the secant slope of the root's segment."""
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise ValueError("window must satisfy lam_lo < lam_hi")
@@ -115,18 +216,19 @@ def solve_window(defect, lo, hi, tol):
     m_lo = math.floor(dgrid[0] / math.pi)
     m_hi = math.floor(dgrid[-1] / math.pi)
     targets = np.arange(m_lo + 1, m_hi + 1)
+    mesh_error = None if coarse is None else 0.0
     if targets.size == 0:
-        return SpectrumWindow(lo, hi, (), (), (), 0)
-    seg_of = np.clip(np.searchsorted(dgrid, targets * math.pi) - 1, 0, nseg - 1)
-
-    def resid(xs):
-        return defect(xs) - targets * math.pi
-
-    # Enough halvings to bring a full segment below tol/2; the tol test in
-    # bisect_batched ends the loop there.
-    n_iter = int(math.ceil(math.log2((hi - lo) / nseg / tol))) + 2
-    roots = bisect_batched(resid, grid[seg_of], grid[seg_of + 1], n_iter=n_iter, tol=tol * 0.5)
-    residuals = np.abs(resid(roots))
+        return SpectrumWindow(lo, hi, (), (), (), 0, mesh_error=mesh_error)
+    tpi = targets * math.pi
+    seg = np.clip(np.searchsorted(dgrid, tpi) - 1, 0, nseg - 1)
+    a, b = grid[seg], grid[seg + 1]
+    fa, fb = dgrid[seg] - tpi, dgrid[seg + 1] - tpi
+    roots, resid = illinois_batched(
+        lambda xs, idx: defect(xs) - tpi[idx], a, b, fa, fb, 0.5 * tol
+    )
+    if coarse is not None:
+        slope = (fb - fa) / (b - a)
+        mesh_error = float(np.max(np.abs(coarse(roots) - tpi - resid) / slope))
 
     labels = targets - math.floor(d0 / math.pi)
     labels = np.where(labels <= 0, labels - 1, labels)
@@ -135,9 +237,10 @@ def solve_window(defect, lo, hi, tol):
         lam_lo=lo,
         lam_hi=hi,
         eigenvalues=tuple(float(r) for r in roots[order]),
-        residuals=tuple(float(r) for r in residuals[order]),
+        residuals=tuple(float(r) for r in np.abs(resid)[order]),
         labels=tuple(int(m) for m in labels[order]),
         count=int(targets.size),
+        mesh_error=mesh_error,
     )
 
 
@@ -148,9 +251,9 @@ def prufer_rhs(p, ctx, theta, eta, lam):
             + [xi sigma_b/(sqrt(Delta_theta) sin(theta))
                + a omega sin(theta)/sqrt(Delta_theta)] (sin^2(eta) - cos^2(eta)).
 
-    Exposed for direct evaluation and tests; the shooting integrator uses the
-    equivalent exact phase equation of the first-order system (the two forms
-    coincide when a = 0)."""
+    Exposed for direct evaluation and tests; shooting propagates the
+    equivalent first-order system itself (the two phase equations coincide
+    when a = 0)."""
     d = dirac_d(p, ctx)
     sq = math.sqrt(delta_theta(p, theta))
     sig = d * (math.cos(theta) - ctx.gauge_b) - ctx.k
@@ -165,37 +268,162 @@ def prufer_rhs(p, ctx, theta, eta, lam):
 
 def _frobenius_init(exponent, lam, mu_a, xi, eps):
     """Recessive-direction phase at offset eps from a pole, with the
-    first-order inhomogeneous correction. exponent is nu at theta=0 (or rho0
-    in the reflected variable at theta=pi)."""
+    first-order inhomogeneous correction (lam may be an array). exponent is
+    nu at theta=0 (or rho0 in the reflected variable at theta=pi)."""
     eta0 = math.copysign(math.pi / 4.0, exponent)
     c1 = (lam + math.copysign(mu_a, exponent)) / math.sqrt(xi)
     return eta0 + c1 * eps / (1.0 + 2.0 * abs(exponent))
 
 
-def _pole_rhs(p, ctx, lam, pole, sign, domega=None):
-    """d(eta, log rho)/dt with theta = pole + sign * e^t, t the log distance
-    to the pole (pole 0 with sign +1, pole pi with sign -1): dtheta/dt times
-    the theta-picture derivative, smooth up to the pole.
+def _sides(c):
+    """(side, pole, sign, distance from the pole to c) for both sides."""
+    return (("left", 0.0, 1.0, c), ("right", math.pi, -1.0, math.pi - c))
 
-    domega optionally gives each batch member its own frequency offset from
-    ctx.omega (the offset enters only through the a*omega*sin(theta) term)."""
-    dw = None if domega is None else np.asarray(domega, dtype=float)
 
-    def f(t, state):
-        dtheta = sign * math.exp(t)
-        theta = pole + dtheta
+def mesh_intervals(
+    p, ctx, lam_bound, domega_bound=0.0, c=DEFAULT_MATCHING_POINT, eps=DEFAULT_EPSILON
+):
+    """Magnus intervals per side for |lambda| <= lam_bound and |domega| <=
+    domega_bound (scalars, or arrays giving each item its own mesh): the
+    smallest power of two, at least MIN_MESH_INTERVALS, at which no interval
+    can move the phase by more than _PHASE_STEP.
+
+    The bound on |d eta/dt| over a side reaching distance x from its pole,
+
+        x [(|lambda| + |mu| a) / sqrt(xi) + a (|omega| + |domega|) / xi]
+          + (|d| (1 + |b|) + |k|) x / sin(x),
+
+    follows from Delta_theta >= xi and x / sin(x) increasing, so n is known
+    before anything is sampled. Raises WindowTooWide when n would exceed
+    MAX_MESH_INTERVALS."""
+    lam_bound = np.asarray(lam_bound, dtype=float)
+    domega_bound = np.asarray(domega_bound, dtype=float)
+    sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
+    need = np.zeros(np.broadcast(lam_bound, domega_bound).shape)
+    for _, _, _, x in _sides(c):
+        rate = x * (
+            (lam_bound + abs(ctx.mu) * p.a) / math.sqrt(p.xi)
+            + p.a * (abs(ctx.omega) + domega_bound) / p.xi
+        ) + sigma * x / math.sin(x)
+        need = np.maximum(need, math.log(x / eps) * rate / _PHASE_STEP)
+    if not np.all(need <= MAX_MESH_INTERVALS):  # also refuses nan
+        worst = float(np.max(need))
+        n = f"2^{math.ceil(math.log2(worst))}" if math.isfinite(worst) else worst
+        raise WindowTooWide(
+            f"|lambda| <= {float(np.max(lam_bound)):g} needs a Magnus mesh of n = {n} "
+            f"intervals per side, above the cap of {MAX_MESH_INTERVALS}"
+        )
+    n = 2 ** np.ceil(np.log2(np.maximum(need, MIN_MESH_INTERVALS))).astype(int)
+    return int(n) if n.ndim == 0 else n
+
+
+def _refined(n, lam_bound):
+    """The doubled mesh size, or WindowTooWide above the cap."""
+    if 2 * n > MAX_MESH_INTERVALS:
+        raise WindowTooWide(
+            f"the Magnus mesh error at |lambda| <= {lam_bound:g} stays above "
+            f"tol at {n} intervals per side, the cap is {MAX_MESH_INTERVALS}"
+        )
+    return 2 * n
+
+
+@lru_cache(maxsize=8)
+def _magnus_tables(p, ctx, c, eps, n):
+    """Coefficient samples of both sides on the mesh of n intervals.
+
+    Returns (tabs, ts). With A = g0 sigma_z + lambda g1 J - (g2 + domega g3)
+    sigma_x, J = [[0, -1], [1, 0]], tabs[side, k, f, i] is the sixth-order
+    Magnus term alpha_{k+1} of g_f over interval i; ts[side] are the n + 1
+    node times t."""
+    tabs = np.empty((2, 3, 4, n))
+    ts = np.empty((2, n + 1))
+    for s, (_, pole, sign, x) in enumerate(_sides(c)):
+        t0, t1 = math.log(eps), math.log(x)
+        h = (t1 - t0) / n
+        e = np.exp(t0 + h * (np.arange(n)[:, None] + _GAUSS))
+        theta = pole + sign * e
         m11, m12 = _angular_entries(p, ctx, theta)
-        sq = math.sqrt(delta_theta(p, theta))
-        if dw is not None:
-            m11 = m11 + p.a * dw * math.sin(theta) / sq
-        eta = state[:, 0]
-        c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
-        out = np.empty_like(state)
-        out[:, 0] = dtheta * (lam - m11 * c2 - m12 * s2) / sq
-        out[:, 1] = dtheta * (m12 * c2 - m11 * s2) / sq
-        return out
+        sq = np.sqrt(1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2)
+        f = sign * e / sq
+        g = np.stack([f * m12, f, f * m11, f * p.a * np.sin(theta) / sq])
+        tabs[s, 0] = h * g[..., 1]
+        tabs[s, 1] = (math.sqrt(15.0) * h / 3.0) * (g[..., 2] - g[..., 0])
+        tabs[s, 2] = (10.0 * h / 3.0) * (g[..., 2] - 2.0 * g[..., 1] + g[..., 0])
+        ts[s] = np.linspace(t0, t1, n + 1)
+    tabs.flags.writeable = False
+    ts.flags.writeable = False
+    return tabs, ts
 
-    return f
+
+def _comm(x, y):
+    """[x, y] for traceless 2x2 matrices given as (sigma_z, J, sigma_x)
+    coefficients."""
+    return (
+        2.0 * (x[2] * y[1] - x[1] * y[2]),
+        2.0 * (x[2] * y[0] - x[0] * y[2]),
+        2.0 * (x[1] * y[0] - x[0] * y[1]),
+    )
+
+
+def _interval_maps(tab, lams, domega):
+    """One-interval propagators exp(Omega) of the sixth-order Magnus method
+    (Blanes, Casas & Ros), from a table block tab[k, f] broadcasting against
+    the rows' lams and domega. exp(Omega) acts on z = u + i v as z ->
+    alpha z + beta conj(z); returns (alpha, beta)."""
+    a1, a2, a3 = ((t[0], lams * t[1], -(t[2] + domega * t[3])) for t in tab)
+    c1 = _comm(a1, a2)
+    c2 = _comm(a1, tuple(2.0 * u + v for u, v in zip(a3, c1)))
+    left = tuple(-20.0 * u - v + w for u, v, w in zip(a1, a3, c1))
+    right = tuple(u - v / 60.0 for u, v in zip(a2, c2))
+    del a2, c1, c2  # dropped early: they set the peak memory of wide batches
+    z, j, x = (u + v / 12.0 + w / 240.0 for u, v, w in zip(a1, a3, _comm(left, right)))
+    del a1, a3, left, right
+    # Omega^2 = (z^2 + x^2 - j^2) I: a rotation when negative, a boost when positive.
+    q = z * z + x * x - j * j
+    w = np.sqrt(np.abs(q))
+    osc = q < 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinhc = np.where(w > 0.0, np.sinh(w) / w, 1.0)
+    cs = np.where(osc, np.cos(w), np.cosh(w))
+    sn = np.where(osc, np.sinc(w / math.pi), sinhc)
+    return cs + 1j * (sn * j), sn * (z + 1j * x)
+
+
+def _sweep(tabs, lams, domega, eta0, record):
+    """Propagate rows stacked as [left sides, right sides] across the mesh.
+
+    eta0 holds the 2 * rows starting phases. Returns the phases at c and,
+    when recording, (etas, log_rhos) at every node (arrays (n + 1, 2 rows)).
+    The unit vector is carried as w = exp(-2 i eta), so one interval is
+    g = alpha + beta w, the phase gains arg g (atan2 of cross and dot of
+    successive vectors) and the amplitude the factor |g|. Phase sums run
+    strictly in mesh order, whatever the block size."""
+    rows = lams.size
+    n = tabs.shape[-1]
+    block = max(1, _BLOCK // (2 * rows))
+    eta = np.array(eta0, dtype=float)
+    w = np.exp(-2j * eta)
+    etas, logs = [eta[None]], [np.zeros((1, 2 * rows))]
+    for i0 in range(0, n, block):
+        i1 = min(n, i0 + block)
+        alpha = np.empty((i1 - i0, 2 * rows), dtype=complex)
+        beta = np.empty_like(alpha)
+        for s in (0, 1):
+            cols = slice(s * rows, (s + 1) * rows)
+            alpha[:, cols], beta[:, cols] = _interval_maps(tabs[s, :, :, i0:i1, None], lams, domega)
+        g = np.empty_like(alpha)
+        for i in range(i1 - i0):
+            gi = alpha[i] + beta[i] * w
+            g[i] = gi
+            w = w * np.conj(gi) / gi
+        steps = np.cumsum(np.concatenate([eta[None], np.angle(g)]), axis=0)[1:]
+        eta = steps[-1]
+        if record:
+            etas.append(steps)
+            logs.append(np.log(np.abs(g)))
+    if not record:
+        return eta, None
+    return eta, (np.concatenate(etas), np.cumsum(np.concatenate(logs), axis=0))
 
 
 def _shoot_batch(
@@ -208,56 +436,65 @@ def _shoot_batch(
     beta_left=None,
     beta_right=None,
     domega=None,
+    n=None,
 ):
-    """Integrate both sides for a whole array of lambda values at once, from
+    """Shoot both sides for a whole array of lambda values at once, from
     theta = eps and theta = pi - eps to the matching point c.
 
-    Returns the final (eta, log rho) states of the left and right shots,
-    plus their PruferTraces when record is set (None otherwise). domega
-    gives optional per-member frequency offsets (the recessive
+    n gives the Magnus intervals per side (a scalar or one per row); by
+    default each row gets mesh_intervals of its own |lambda| and |domega|.
+    domega gives optional per-row frequency offsets (the recessive
     initialization is frequency independent since the omega term vanishes
-    to first order at the fixed points)."""
+    to first order at the fixed points).
+
+    Returns the phases eta_left(c) and eta_right(c), plus the two
+    PruferTraces when record is set (None otherwise). Recording shoots a
+    single lambda and also sweeps n/2 for each trace's tol_achieved."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    dw = np.zeros(lams.shape) if domega is None else np.broadcast_to(
+        np.asarray(domega, dtype=float), lams.shape
+    )
+    if n is None:
+        n = mesh_intervals(p, ctx, np.abs(lams), np.abs(dw), c, eps)
+    n = np.broadcast_to(np.asarray(n), lams.shape)
     nu, rho0 = angular_exponents(ctx.k, dirac_d(p, ctx), ctx.gauge_b)
     mu_a = ctx.mu * p.a
-    ends, traces = [], []
-    for side, pole, sign, exponent, beta in (
-        ("left", 0.0, 1.0, nu, beta_left),
-        ("right", math.pi, -1.0, rho0, beta_right),
-    ):
-        y0 = np.zeros((lams.size, 2))
-        if beta is None:
-            y0[:, 0] = [sign * _frobenius_init(exponent, la, mu_a, p.xi, eps) for la in lams]
-        else:
-            y0[:, 0] = beta
-        end, ts, ys = integrate(
-            _pole_rhs(p, ctx, lams, pole, sign, domega),
-            math.log(eps),
-            math.log(sign * (c - pole)),
-            y0,
-            rtol=_RTOL,
-            atol=_ATOL,
-            max_step=0.25,
-            phase_cap=math.pi / 2,
-            record=record,
+    eta0 = np.concatenate(
+        [
+            np.full(lams.shape, float(beta))
+            if beta is not None
+            else sign * _frobenius_init(exponent, lams, mu_a, p.xi, eps)
+            for sign, exponent, beta in ((1.0, nu, beta_left), (-1.0, rho0, beta_right))
+        ]
+    )
+    ends = np.empty(2 * lams.size)
+    for nn in np.unique(n):
+        rows = np.flatnonzero(n == nn)
+        both = np.concatenate([rows, lams.size + rows])
+        tabs, ts = _magnus_tables(p, ctx, c, eps, int(nn))
+        ends[both], nodes = _sweep(tabs, lams[rows], dw[rows], eta0[both], record)
+    left, right = ends[: lams.size], ends[lams.size:]
+    if not record:
+        return left, right, None
+
+    coarse, _ = _sweep(_magnus_tables(p, ctx, c, eps, int(nn) // 2)[0], lams, dw, eta0, False)
+    etas, log_rhos = nodes
+    traces = tuple(
+        PruferTrace(
+            thetas=pole + sign * np.exp(ts[s]),
+            etas=etas[:, s],
+            log_rhos=log_rhos[:, s],
+            winding=int(math.floor((etas[-1, s] - etas[0, s]) / math.pi)),
+            frobenius_eta0=sign * math.copysign(math.pi / 4, exponent) if beta is None else beta,
+            epsilon=eps,
+            tol_achieved=float(abs(ends[s] - coarse[s])),
+            side=side,
         )
-        ends.append(end)
-        if record:
-            traces.append(
-                PruferTrace(
-                    thetas=pole + sign * np.exp(ts),
-                    etas=ys[:, 0, 0],
-                    log_rhos=ys[:, 0, 1],
-                    winding=int(math.floor((ys[-1, 0, 0] - ys[0, 0, 0]) / math.pi)),
-                    frobenius_eta0=sign * math.copysign(math.pi / 4, exponent)
-                    if beta is None
-                    else beta,
-                    epsilon=eps,
-                    tol_achieved=_RTOL,
-                    side=side,
-                )
-            )
-    return ends[0], ends[1], tuple(traces) if record else None
+        for s, ((side, pole, sign, _), exponent, beta) in enumerate(
+            zip(_sides(c), (nu, rho0), (beta_left, beta_right))
+        )
+    )
+    return left, right, traces
 
 
 def _require_limit_point(p, ctx, beta_left, beta_right):
@@ -285,7 +522,8 @@ def shoot_angular(
 
     Returns (eta_left(c), eta_right(c), (left_trace, right_trace)). The
     recessive initialization is applied at theta = eps and theta = pi - eps,
-    with the phase measured in the theta picture on both sides."""
+    with the phase measured in the theta picture on both sides; the traces
+    hold the mesh nodes."""
     _require_limit_point(p, ctx, beta_left, beta_right)
     left, right, traces = _shoot_batch(
         p,
@@ -297,10 +535,13 @@ def shoot_angular(
         beta_left=beta_left,
         beta_right=beta_right,
     )
-    return float(left[0, 0]), float(right[0, 0]), traces
+    return float(left[0]), float(right[0]), traces
 
 
-def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None):
+def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None, n=None):
+    """Matching defect eta_left(c) - eta_right(c) per row, on n Magnus
+    intervals per side (scalar or per row; by default each row's own
+    mesh_intervals)."""
     left, right, _ = _shoot_batch(
         p,
         ctx,
@@ -310,8 +551,9 @@ def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None):
         beta_left=beta_left,
         beta_right=beta_right,
         domega=domega,
+        n=n,
     )
-    return left[:, 0] - right[:, 0]
+    return left - right
 
 
 def angular_eigenvalues(
@@ -326,13 +568,59 @@ def angular_eigenvalues(
 ):
     """All eigenvalues in the window: the roots of the matching defect
     D(lambda) = eta_left(c) - eta_right(c) at multiples of pi, located by
-    solve_window."""
+    solve_window on the window's Magnus mesh. The mesh is doubled and the
+    window solved again while the n/2 check estimates an eigenvalue error
+    above tol."""
     _require_limit_point(p, ctx, beta_left, beta_right)
+    bound = max(abs(float(window[0])), abs(float(window[1])))
+    n = mesh_intervals(p, ctx, bound, 0.0, c, eps)
+    while True:
 
-    def defect(lams):
-        return _defect(p, ctx, lams, c, eps, beta_left, beta_right)
+        def defect(lams, n=n):
+            return _defect(p, ctx, lams, c, eps, beta_left, beta_right, n=n)
 
-    return solve_window(defect, window[0], window[1], tol)
+        sw = solve_window(defect, window[0], window[1], tol, coarse=lambda x: defect(x, n // 2))
+        if sw.mesh_error <= tol:
+            return sw
+        n = _refined(n, bound)
+
+
+def solve_items(p, ctx, targets, lo, hi, domega, tol):
+    """Roots of the matching defect at the integer targets m (D = m*pi),
+    one per item, inside the brackets [lo, hi] and at the frequency offsets
+    domega from ctx.omega, shooting to the default matching point from the
+    default pole offset.
+
+    Each item gets the Magnus mesh of its own bracket and offset, is solved
+    by illinois_batched to a bracket narrower than tol / 2, and is checked
+    against n/2 at its root (slope from its bracket ends); an item whose
+    estimated eigenvalue error exceeds tol is solved again from its bracket
+    on the doubled mesh. So every root depends on its own item alone.
+    Returns (roots, |residuals|)."""
+    tpi = np.asarray(targets, dtype=float) * math.pi
+    lo, hi, dw = (np.asarray(v, dtype=float) for v in (lo, hi, domega))
+    bound = np.maximum(np.abs(lo), np.abs(hi))
+    c, eps = DEFAULT_MATCHING_POINT, DEFAULT_EPSILON
+    n = np.broadcast_to(mesh_intervals(p, ctx, bound, np.abs(dw), c, eps), tpi.shape).copy()
+    roots, resid = np.empty(tpi.shape), np.empty(tpi.shape)
+    todo = np.arange(tpi.size)
+    while todo.size:
+
+        def f(xs, idx, todo=todo, halve=1):
+            sel = todo[idx]
+            return _defect(p, ctx, xs, c, eps, None, None, dw[sel], n[sel] // halve) - tpi[sel]
+
+        k = np.arange(todo.size)
+        ends = f(np.concatenate([lo[todo], hi[todo]]), np.concatenate([k, k]))
+        flo, fhi = ends[: todo.size], ends[todo.size:]
+        x, fx = illinois_batched(f, lo[todo], hi[todo], flo, fhi, 0.5 * tol)
+        slope = (fhi - flo) / (hi[todo] - lo[todo])
+        ok = np.abs(f(x, k, halve=2) - fx) <= tol * slope
+        roots[todo[ok]], resid[todo[ok]] = x[ok], fx[ok]
+        todo = todo[~ok]
+        for i in todo:
+            n[i] = _refined(int(n[i]), float(bound[i]))
+    return roots, np.abs(resid)
 
 
 def eigenvalues_by_label(p, ctx, labels, window_hint=None, c=DEFAULT_MATCHING_POINT):

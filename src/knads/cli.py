@@ -57,6 +57,9 @@ _SOLVER_ERRORS = (
 
 # Largest frequency grid a scan accepts; a finer grid is a config error.
 MAX_SCAN_POINTS = 10**5
+# Largest oracle grid and label band a config may ask for.
+MAX_ORACLE_N = 10**5
+MAX_J_WINDOW = 100
 
 _REQUIRED = ("m", "a", "q_e", "q_m", "l", "mu", "e", "k")
 _OPTIONAL = {
@@ -115,6 +118,13 @@ class RunConfig:
         return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
+def _integer(vals, name):
+    try:
+        return int(vals[name])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {vals[name]!r}") from None
+
+
 def parse_config(text):
     try:
         raw = json.loads(text)
@@ -155,17 +165,19 @@ def parse_config(text):
             lam=None if vals["lambda"] is None else float(vals["lambda"]),
             window=window,
             r0=None if vals["r0"] is None else float(vals["r0"]),
-            oracle_n=int(vals["oracle_n"]),
+            oracle_n=_integer(vals, "oracle_n"),
             omega_min=None if vals["omega_min"] is None else float(vals["omega_min"]),
             omega_max=None if vals["omega_max"] is None else float(vals["omega_max"]),
             omega_step=float(vals["omega_step"]),
-            j_window=int(vals["j_window"]),
+            j_window=_integer(vals, "j_window"),
             threshold=float(vals["threshold"]),
         )
     except (TypeError, ValueError) as ex:
         raise ConfigError(f"bad config value: {ex}") from ex
-    if cfg.j_window < 1:
-        raise ConfigError(f"j_window must be at least 1, got {cfg.j_window}")
+    if not 1 <= cfg.j_window <= MAX_J_WINDOW:
+        raise ConfigError(f"j_window must lie in [1, {MAX_J_WINDOW}], got {cfg.j_window}")
+    if not cfg.oracle_n <= MAX_ORACLE_N:
+        raise ConfigError(f"oracle_n must be at most {MAX_ORACLE_N}, got {cfg.oracle_n}")
     return cfg
 
 
@@ -435,9 +447,15 @@ def cmd_scan(cfg, args):
 
 def cmd_tortoise(cfg, args):
     p, _ = _validated(cfg, args)
-    tm = tortoise_map(p)
     hd = find_horizons(p)
     us = np.geomspace(1e-6 * p.l, 1e3 * p.l, 46)
+    if not hd.r_plus + us[0] > hd.r_plus:
+        raise ConfigError(
+            f"tortoise table offset u = {us[0]:g} vanishes against r_plus = "
+            f"{hd.r_plus:g} in floating point; the parameters' scale "
+            f"(r_plus / l = {hd.r_plus / p.l:g}) is beyond the table's resolution"
+        )
+    tm = tortoise_map(p)
     rows = []
     for u in us:
         r = hd.r_plus + u

@@ -30,11 +30,12 @@ from .classify import sa_report
 from .geometry import find_horizons
 from .operators import phi_plus
 from .radial import horizon_continuation_evidence, levinson_phi_plus
-from .rk import bisect_batched
+# Unused here, but perfbench/tracer.py wraps modescan.bisect_batched by name.
+from .rk import bisect_batched  # noqa: F401
 
 DEFAULT_THRESHOLD = 1e-3
 _TRACK_MARGIN = 0.02
-_BISECT_ITERS = 48
+_ITEM_TOL = 1e-10
 
 
 class ExtremalUnsupported(Exception):
@@ -80,26 +81,17 @@ def _defect_targets(p, ctx, lams):
 
 
 def _solve_items(p, ctx0, targets, lam_seed, half_width, domega):
-    """Bisect the defect to the integer targets inside per-item brackets.
+    """Solve the defect for the integer targets inside per-item brackets
+    lam_seed +- half_width (angular.solve_items).
 
     All arrays are flat over (omega, j) items; ctx0 carries the seed
-    frequency and domega the per-item offsets. The iteration count is fixed,
-    but the integrator controls the error on the worst batch member, so an
-    item's last bits still depend on which other items share the batch."""
-    tpi = targets * math.pi
-
-    def resid(lams):
-        return (
-            angular._defect(
-                p, ctx0, lams, DEFAULT_MATCHING_POINT, DEFAULT_EPSILON, None, None, domega
-            )
-            - tpi
-        )
-
-    roots = bisect_batched(
-        resid, lam_seed - half_width, lam_seed + half_width, n_iter=_BISECT_ITERS, tol=0.0
+    frequency and domega the per-item offsets. Each item has its own mesh
+    and stops on its own bracket width, so its root and residual do not
+    depend on which other items share the batch. Returns (roots,
+    |residuals|)."""
+    return angular.solve_items(
+        p, ctx0, targets, lam_seed - half_width, lam_seed + half_width, domega, _ITEM_TOL
     )
-    return roots, np.abs(resid(roots))
 
 
 def coupled_scan(

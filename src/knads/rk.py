@@ -1,11 +1,14 @@
-"""Batched embedded Runge-Kutta 5(4) stepper and a batched bisection engine.
+"""Batched embedded Runge-Kutta 5(4) stepper, now serving the radial
+equations only, and a batched bisection engine.
 
-Shooting for eigenvalues evaluates the same ODE at many nearby parameter
-values (bracket endpoints, midpoints, several target indices at once). The
+Radial shooting evaluates the same ODE at many nearby parameter values
+(bracket endpoints, trial eigenvalues, several items at once). The
 integrator here advances a whole batch with one shared adaptive step, error
 controlled by the worst member, so each stage evaluation is a single
 vectorized call. State has shape (batch, dim); here dim is 2 for
-(phase, log amplitude).
+(phase, log amplitude). The angular solver does not use it: it propagates
+on a fixed Magnus mesh (see knads.angular), and root finding is the
+Illinois iteration there. bisect_batched has no caller in the package.
 
 The Dormand-Prince 5(4) pair with FSAL is used; local error is measured in a
 scaled max norm. An optional per-step cap on the first state component keeps

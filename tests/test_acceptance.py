@@ -33,7 +33,7 @@ from knads.geometry import (
 )
 from knads.modescan import coupled_scan, periodicity_verdict
 from knads.operators import ModeContext
-from knads.oracle import discretize_radial_confined, load_fixtures
+from knads.oracle import discretize_angular, discretize_radial_confined, load_fixtures
 from knads.radial import (
     NotConfining,
     hinf_eigenvalues,
@@ -144,6 +144,37 @@ def test_criterion_4_angular_against_oracle():
     assert worst < 1e-5
     print(f"criterion 4: PASS (sphere exact to {shoot_err:.3e}; 5 draws vs "
           f"N=4000 oracle to {worst:.3e}, counts equal)")
+
+
+def test_angular_against_extrapolated_oracle():
+    # Beside criterion 4, not in place of it: the oracle's O(h^2) error,
+    # Richardson-extrapolated from N = 2000 and 4000, leaves a witness about
+    # 1e-8 from the continuum, tight enough to catch an under-resolved mesh.
+    def worst_gap(p, ctx, window):
+        ev = np.array(angular_eigenvalues(p, ctx, window).eigenvalues)
+        lo, hi = window[0] - 0.5, window[1] + 0.5
+        near = []
+        for n in (2000, 4000):
+            ref = discretize_angular(p, ctx, n).eigenvalues_in_window(lo, hi)
+            near.append(ref[np.argmin(np.abs(ref[None, :] - ev[:, None]), axis=1)])
+        return float(np.max(np.abs(ev - (4.0 * near[1] - near[0]) / 3.0)))
+
+    cases = [
+        (BlackHoleParams(**c["params"]), ModeContext(**c["ctx"]), tuple(c["window"]))
+        for c in load_fixtures()["angular"]
+        if c["name"] != "sphere-k-half"
+    ]
+    rng = np.random.default_rng(SEED + 41)
+    for _ in range(5):
+        p = draw_nonextremal(rng)
+        ctx = ModeContext(mu=rng.uniform(0.6, 1.4), e=rng.uniform(-0.5, 0.5),
+                          k=float(rng.choice([-1.5, -0.5, 0.5, 1.5])),
+                          omega=rng.uniform(-1.0, 1.0))
+        cases.append((p, ctx, (-4.0, 4.0)))
+    gaps = [worst_gap(*case) for case in cases]
+    assert max(gaps) < 1e-7, gaps
+    print(f"angular witness: PASS ({len(cases)} cases vs the extrapolated "
+          f"oracle to {max(gaps):.3e})")
 
 
 def test_criterion_5_frequency_lipschitz():

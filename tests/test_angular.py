@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import knads.angular as angular_mod
 from knads.angular import (
     DEFAULT_MATCHING_POINT,
+    MAX_MESH_INTERVALS,
     NotLimitPoint,
+    WindowTooWide,
     amplitude_weight,
     angular_eigenvalues,
     eigenvalues_by_label,
+    illinois_batched,
+    mesh_intervals,
     prufer_rhs,
     shoot_angular,
 )
@@ -200,3 +205,73 @@ def test_amplitude_weight_identities():
         amplitude_weight(PMAG, ctx, 1.0)
     with pytest.raises(ValueError):
         amplitude_weight(ROTATING, ctx, math.pi)
+
+
+def test_illinois_batched_cubics_stop_per_item():
+    # the bisect_batched cubics: f(x) = (x - s)^3 + (x - s), root at s
+    shifts = np.array([-1.7, 0.0, 0.3, 2.9])
+
+    def fun(x, idx):
+        d = x - shifts[idx]
+        return d**3 + d
+
+    lo, hi = shifts - 2.0, shifts + 3.0
+    roots, res = illinois_batched(fun, lo, hi, fun(lo, np.arange(4)), fun(hi, np.arange(4)), 1e-12)
+    assert np.max(np.abs(roots - shifts)) < 1e-12
+    assert np.array_equal(res, fun(roots, np.arange(4)))
+    # each item is frozen on its own bracket: alone it gives the same bits
+    for i in range(4):
+        k = np.array([i])
+        one = illinois_batched(lambda x, idx: fun(x, k[idx]), lo[k], hi[k],
+                               fun(lo[k], k), fun(hi[k], k), 1e-12)
+        assert one[0][0] == roots[i] and one[1][0] == res[i]
+
+
+def test_defect_rows_do_not_depend_on_their_batch():
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.4)
+    lams = np.array([-3.1, -0.2, 0.9, 2.6])
+    offs = np.array([0.3, -0.1, 0.0, 0.45])
+    dv = _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6,
+                 None, None, domega=offs)
+    for i in range(lams.size):
+        one = _defect(ROTATING, ctx, lams[i:i + 1], DEFAULT_MATCHING_POINT,
+                      math.pi * 1e-6, None, None, domega=offs[i:i + 1])
+        assert one[0] == dv[i]
+
+
+def test_magnus_mesh_converges_at_sixth_order():
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.5)
+    lams = np.linspace(-4.0, 4.0, 9)
+
+    def d(n):
+        return _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6,
+                       None, None, n=n)
+
+    d128, d256, d512 = d(128), d(256), d(512)
+    ratio = np.max(np.abs(d256 - d128)) / np.max(np.abs(d512 - d256))
+    assert 40.0 < ratio < 100.0  # 2^6 = 64 per halving of the interval
+
+
+def test_trace_nodes_and_mesh_estimate():
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.2)
+    lam = eigenvalues_by_label(ROTATING, ctx, (1,))[1]
+    left, right, traces = shoot_angular(ROTATING, ctx, lam)
+    n = mesh_intervals(ROTATING, ctx, abs(lam))
+    for tr, end in zip(traces, (left, right)):
+        assert tr.thetas.size == tr.etas.size == tr.log_rhos.size == n + 1
+        assert tr.etas[-1] == end
+        assert tr.thetas[-1] == pytest.approx(DEFAULT_MATCHING_POINT, rel=1e-14)
+        assert tr.max_jump() < math.pi / 2
+        assert 0.0 <= tr.tol_achieved < 1e-8
+    assert (left - right) / math.pi == pytest.approx(round((left - right) / math.pi), abs=1e-9)
+
+
+def test_mesh_cap_refuses_before_sampling():
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5)
+    before = angular_mod._magnus_tables.cache_info()
+    with pytest.raises(WindowTooWide, match=r"1e\+06.*intervals"):
+        angular_eigenvalues(ROTATING, ctx, (1e6, 1e6 + 1.0))
+    assert angular_mod._magnus_tables.cache_info() == before
+    assert mesh_intervals(ROTATING, ctx, 4.0) <= MAX_MESH_INTERVALS
+    with pytest.raises(WindowTooWide):
+        mesh_intervals(ROTATING, ctx, math.inf)

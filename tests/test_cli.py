@@ -362,3 +362,39 @@ def test_threads_flag_is_retired(tmp_path, capsys):
     with pytest.raises(SystemExit) as ex:
         main(["scan", "--config", write_config(tmp_path), "--threads", "2"])
     assert ex.value.code == 2
+
+
+def test_far_window_exceeds_the_mesh_cap(tmp_path, capsys):
+    # a narrow window far from 0 needs a mesh above the cap; it is refused
+    # before any coefficient is sampled
+    cfg = write_config(tmp_path, window=[1e6, 1e6 + 1.0])
+    start = time.perf_counter()
+    rc, _, err = run(capsys, ["angular", "--config", cfg])
+    assert rc == 3 and "WindowTooWide" in err and "intervals" in err
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("angular", "oracle_n", 10**9),
+        ("angular", "oracle_n", math.inf),
+        ("scan", "j_window", 10**9),
+        ("scan", "j_window", math.inf),
+    ],
+)
+def test_oversized_count_is_a_config_error(tmp_path, capsys, command, field, value):
+    # was an attempt to allocate the oracle or label arrays, or an
+    # OverflowError traceback for Infinity
+    cfg = write_config(tmp_path, **{field: value})
+    start = time.perf_counter()
+    rc, _, err = run(capsys, [command, "--oracle", "--config", cfg])
+    assert rc == 2 and field in err
+    assert time.perf_counter() - start < 5.0
+
+
+def test_tortoise_beyond_float_resolution_is_a_config_error(tmp_path, capsys):
+    # r_plus + 1e-6 l rounds to r_plus at m = 1e150 (r_plus ~ 1.3e50)
+    cfg = write_config(tmp_path, m=1e150)
+    rc, _, err = run(capsys, ["tortoise", "--config", cfg])
+    assert rc == 2 and "r_plus" in err and "OutsideExterior" not in err

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from knads.geometry import BlackHoleParams, reparameterize
+from knads.angular import eigenvalues_by_label
 from knads.modescan import (
+    _TRACK_MARGIN,
     ExtremalUnsupported,
+    _defect_targets,
+    _solve_items,
     coupled_scan,
     periodicity_verdict,
 )
@@ -148,3 +152,40 @@ def test_periodicity_flags_injected_candidate(scan):
 def test_periodicity_validation(scan):
     with pytest.raises(ValueError):
         periodicity_verdict(scan, 0.0)
+
+
+# Criterion 8's background and default grid.
+P_BASE = BlackHoleParams(m=1.0, a=0.2, q_e=0.1, q_m=0.0, l=1.0)
+GRID_81 = -2.0 + 0.05 * np.arange(81)
+
+
+def test_tracking_items_do_not_depend_on_their_batch():
+    # coupled_scan's tracking items on criterion 8's grid, as it builds them
+    labels = (-3, -2, -1, 1, 2, 3)
+    ctx0 = CTX.with_omega(float(GRID_81[0]))
+    seed = eigenvalues_by_label(P_BASE, ctx0, labels)
+    lam0 = np.array([seed[j] for j in labels])
+    targets = _defect_targets(P_BASE, ctx0, lam0)
+    dom = np.repeat(GRID_81[1:] - GRID_81[0], len(labels))
+    half = P_BASE.a * np.abs(dom) + _TRACK_MARGIN
+    items = (np.tile(targets, 80), np.tile(lam0, 80), half, dom)
+
+    roots, res = _solve_items(P_BASE, ctx0, *items)
+    assert np.max(res) < 1e-8
+    cut = roots.size // 2
+    first = _solve_items(P_BASE, ctx0, *(v[:cut] for v in items))
+    second = _solve_items(P_BASE, ctx0, *(v[cut:] for v in items))
+    assert np.array_equal(np.concatenate([first[0], second[0]]), roots)
+    assert np.array_equal(np.concatenate([first[1], second[1]]), res)
+    # one at a time, for every eighth item
+    for i in range(0, roots.size, 8):
+        one = _solve_items(P_BASE, ctx0, *(v[i:i + 1] for v in items))
+        assert one[0][0] == roots[i] and one[1][0] == res[i], i
+
+
+def test_coarse_curves_equal_the_fine_curves_exactly():
+    # criterion 8 asserts 1e-9; with batch-independent items the embedding is exact
+    coarse = coupled_scan(P_BASE, CTX, GRID_81, j_window=3)
+    fine = coupled_scan(P_BASE, CTX, -2.0 + 0.025 * np.arange(161), j_window=3)
+    for j in coarse.lambda_curves:
+        assert np.array_equal(coarse.lambda_curves[j], fine.lambda_curves[j][::2]), j
