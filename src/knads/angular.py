@@ -10,22 +10,27 @@ the log distance t to a pole, theta = pole + sign * e^t (pole 0 with sign
 
 which is smooth up to the pole and affine in lambda and in a frequency
 offset domega from ctx.omega. Each side, from theta = eps at its pole to the
-matching point c, is cut into n intervals uniform in t. The coefficients are
-sampled once per (p, ctx, c, eps, n), at 3 Gauss nodes per interval, and
-serve every trial eigenvalue, as in MATSLISE (Ledoux, Van Daele & Vanden
-Berghe, ACM TOMS 31, 2005). The sixth-order Magnus method of Blanes, Casas &
-Ros (BIT 40, 2000) advances psi across an interval by the closed-form
-exponential of a traceless 2x2 matrix, and the Prüfer phase eta is the sum
-of the per-interval rotation angles atan2(cross, dot). Interval propagators
-are built in blocks of at most _BLOCK elements (rows x intervals), so memory
-stays flat however wide the batch. Near each pole the recessive (power-law
-bounded) solution is selected by the Frobenius phase at theta = eps.
+matching point c, is cut into n intervals graded in t: the nodes are
+uniform in e^{t/_GRADE}, so intervals are long near the pole, where A tends
+to a constant matrix, and short near c, where |lambda| turns the phase. The
+coefficients are sampled once per (p, ctx, c, eps, n), at 3 Gauss nodes per
+interval, and serve every trial eigenvalue, as in MATSLISE (Ledoux, Van
+Daele & Vanden Berghe, ACM TOMS 31, 2005). The sixth-order Magnus method of
+Blanes, Casas & Ros (BIT 40, 2000) advances psi across an interval by the
+closed-form exponential of a traceless 2x2 matrix, and the Prüfer phase eta
+is the sum of the per-interval rotation angles atan2(cross, dot). Interval
+propagators are built in blocks of at most _BLOCK elements (rows x
+intervals), so memory stays flat however wide the batch. Near each pole the
+recessive (power-law bounded) solution is selected by the Frobenius phase at
+theta = eps.
 
 mesh_intervals fixes n, a power of two, from (p, ctx, c, eps) and a bound
-on |lambda| and |domega| alone, so that no interval can move the phase by
-more than _PHASE_STEP < pi/2; a mesh above MAX_MESH_INTERVALS is refused
-with WindowTooWide before anything is sampled. Each solve checks its mesh
-once, at the converged roots, against n/2, and doubles n while the
+on |lambda| and |domega| alone, by two bounds per interval: the lambda and
+domega part of the phase rate moves the phase by at most _PHASE_STEP (the
+accuracy budget), the whole rate by at most _PHASE_CAP < pi/2 (so the
+rotation angles unwrap the phase). A mesh above MAX_MESH_INTERVALS is
+refused with WindowTooWide before anything is sampled. Each solve checks its
+mesh once, at the converged roots, against n/2, and doubles n while the
 estimated eigenvalue error |D_n - D_{n/2}| / D' exceeds tol.
 
 Eigenvalues are the roots of the matching defect D = eta_left(c) -
@@ -71,10 +76,15 @@ DEFAULT_EPSILON = 1e-6 * math.pi
 DEFAULT_MATCHING_POINT = math.pi / 2
 
 # Magnus mesh: intervals per side are a power of two in [MIN, MAX]; the
-# phase bound per interval sets n for large |lambda|, the floor for small.
-MIN_MESH_INTERVALS = 1024
+# phase bounds per interval set n for large |lambda| or |k|, the floor for
+# small. _PHASE_STEP bounds the lambda and domega part of an interval's phase
+# move, _PHASE_CAP the whole move.
+MIN_MESH_INTERVALS = 256
 MAX_MESH_INTERVALS = 2**16
 _PHASE_STEP = 0.1
+_PHASE_CAP = 1.0
+# Mesh grading: interval lengths in t scale as e^(-t / _GRADE).
+_GRADE = 3.0
 # Largest propagator block built at once, in rows x intervals.
 _BLOCK = 8192
 # Illinois steps without halving the bracket before a bisection step, and
@@ -134,7 +144,6 @@ class SpectrumWindow:
     residuals: tuple
     labels: tuple
     count: int
-    oracle_deltas: tuple = None
     mesh_error: float = None
 
 
@@ -285,27 +294,51 @@ def mesh_intervals(
 ):
     """Magnus intervals per side for |lambda| <= lam_bound and |domega| <=
     domega_bound (scalars, or arrays giving each item its own mesh): the
-    smallest power of two, at least MIN_MESH_INTERVALS, at which no interval
-    can move the phase by more than _PHASE_STEP.
+    smallest power of two, at least MIN_MESH_INTERVALS, that meets both
+    per-interval phase bounds.
 
-    The bound on |d eta/dt| over a side reaching distance x from its pole,
+    At distance r = e^t from the pole, Delta_theta >= xi bounds |d eta/dt| by
 
-        x [(|lambda| + |mu| a) / sqrt(xi) + a (|omega| + |domega|) / xi]
-          + (|d| (1 + |b|) + |k|) x / sin(x),
+        r L + sigma r / sin(r),
+        L = (|lambda| + |mu| a) / sqrt(xi) + a (|omega| + |domega|) / xi,
+        sigma = |d| (1 + |b|) + |k|.
 
-    follows from Delta_theta >= xi and x / sin(x) increasing, so n is known
-    before anything is sampled. Raises WindowTooWide when n would exceed
-    MAX_MESH_INTERVALS."""
+    On a side reaching distance x, the mesh graded with beta = _GRADE gives
+    the interval starting at t a length of at most h(t) = S e^{-t/beta} / n,
+    S = beta (x^{1/beta} - eps^{1/beta}), so n h(t) times the rate does not
+    depend on n. Its supremum over the side is bounded in closed form,
+    splitting at r = 1/2 (r / sin r increasing, e^{-t/beta} decreasing):
+
+        sup n h r L     = S x^{1 - 1/beta} L,
+        sup n h sigma r / sin r
+                        <= S sigma max(g(1/2) eps^{-1/beta}, g(x) 2^{1/beta}),
+
+    g(r) = r / sin r. The lambda and domega part stays within _PHASE_STEP
+    per interval: it grows toward c, where the coefficients vary, and sets
+    the accuracy. The whole rate stays within _PHASE_CAP per interval, below
+    pi/2, so the per-interval rotation angles unwrap the phase (up to the
+    rate's change across one interval); the sigma part peaks at the pole,
+    where A is nearly constant and the Magnus step nearly exact, so it needs
+    no accuracy budget. n is known before anything is sampled. Raises
+    WindowTooWide when n would exceed MAX_MESH_INTERVALS."""
     lam_bound = np.asarray(lam_bound, dtype=float)
     domega_bound = np.asarray(domega_bound, dtype=float)
     sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
-    need = np.zeros(np.broadcast(lam_bound, domega_bound).shape)
+    lam_rate = (
+        (lam_bound + abs(ctx.mu) * p.a) / math.sqrt(p.xi)
+        + p.a * (abs(ctx.omega) + domega_bound) / p.xi
+    )
+    need = np.zeros(lam_rate.shape)
+    e0 = eps ** (1.0 / _GRADE)
     for _, _, _, x in _sides(c):
-        rate = x * (
-            (lam_bound + abs(ctx.mu) * p.a) / math.sqrt(p.xi)
-            + p.a * (abs(ctx.omega) + domega_bound) / p.xi
-        ) + sigma * x / math.sin(x)
-        need = np.maximum(need, math.log(x / eps) * rate / _PHASE_STEP)
+        span = _GRADE * (x ** (1.0 / _GRADE) - e0)
+        lam_part = span * x ** (1.0 - 1.0 / _GRADE) * lam_rate
+        sigma_part = span * sigma * max(
+            0.5 / math.sin(0.5) / e0, x / math.sin(x) * 2.0 ** (1.0 / _GRADE)
+        )
+        need = np.maximum(
+            need, np.maximum(lam_part / _PHASE_STEP, (lam_part + sigma_part) / _PHASE_CAP)
+        )
     if not np.all(need <= MAX_MESH_INTERVALS):  # also refuses nan
         worst = float(np.max(need))
         n = f"2^{math.ceil(math.log2(worst))}" if math.isfinite(worst) else worst
@@ -329,18 +362,21 @@ def _refined(n, lam_bound):
 
 @lru_cache(maxsize=8)
 def _magnus_tables(p, ctx, c, eps, n):
-    """Coefficient samples of both sides on the mesh of n intervals.
+    """Coefficient samples of both sides on the graded mesh of n intervals.
 
     Returns (tabs, ts). With A = g0 sigma_z + lambda g1 J - (g2 + domega g3)
     sigma_x, J = [[0, -1], [1, 0]], tabs[side, k, f, i] is the sixth-order
-    Magnus term alpha_{k+1} of g_f over interval i; ts[side] are the n + 1
-    node times t."""
+    Magnus term alpha_{k+1} of g_f over interval i, scaled by that
+    interval's own length; ts[side] are the n + 1 node times t, uniform in
+    e^{t/_GRADE} from log(eps) to log(x)."""
     tabs = np.empty((2, 3, 4, n))
     ts = np.empty((2, n + 1))
     for s, (_, pole, sign, x) in enumerate(_sides(c)):
-        t0, t1 = math.log(eps), math.log(x)
-        h = (t1 - t0) / n
-        e = np.exp(t0 + h * (np.arange(n)[:, None] + _GAUSS))
+        e0, e1 = eps ** (1.0 / _GRADE), x ** (1.0 / _GRADE)
+        ts[s] = _GRADE * np.log(e0 + (e1 - e0) * np.linspace(0.0, 1.0, n + 1))
+        ts[s, [0, -1]] = math.log(eps), math.log(x)
+        h = np.diff(ts[s])
+        e = np.exp(ts[s, :-1, None] + h[:, None] * _GAUSS)
         theta = pole + sign * e
         m11, m12 = _angular_entries(p, ctx, theta)
         sq = np.sqrt(1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2)
@@ -349,7 +385,6 @@ def _magnus_tables(p, ctx, c, eps, n):
         tabs[s, 0] = h * g[..., 1]
         tabs[s, 1] = (math.sqrt(15.0) * h / 3.0) * (g[..., 2] - g[..., 0])
         tabs[s, 2] = (10.0 * h / 3.0) * (g[..., 2] - 2.0 * g[..., 1] + g[..., 0])
-        ts[s] = np.linspace(t0, t1, n + 1)
     tabs.flags.writeable = False
     ts.flags.writeable = False
     return tabs, ts

@@ -185,11 +185,15 @@ def find_horizons(p):
     single minimum at r_c and rises again; all real roots are nonnegative
     (Delta_r is decreasing on r <= 0 with Delta_r(0) = a**2 + z**2 >= 0).
     Bracketing on [0, r_max] with bisection to 1e-14 and a Newton polish.
+    r_max starts from the smaller of the AdS scale l (1 + 2 sqrt(m l)) and
+    the mass scale 2 m, plus a + 1, and doubles until Delta_r > 0 and
+    Delta_r' > 0 there, which puts it above r_plus (Delta_r' increasing).
 
     Raises NoHorizon when the minimum is positive (m below the extremal mass).
     Declares extremal when the two roots agree within 1e-8 relative.
     """
-    r_max = p.l * (1.0 + 2.0 * math.sqrt(max(p.m * p.l, 0.0))) + p.a + 1.0
+    m = max(p.m, 0.0)
+    r_max = min(p.l * (1.0 + 2.0 * math.sqrt(m * p.l)), 2.0 * m) + p.a + 1.0
     try:
         while delta_r_prime(p, r_max) <= 0.0 or delta_r(p, r_max) <= 0.0:
             r_max *= 2.0
@@ -211,7 +215,9 @@ def find_horizons(p):
         # Grazing double root at the minimum.
         return HorizonData(r_c, r_c, (r_c, r_c), True)
 
-    r_minus = _newton_polish(p, _bisect_root(lambda r: delta_r(p, r), 0.0, r_c))
+    # Every real root is nonnegative, but with a = 0 and a tiny z2 the polish
+    # can step a root within rounding of 0 to a tiny negative value.
+    r_minus = max(_newton_polish(p, _bisect_root(lambda r: delta_r(p, r), 0.0, r_c)), 0.0)
     r_plus = _newton_polish(p, _bisect_root(lambda r: delta_r(p, r), r_c, r_max))
     if r_plus < r_minus:
         r_plus, r_minus = r_minus, r_plus

@@ -21,6 +21,7 @@ from knads.angular import (
 from knads.angular import _defect
 from knads.geometry import BlackHoleParams
 from knads.operators import ModeContext, angular_matrix, dirac_d
+from knads.oracle import load_fixtures
 from knads.rk import fit_line
 
 SPHERE = BlackHoleParams(m=1.0, a=0.0, q_e=0.0, q_m=0.0, l=1.0)
@@ -264,6 +265,26 @@ def test_trace_nodes_and_mesh_estimate():
         assert tr.max_jump() < math.pi / 2
         assert 0.0 <= tr.tol_achieved < 1e-8
     assert (left - right) / math.pi == pytest.approx(round((left - right) / math.pi), abs=1e-9)
+
+
+def test_graded_mesh_never_needs_more_intervals_than_the_uniform_one():
+    # The mesh uniform in t took, per side reaching distance x, the smallest
+    # power of two >= max(1024, log(x / eps) * rate / 0.1) with the rate bound
+    # rate = x L + sigma x / sin(x).
+    c, eps = DEFAULT_MATCHING_POINT, math.pi * 1e-6
+    for case in load_fixtures()["angular"]:
+        p = BlackHoleParams(**case["params"])
+        for k in (0.5, 1.5, 4.5, 10.5, 30.5):
+            ctx = ModeContext(**dict(case["ctx"], k=math.copysign(k, case["ctx"]["k"])))
+            sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + k
+            for lam in (1.0, 6.0, 50.0):
+                rate_l = (lam + abs(ctx.mu) * p.a) / math.sqrt(p.xi) + p.a * abs(ctx.omega) / p.xi
+                need = max(
+                    math.log(x / eps) * (x * rate_l + sigma * x / math.sin(x)) / 0.1
+                    for x in (c, math.pi - c)
+                )
+                uniform = 2 ** math.ceil(math.log2(max(1024.0, need)))
+                assert mesh_intervals(p, ctx, lam) <= uniform, (case["name"], k, lam)
 
 
 def test_mesh_cap_refuses_before_sampling():

@@ -317,6 +317,17 @@ def test_huge_mass_is_refused_without_a_traceback(tmp_path, capsys):
     assert rc == 3 and "overflows" in err
 
 
+def test_near_flat_limit_brackets_from_the_mass_scale(tmp_path, capsys):
+    # The bracket once started at the AdS scale l (1 + 2 sqrt(m l)) ~ 2e150
+    # and overflowed (exit 3), although r_plus is near the Kerr-Newman root
+    # m + sqrt(m^2 - a^2 - q_e^2).
+    cfg = write_config(tmp_path, l=1e100)
+    rc, out, _ = run(capsys, ["horizons", "--config", cfg])
+    assert rc == 0
+    _, rows = parse_csv(out)
+    assert float(rows[0]["r_plus"]) == pytest.approx(1.0 + math.sqrt(0.95), rel=1e-12)
+
+
 @pytest.mark.parametrize("command", ["horizons", "extremal", "classify", "angular", "radial", "scan", "tortoise"])
 @pytest.mark.parametrize("field, value, square", [("l", 1e300, "l**2"), ("q_e", 1e200, "q_e**2")])
 def test_huge_squared_parameter_is_a_config_error(tmp_path, capsys, command, field, value, square):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from knads.geometry import (
     BlackHoleParams,
@@ -114,6 +115,31 @@ def test_reparameterize_round_trip(rng):
         m, z2 = reparameterize(hd.r_plus, hd.r_minus, p.a, p.l)
         assert m == pytest.approx(p.m, rel=1e-10)
         assert z2 == pytest.approx(p.z2, rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    l=st.floats(0.3, 5.0),
+    spin=st.floats(0.0, 0.95),
+    q_e=st.floats(-1.0, 1.0),
+    q_m=st.floats(-1.0, 1.0),
+    log10_excess=st.floats(-3.0, 1.0),
+)
+# The Newton polish once stepped r_minus to -4e-46 here, which reparameterize
+# refuses as a negative root.
+@example(l=1.0, spin=0.0, q_e=1e-60, q_m=0.0, log10_excess=0.25)
+def test_reparameterize_inverts_find_horizons(l, spin, q_e, q_m, log10_excess):
+    # Over non-extremal backgrounds, the horizon pair maps back to the mass
+    # and to the charge term, which enters the quartic as a^2 + z2 (so it is
+    # recovered to the rounding of that coefficient, or of 1).
+    a = spin * l
+    z2 = q_e * q_e + q_m * q_m
+    excess = 10.0**log10_excess  # also above a = z2 = 0, where m_ext = 0
+    m = extremal_mass(a, z2, l) * (1.0 + excess) + excess * l
+    hd = find_horizons(BlackHoleParams(m=m, a=a, q_e=q_e, q_m=q_m, l=l))
+    m_back, z2_back = reparameterize(hd.r_plus, hd.r_minus, a, l)
+    assert m_back == pytest.approx(m, rel=1e-12)
+    assert abs(z2_back - z2) <= 1e-12 * max(1.0, a * a + z2)
 
 
 def test_reparameterization_jacobian_positive_and_consistent(rng):
