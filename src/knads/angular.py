@@ -300,7 +300,7 @@ def mesh_intervals(
     At distance r = e^t from the pole, Delta_theta >= xi bounds |d eta/dt| by
 
         r L + sigma r / sin(r),
-        L = (|lambda| + |mu| a) / sqrt(xi) + a (|omega| + |domega|) / xi,
+        L = (|lambda| + |mu a|) / sqrt(xi) + |a| (|omega| + |domega|) / xi,
         sigma = |d| (1 + |b|) + |k|.
 
     On a side reaching distance x, the mesh graded with beta = _GRADE gives
@@ -325,8 +325,8 @@ def mesh_intervals(
     domega_bound = np.asarray(domega_bound, dtype=float)
     sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
     lam_rate = (
-        (lam_bound + abs(ctx.mu) * p.a) / math.sqrt(p.xi)
-        + p.a * (abs(ctx.omega) + domega_bound) / p.xi
+        (lam_bound + abs(ctx.mu * p.a)) / math.sqrt(p.xi)
+        + abs(p.a) * (abs(ctx.omega) + domega_bound) / p.xi
     )
     need = np.zeros(lam_rate.shape)
     e0 = eps ** (1.0 / _GRADE)
@@ -339,25 +339,41 @@ def mesh_intervals(
         need = np.maximum(
             need, np.maximum(lam_part / _PHASE_STEP, (lam_part + sigma_part) / _PHASE_CAP)
         )
+    return _mesh_size(need, lam_bound, "lambda")
+
+
+def _mesh_size(need, bound, name):
+    """The least power of two >= need and MIN_MESH_INTERVALS (elementwise),
+    or WindowTooWide naming |name| <= bound above MAX_MESH_INTERVALS."""
     if not np.all(need <= MAX_MESH_INTERVALS):  # also refuses nan
         worst = float(np.max(need))
         n = f"2^{math.ceil(math.log2(worst))}" if math.isfinite(worst) else worst
         raise WindowTooWide(
-            f"|lambda| <= {float(np.max(lam_bound)):g} needs a Magnus mesh of n = {n} "
+            f"|{name}| <= {float(np.max(bound)):g} needs a Magnus mesh of n = {n} "
             f"intervals per side, above the cap of {MAX_MESH_INTERVALS}"
         )
     n = 2 ** np.ceil(np.log2(np.maximum(need, MIN_MESH_INTERVALS))).astype(int)
     return int(n) if n.ndim == 0 else n
 
 
-def _refined(n, lam_bound):
+def _refined(n, bound, name="lambda"):
     """The doubled mesh size, or WindowTooWide above the cap."""
     if 2 * n > MAX_MESH_INTERVALS:
         raise WindowTooWide(
-            f"the Magnus mesh error at |lambda| <= {lam_bound:g} stays above "
+            f"the Magnus mesh error at |{name}| <= {bound:g} stays above "
             f"tol at {n} intervals per side, the cap is {MAX_MESH_INTERVALS}"
         )
     return 2 * n
+
+
+def _refined_window(defect, window, tol, n, bound, name="lambda"):
+    """solve_window on defect(x, n), checked against defect(x, n // 2), with
+    n doubled while the check estimates an eigenvalue error above tol."""
+    while True:
+        sw = solve_window(lambda x: defect(x, n), *window, tol, coarse=lambda x: defect(x, n // 2))
+        if sw.mesh_error <= tol:
+            return sw
+        n = _refined(n, bound, name)
 
 
 @lru_cache(maxsize=8)
@@ -382,12 +398,17 @@ def _magnus_tables(p, ctx, c, eps, n):
         sq = np.sqrt(1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2)
         f = sign * e / sq
         g = np.stack([f * m12, f, f * m11, f * p.a * np.sin(theta) / sq])
-        tabs[s, 0] = h * g[..., 1]
-        tabs[s, 1] = (math.sqrt(15.0) * h / 3.0) * (g[..., 2] - g[..., 0])
-        tabs[s, 2] = (10.0 * h / 3.0) * (g[..., 2] - 2.0 * g[..., 1] + g[..., 0])
+        tabs[s] = _magnus_terms(h, g)
     tabs.flags.writeable = False
     ts.flags.writeable = False
     return tabs, ts
+
+
+def _magnus_terms(h, g):
+    """Sixth-order Magnus terms alpha_1..3 (axis 0) from samples g[..., i,
+    node] at the _GAUSS nodes of intervals i of signed lengths h[i]."""
+    return np.stack([h * g[..., 1], (math.sqrt(15.0) * h / 3.0) * (g[..., 2] - g[..., 0]),
+                     (10.0 * h / 3.0) * (g[..., 2] - 2.0 * g[..., 1] + g[..., 0])])
 
 
 def _comm(x, y):
@@ -403,9 +424,11 @@ def _comm(x, y):
 def _interval_maps(tab, lams, domega):
     """One-interval propagators exp(Omega) of the sixth-order Magnus method
     (Blanes, Casas & Ros), from a table block tab[k, f] broadcasting against
-    the rows' lams and domega. exp(Omega) acts on z = u + i v as z ->
-    alpha z + beta conj(z); returns (alpha, beta)."""
+    the rows' lams and domega (a row f = 4 adds a constant J term). exp(Omega)
+    maps z = u + i v to alpha z + beta conj(z); returns (alpha, beta)."""
     a1, a2, a3 = ((t[0], lams * t[1], -(t[2] + domega * t[3])) for t in tab)
+    if tab.shape[1] > 4:
+        a1, a2, a3 = ((x, j + t[4], y) for (x, j, y), t in zip((a1, a2, a3), tab))
     c1 = _comm(a1, a2)
     c2 = _comm(a1, tuple(2.0 * u + v for u, v in zip(a3, c1)))
     left = tuple(-20.0 * u - v + w for u, v, w in zip(a1, a3, c1))
@@ -608,16 +631,11 @@ def angular_eigenvalues(
     above tol."""
     _require_limit_point(p, ctx, beta_left, beta_right)
     bound = max(abs(float(window[0])), abs(float(window[1])))
-    n = mesh_intervals(p, ctx, bound, 0.0, c, eps)
-    while True:
 
-        def defect(lams, n=n):
-            return _defect(p, ctx, lams, c, eps, beta_left, beta_right, n=n)
+    def defect(lams, n):
+        return _defect(p, ctx, lams, c, eps, beta_left, beta_right, n=n)
 
-        sw = solve_window(defect, window[0], window[1], tol, coarse=lambda x: defect(x, n // 2))
-        if sw.mesh_error <= tol:
-            return sw
-        n = _refined(n, bound)
+    return _refined_window(defect, window, tol, mesh_intervals(p, ctx, bound, 0.0, c, eps), bound)
 
 
 def solve_items(p, ctx, targets, lo, hi, domega, tol):

@@ -129,7 +129,7 @@ def coupled_scan(
     else:
         labels = tuple(int(j) for j in j_window)
     nj = len(labels)
-    lip = p.a
+    lip = abs(p.a)
 
     ctx0 = ctx_base.with_omega(float(omegas[0]))
     seed = eigenvalues_by_label(p, ctx0, labels)

@@ -2,17 +2,20 @@
 
 The system is written in the tortoise coordinate x = -y, dX/dx = A X with
 X = rho (cos eta, sin eta), and slopes are reported in that convention. The
-Prüfer phase equation is integrated in s = log(r - r_plus) by one right-hand
-side, _phase_rhs_s: dy/ds comes in closed form from the factored Delta_r, so
-no step maps y back to r. Toward infinity s ~ -log(y), which keeps the
-confining mass term (mu*l/y in y) bounded; toward a non-extremal horizon
-dy/ds tends to -slope and V to phi_plus * I, finite even where e^s
-underflows. Endpoints given in y are mapped to s once per call
-(TortoiseMap.log_u_of_y), and recorded nodes back to y once per integration
-(TortoiseMap.y_of_s), so fits and selections stay defined in y. The
-Levinson certificate is the same phase equation at omega = phi_plus. Only
-the AC and Levinson deviation integrals stay in y: their Gauss nodes go
-through the inverse in one vectorized call.
+Prüfer phase equation is written in s = log(r - r_plus), _phase_rhs_s: dy/ds
+comes in closed form from the factored Delta_r, so no step maps y back to
+r. Toward infinity s ~ -log(y), which keeps the confining mass term (mu*l/y
+in y) bounded; toward a non-extremal horizon dy/ds tends to -slope and V to
+phi_plus * I, finite even where e^s underflows. Endpoints given in y are
+mapped to s once per call (TortoiseMap.log_u_of_y), and recorded nodes back
+to y once per integration (TortoiseMap.y_of_s), so fits and selections stay
+defined in y. The Levinson certificate is the same phase equation at omega
+= phi_plus. Only the AC and Levinson deviation integrals stay in y: their
+Gauss nodes go through the inverse in one vectorized call.
+
+The confined solve runs angular._sweep on the system behind _phase_rhs_s,
+affine in omega like the angular one; the certificates and the
+continuation evidence use the adaptive stepper of knads.rk.
 
 Certificate evidence is numeric and reproducible: decade-resolved integrals
 with Cauchy-tail ratios, linear fits of Prüfer phase slopes, and growth
@@ -20,15 +23,18 @@ exponents fitted from direct integrations of the first-order system.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
 
-from .angular import NotLimitPoint, solve_window
+from .angular import (NotLimitPoint, _GAUSS, _GRADE, _PHASE_CAP, _magnus_terms, _mesh_size,
+                      _refined_window, _sweep)
 from .geometry import find_horizons
 from .operators import (
     _factored_quartic_terms,
     _p_function,
+    _radial_terms,
     decade_integrals,
     deviation_norm,
     phi_plus,
@@ -112,25 +118,64 @@ def default_r0(p):
     return find_horizons(p).r_plus + p.l
 
 
-def _defect_hinf(p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, shift):
+def _system_rows(p, ctx, lam, s, shift):
+    """Rows g0..g4 at s of the system behind _phase_rhs_s, M = g0 sigma_z +
+    (omega g1 + g4) J - g2 sigma_x (angular._interval_maps' rows, g3 = 0)."""
+    diag, conf, v12 = _radial_terms(p, ctx, lam, np.exp(s))
+    g = np.stack([v12, np.ones_like(s), conf, np.zeros_like(s), -(diag + shift)])
+    return -tortoise_map(p)._dyds(s) * g
+
+
+def _radial_sides(ends, n):
+    """Node times (2, n + 1) from s0 and sd to sc, uniform in e^{-s/_GRADE}."""
+    s0, sc, sd = ends
+    v = np.exp(-np.array([[s0], [sd], [sc]]) / _GRADE)
+    ts = -_GRADE * np.log(v[:2] + (v[2] - v[:2]) * np.linspace(0.0, 1.0, n + 1))
+    ts[:, 0], ts[:, -1] = (s0, sd), sc
+    return ts
+
+
+@lru_cache(maxsize=8)
+def _radial_tables(p, ctx, lam, ends, shift, n):
+    """Magnus terms of both sides in angular._magnus_tables' layout."""
+    ts = _radial_sides(ends, n)
+    h = np.diff(ts)
+    g = _system_rows(p, ctx, lam, ts[:, :-1, None] + h[..., None] * _GAUSS, shift)
+    tabs = np.ascontiguousarray(np.moveaxis(_magnus_terms(h, g), 2, 0))
+    tabs.flags.writeable = False
+    return tabs
+
+
+def _mesh_intervals(p, ctx, lam, ends, shift, omega_bound):
+    """Magnus intervals per side keeping each interval's phase move within
+    _PHASE_CAP for |omega| <= omega_bound (scalar or per row): an interval at
+    s spans <= _GRADE |v(start) - v(sc)| / (n v(s)), v = e^{-s/_GRADE}, and
+    |d eta/ds| <= |omega g1| + |g4| + hypot(g0, g2)."""
+    ts = _radial_sides(ends, 1024)
+    g0, g1, g2, _, g4 = _system_rows(p, ctx, lam, ts, shift)
+    v = np.exp(-ts / _GRADE)
+    w = _GRADE * np.abs(v[:, :1] - v[:, -1:]) / v
+    need = np.max(w * np.abs(g1)) * omega_bound + np.max(w * (np.abs(g4) + np.hypot(g0, g2)))
+    return _mesh_size(need / _PHASE_CAP, omega_bound, "omega")
+
+
+def _defect_hinf(p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, shift, n=None):
     """Phase mismatch at s = sc between the shots from r0 (s = s0) and from
-    y = delta (s = sd), for a batch of omega values."""
+    y = delta (s = sd) per omega, on n intervals per side (default: per row)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    f = _phase_rhs_s(p, ctx, lam, omegas, shift)
-    yl = np.zeros((omegas.size, 2))
-    yl[:, 0] = beta
-    left, _, _ = integrate(
-        f, s0, sc, yl, rtol=1e-11, atol=1e-12, phase_cap=math.pi / 2
-    )
-    yr = np.zeros((omegas.size, 2))
-    if beta_infinity is None:
-        yr[:, 0] = _infinity_init(p, ctx, lam, omegas, delta)
-    else:
-        yr[:, 0] = beta_infinity
-    right, _, _ = integrate(
-        f, sd, sc, yr, rtol=1e-11, atol=1e-12, max_step=0.5, phase_cap=math.pi / 2
-    )
-    return left[:, 0] - right[:, 0]
+    lam, ends, shift = float(lam), (float(s0), float(sc), float(sd)), float(shift)
+    if n is None:
+        n = _mesh_intervals(p, ctx, lam, ends, shift, np.abs(omegas))
+    inf0 = _infinity_init(p, ctx, lam, omegas, delta) if beta_infinity is None else beta_infinity
+    eta0 = np.concatenate([np.full(omegas.shape, float(beta)), np.broadcast_to(inf0, omegas.shape)])
+    out = np.empty(omegas.size)
+    for nn in np.unique(n):
+        rows = np.flatnonzero(np.broadcast_to(n, omegas.shape) == nn)
+        both = np.concatenate([rows, omegas.size + rows])
+        tabs = _radial_tables(p, ctx, lam, ends, shift, int(nn))
+        phases, _ = _sweep(tabs, omegas[rows], 0.0, eta0[both], False)
+        out[rows] = phases[: rows.size] - phases[rows.size:]
+    return out
 
 
 def hinf_eigenvalues(
@@ -152,8 +197,8 @@ def hinf_eigenvalues(
     components); the infinity side starts on the recessive branch at
     y = delta unless mu*l < 1/2, in which case that endpoint is limit
     circle and an explicit beta_infinity is required. The two sides meet at
-    y(r0)/2; the matching defect is strictly increasing in omega and
-    solve_window locates every eigenvalue."""
+    y(r0)/2; the matching defect is strictly increasing in omega, and
+    solve_window locates every eigenvalue on a Magnus mesh checked at n/2."""
     if ctx.mu == 0.0:
         raise NotConfining("mu = 0 has no confining term; spectrum not discrete")
     if ctx.mu * p.l < 0.5 and beta_infinity is None:
@@ -168,13 +213,11 @@ def hinf_eigenvalues(
         raise ValueError("r0 too close to the infinity cutoff")
     s0 = math.log(r0 - tm.r_plus)
     sc, sd = tm.log_u_of_y(yc), tm.log_u_of_y(delta)
-
-    def defect(omegas):
-        return _defect_hinf(
-            p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, potential_shift
-        )
-
-    return solve_window(defect, window[0], window[1], tol)
+    bound = max(abs(float(window[0])), abs(float(window[1])))
+    n = _mesh_intervals(p, ctx, lam, (s0, sc, sd), potential_shift, bound)
+    return _refined_window(lambda omegas, n: _defect_hinf(
+        p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, potential_shift, n
+    ), window, tol, n, bound, "omega")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)

@@ -1,14 +1,11 @@
-"""Batched embedded Runge-Kutta 5(4) stepper, now serving the radial
-equations only, and a batched bisection engine.
+"""Batched embedded Runge-Kutta 5(4) stepper and a batched bisection engine.
 
-Radial shooting evaluates the same ODE at many nearby parameter values
-(bracket endpoints, trial eigenvalues, several items at once). The
-integrator here advances a whole batch with one shared adaptive step, error
-controlled by the worst member, so each stage evaluation is a single
-vectorized call. State has shape (batch, dim); here dim is 2 for
-(phase, log amplitude). The angular solver does not use it: it propagates
-on a fixed Magnus mesh (see knads.angular), and root finding is the
-Illinois iteration there. bisect_batched has no caller in the package.
+The stepper now serves only the radial certificates and the continuation
+evidence, which integrate the radial phase equation with recorded nodes over
+long horizon stretches; eigenvalue shooting, angular and radial, runs on the
+Magnus mesh of knads.angular. One shared adaptive step advances the whole
+batch, error controlled by the worst member, on state (batch, 2): (phase,
+log amplitude). bisect_batched has no caller in the package.
 
 The Dormand-Prince 5(4) pair with FSAL is used; local error is measured in a
 scaled max norm. An optional per-step cap on the first state component keeps

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -285,6 +286,15 @@ def test_graded_mesh_never_needs_more_intervals_than_the_uniform_one():
                 )
                 uniform = 2 ** math.ceil(math.log2(max(1024.0, need)))
                 assert mesh_intervals(p, ctx, lam) <= uniform, (case["name"], k, lam)
+
+
+def test_mesh_bound_does_not_depend_on_the_sign_of_a():
+    # a < 0 once lowered the bound, so the mesh could fall short of its
+    # per-interval phase caps
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.5)
+    mirrored = dataclasses.replace(ROTATING, a=-ROTATING.a)
+    for lam in (1.0, 5.0, 20.0, 200.0):
+        assert mesh_intervals(mirrored, ctx, lam, 0.5) == mesh_intervals(ROTATING, ctx, lam, 0.5)
 
 
 def test_mesh_cap_refuses_before_sampling():

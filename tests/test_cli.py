@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import time
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 import knads.cli as cli_mod
+import knads.radial as radial_mod
 from knads.angular import eigenvalues_by_label
 from knads.cli import main, parse_config
 from knads.geometry import BlackHoleParams, extremal_mass, find_horizons
@@ -383,6 +387,72 @@ def test_far_window_exceeds_the_mesh_cap(tmp_path, capsys):
     rc, _, err = run(capsys, ["angular", "--config", cfg])
     assert rc == 3 and "WindowTooWide" in err and "intervals" in err
     assert time.perf_counter() - start < 5.0
+
+
+def test_far_radial_window_exceeds_the_mesh_cap(tmp_path, capsys):
+    # exited 3 after about 36 s with "IntegratorStall: step budget
+    # exhausted", naming neither omega nor the stage
+    cfg = write_config(tmp_path, window=[1e6, 1e6 + 1.0])
+    before = radial_mod._radial_tables.cache_info()
+    start = time.perf_counter()
+    rc, _, err = run(capsys, ["radial", "--config", cfg])
+    assert rc == 3 and "WindowTooWide" in err and "|omega| <= 1e+06" in err and "intervals" in err
+    assert radial_mod._radial_tables.cache_info() == before
+    assert time.perf_counter() - start < 5.0
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+_ANY = st.floats(allow_nan=False, allow_infinity=False)
+_FUZZ_CONFIGS = st.fixed_dictionaries(
+    {
+        "m": _floats(0.0, 5.0) | _ANY,
+        "a": _floats(-1.0, 1.0) | _ANY,
+        "q_e": _floats(-1.0, 1.0) | _ANY,
+        "q_m": _floats(-0.5, 0.5),
+        "l": _floats(0.3, 5.0) | _ANY,
+        "mu": _floats(0.0, 3.0) | _ANY,
+        "e": _floats(-2.0, 2.0) | _ANY,
+        "k": st.sampled_from([-5.5, -2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 5.5]) | _floats(-6.0, 6.0),
+    },
+    optional={
+        "omega": _floats(-5.0, 5.0) | _ANY,
+        "gauge_b": _floats(-2.0, 2.0),
+        "lambda": _floats(-10.0, 10.0) | _ANY,
+        "window": st.tuples(_floats(-20.0, 20.0) | _ANY, _floats(1e-3, 2.0)).map(
+            lambda lo_w: [lo_w[0], lo_w[0] + lo_w[1]]
+        ),
+        "r0": _floats(0.0, 10.0) | _ANY,
+    },
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["horizons", "classify", "tortoise", "angular", "radial"]),
+    cfg=_FUZZ_CONFIGS,
+)
+@example(
+    # a < 0 once shrank the angular mesh bound, so a huge mu overflowed the
+    # sweep and exited 3 with "cannot convert float NaN to integer"
+    command="angular",
+    cfg=dict(BASE, a=-0.109, mu=2.6e38, e=5.1e15, l=0.3),
+)
+def test_cli_config_fuzz_ends_in_an_exit_code(tmp_path_factory, command, cfg):
+    # Drawn configs, windows at most 2 wide: every run ends in exit 0, 2
+    # (config error) or 3 (solver refusal) with a message, never in a
+    # traceback.
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(path)])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert "error:" in err.getvalue() and "NaN" not in err.getvalue()
 
 
 @pytest.mark.parametrize(

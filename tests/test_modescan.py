@@ -84,6 +84,17 @@ def test_zero_rotation_curves_constant():
         assert np.ptp(curve) < 1e-9
 
 
+def test_negative_rotation_tracks_within_the_abs_a_bound():
+    # The tracking brackets were a * |domega| + margin wide, inverted for
+    # a < 0: `knads scan` at a = -0.2 exited 3 with WindowTooWide.
+    p = dataclasses.replace(P0, a=-P0.a)
+    res = coupled_scan(p, CTX, GRID, j_window=1)
+    assert res.lipschitz_bound == P0.a
+    for j, curve in res.lambda_curves.items():
+        ref = [eigenvalues_by_label(p, CTX.with_omega(om), [j])[j] for om in GRID]
+        assert np.max(np.abs(np.array(curve) - ref)) < 1e-8
+
+
 def test_wider_label_window_is_consistent(scan):
     wider = coupled_scan(P0, CTX, GRID, j_window=2)
     assert set(wider.lambda_curves) == {-2, -1, 1, 2}

@@ -306,6 +306,35 @@ def test_tortoise_inverse_is_off_the_radial_hot_path(inverse_calls):
         assert a == b and a["u_of_y"] == 1 and a["log_u_of_y"] <= 2
 
 
+def _ends(p):
+    """(s0, sc, sd) of hinf_eigenvalues' default shooting setup."""
+    tm, r0 = tortoise_map(p), default_r0(p)
+    return math.log(r0 - tm.r_plus), tm.log_u_of_y(0.5 * tm.y(r0)), tm.log_u_of_y(DEFAULT_DELTA)
+
+
+def test_defect_rows_do_not_depend_on_their_batch():
+    # The adaptive stepper controlled the error of the worst batch member,
+    # so a row's last bits depended on the rest of the batch.
+    ends = _ends(P0)
+    omegas = np.linspace(-3.0, 3.0, 9)
+    rest = (DEFAULT_DELTA, math.pi / 4, None, 0.0)
+    batch = _defect_hinf(P0, CTX, LAM, omegas, *ends, *rest)
+    alone = [_defect_hinf(P0, CTX, LAM, [w], *ends, *rest)[0] for w in omegas]
+    assert np.array_equal(batch, alone)
+
+
+def test_magnus_defect_converges_at_sixth_order(wide_sw):
+    ends = _ends(P0)
+    omegas = np.linspace(-25.0, 25.0, 7)
+    rest = (DEFAULT_DELTA, math.pi / 4, None, 0.0)
+    ref = _defect_hinf(P0, CTX, LAM, omegas, *ends, *rest, 4096)
+    err = [np.max(np.abs(_defect_hinf(P0, CTX, LAM, omegas, *ends, *rest, n) - ref))
+           for n in (16, 32, 64, 256)]
+    assert err[0] / err[1] > 40.0 and err[1] / err[2] > 40.0  # 2^6 = 64
+    assert err[3] < 1e-12
+    assert wide_sw.mesh_error is not None and wide_sw.mesh_error < 1e-10
+
+
 def test_levinson_segments_resolve_the_confining_deviation():
     # Regression: the segments once came from the 2x2 matrix
     # [[-V12, ph - V22], [V11 - ph, V12]], whose entries cancel to 0 once
