@@ -17,9 +17,11 @@ coefficients are sampled once per (p, ctx, c, eps, n), at 3 Gauss nodes per
 interval, and serve every trial eigenvalue, as in MATSLISE (Ledoux, Van
 Daele & Vanden Berghe, ACM TOMS 31, 2005). The sixth-order Magnus method of
 Blanes, Casas & Ros (BIT 40, 2000) advances psi across an interval by the
-closed-form exponential of a traceless 2x2 matrix, and the Prüfer phase eta
-is the sum of the per-interval rotation angles atan2(cross, dot). Interval
-propagators are built in blocks of at most _BLOCK elements (rows x
+closed-form exponential of a traceless 2x2 matrix Omega, and the Prüfer
+phase eta is the sum of the per-interval rotation angles atan2(cross, dot).
+Omega is a polynomial in (lambda, domega) on each interval, so the tables
+hold its coefficients and a defect call evaluates it by one matrix product.
+Interval propagators are built in blocks of at most _BLOCK elements (rows x
 intervals), so memory stays flat however wide the batch. Near each pole the
 recessive (power-law bounded) solution is selected by the Frobenius phase at
 theta = eps.
@@ -320,15 +322,14 @@ def mesh_intervals(
     rate's change across one interval); the sigma part peaks at the pole,
     where A is nearly constant and the Magnus step nearly exact, so it needs
     no accuracy budget. n is known before anything is sampled. Raises
-    WindowTooWide when n would exceed MAX_MESH_INTERVALS."""
+    WindowTooWide when n would exceed MAX_MESH_INTERVALS, naming the term
+    that dominates: |lambda|, |mu a|, |a| (|omega| + |domega|) or sigma."""
     lam_bound = np.asarray(lam_bound, dtype=float)
     domega_bound = np.asarray(domega_bound, dtype=float)
     sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
-    lam_rate = (
-        (lam_bound + abs(ctx.mu * p.a)) / math.sqrt(p.xi)
-        + abs(p.a) * (abs(ctx.omega) + domega_bound) / p.xi
-    )
-    need = np.zeros(lam_rate.shape)
+    mu_a, a_omega = abs(ctx.mu * p.a), abs(p.a) * (abs(ctx.omega) + domega_bound)
+    lam_rate = (lam_bound + mu_a) / math.sqrt(p.xi) + a_omega / p.xi
+    need, lam_w, sigma_w = np.zeros(lam_rate.shape), 0.0, 0.0
     e0 = eps ** (1.0 / _GRADE)
     for _, _, _, x in _sides(c):
         span = _GRADE * (x ** (1.0 / _GRADE) - e0)
@@ -339,17 +340,29 @@ def mesh_intervals(
         need = np.maximum(
             need, np.maximum(lam_part / _PHASE_STEP, (lam_part + sigma_part) / _PHASE_CAP)
         )
-    return _mesh_size(need, lam_bound, "lambda")
+        lam_w = max(lam_w, span * x ** (1.0 - 1.0 / _GRADE) / _PHASE_STEP)
+        sigma_w = max(sigma_w, sigma_part / _PHASE_CAP)
+    return _mesh_size(need, (
+        ("|lambda| <= {:g}", lam_bound, lam_w * lam_bound / math.sqrt(p.xi)),
+        ("|mu a| = {:g}", mu_a, lam_w * mu_a / math.sqrt(p.xi)),
+        ("|a| (|omega| + |domega|) <= {:g}", a_omega, lam_w * a_omega / p.xi),
+        ("sigma = |d| (1 + |b|) + |k| = {:g}", sigma, sigma_w),
+    ))
 
 
-def _mesh_size(need, bound, name):
-    """The least power of two >= need and MIN_MESH_INTERVALS (elementwise),
-    or WindowTooWide naming |name| <= bound above MAX_MESH_INTERVALS."""
+def _mesh_size(need, causes):
+    """The least power of two >= need and MIN_MESH_INTERVALS (elementwise).
+    Above MAX_MESH_INTERVALS, WindowTooWide names the largest of causes,
+    (message, value, share of need) triples broadcasting against need, at
+    the item that needs the most."""
     if not np.all(need <= MAX_MESH_INTERVALS):  # also refuses nan
-        worst = float(np.max(need))
+        i = np.argmax(np.where(np.isnan(need), np.inf, need))
+        item = lambda v: np.ravel(np.broadcast_to(v, np.shape(need)))[i]  # noqa: E731
+        worst = item(need)
         n = f"2^{math.ceil(math.log2(worst))}" if math.isfinite(worst) else worst
+        text, value, _ = max(causes, key=lambda cause: np.nan_to_num(item(cause[2]), nan=np.inf))
         raise WindowTooWide(
-            f"|{name}| <= {float(np.max(bound)):g} needs a Magnus mesh of n = {n} "
+            f"{text.format(item(value))} needs a Magnus mesh of n = {n} "
             f"intervals per side, above the cap of {MAX_MESH_INTERVALS}"
         )
     n = 2 ** np.ceil(np.log2(np.maximum(need, MIN_MESH_INTERVALS))).astype(int)
@@ -378,30 +391,26 @@ def _refined_window(defect, window, tol, n, bound, name="lambda"):
 
 @lru_cache(maxsize=8)
 def _magnus_tables(p, ctx, c, eps, n):
-    """Coefficient samples of both sides on the graded mesh of n intervals.
+    """Omega coefficients of both sides on the graded mesh of n intervals.
 
     Returns (tabs, ts). With A = g0 sigma_z + lambda g1 J - (g2 + domega g3)
-    sigma_x, J = [[0, -1], [1, 0]], tabs[side, k, f, i] is the sixth-order
-    Magnus term alpha_{k+1} of g_f over interval i, scaled by that
-    interval's own length; ts[side] are the n + 1 node times t, uniform in
-    e^{t/_GRADE} from log(eps) to log(x)."""
-    tabs = np.empty((2, 3, 4, n))
-    ts = np.empty((2, n + 1))
-    for s, (_, pole, sign, x) in enumerate(_sides(c)):
-        e0, e1 = eps ** (1.0 / _GRADE), x ** (1.0 / _GRADE)
-        ts[s] = _GRADE * np.log(e0 + (e1 - e0) * np.linspace(0.0, 1.0, n + 1))
-        ts[s, [0, -1]] = math.log(eps), math.log(x)
-        h = np.diff(ts[s])
-        e = np.exp(ts[s, :-1, None] + h[:, None] * _GAUSS)
-        theta = pole + sign * e
-        m11, m12 = _angular_entries(p, ctx, theta)
-        sq = np.sqrt(1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2)
-        f = sign * e / sq
-        g = np.stack([f * m12, f, f * m11, f * p.a * np.sin(theta) / sq])
-        tabs[s] = _magnus_terms(h, g)
-    tabs.flags.writeable = False
+    sigma_x, J = [[0, -1], [1, 0]], tabs[side, i, comp, m] is the coefficient
+    of monomial _MONOMIALS[m] in the (sigma_z, J, sigma_x) component comp of
+    the sixth-order Magnus Omega over interval i (_omega_table); ts[side] are
+    the n + 1 node times t, uniform in e^{t/_GRADE} from log(eps) to log(x)."""
+    _, pole, sign, x = (np.array(v)[:, None] for v in zip(*_sides(c)))
+    e0 = eps ** (1.0 / _GRADE)
+    ts = _GRADE * np.log(e0 + (x ** (1.0 / _GRADE) - e0) * np.linspace(0.0, 1.0, n + 1))
+    ts[:, 0], ts[:, -1] = math.log(eps), np.log(x[:, 0])
+    h = np.diff(ts)
+    e = np.exp(ts[:, :-1, None] + h[..., None] * _GAUSS)
+    theta = pole[..., None] + sign[..., None] * e
+    m11, m12 = _angular_entries(p, ctx, theta)
+    sq = np.sqrt(1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2)
+    f = sign[..., None] * e / sq
+    g = np.stack([f * m12, f, f * m11, f * p.a * np.sin(theta) / sq])
     ts.flags.writeable = False
-    return tabs, ts
+    return _omega_table(_magnus_terms(h, g)), ts
 
 
 def _magnus_terms(h, g):
@@ -411,44 +420,84 @@ def _magnus_terms(h, g):
                      (10.0 * h / 3.0) * (g[..., 2] - 2.0 * g[..., 1] + g[..., 0])])
 
 
-def _comm(x, y):
+# Monomials lambda^i domega^j of Omega, pure lambda first: degree <= 3 in
+# each and <= 5 in total. _ONE is the polynomial 1.
+_MONOMIALS = [(i, j) for j in range(4) for i in range(4) if i + j <= 5]
+_ONE = {(0, 0): 1.0}
+
+
+def _poly(*terms):
+    """Sum of c u v over (c, u, v) terms, u and v polynomials {(i, j): array}
+    in lambda^i domega^j. A monomial absent from u or v costs nothing."""
+    out = {}
+    for c, u, v in terms:
+        for (i, j), x in u.items():
+            cx = x if c == 1.0 else c * x
+            for (k, l), y in v.items():
+                key, t = (i + k, j + l), cx * y
+                out[key] = out[key] + t if key in out else t
+    return out
+
+
+def _pcomm(x, y):
     """[x, y] for traceless 2x2 matrices given as (sigma_z, J, sigma_x)
-    coefficients."""
-    return (
-        2.0 * (x[2] * y[1] - x[1] * y[2]),
-        2.0 * (x[2] * y[0] - x[0] * y[2]),
-        2.0 * (x[1] * y[0] - x[0] * y[1]),
-    )
+    coefficient polynomials."""
+    return tuple(_poly((2.0, x[u], y[v]), (-2.0, x[v], y[u])) for u, v in ((2, 1), (2, 0), (1, 0)))
 
 
-def _interval_maps(tab, lams, domega):
-    """One-interval propagators exp(Omega) of the sixth-order Magnus method
-    (Blanes, Casas & Ros), from a table block tab[k, f] broadcasting against
-    the rows' lams and domega (a row f = 4 adds a constant J term). exp(Omega)
-    maps z = u + i v to alpha z + beta conj(z); returns (alpha, beta)."""
-    a1, a2, a3 = ((t[0], lams * t[1], -(t[2] + domega * t[3])) for t in tab)
-    if tab.shape[1] > 4:
-        a1, a2, a3 = ((x, j + t[4], y) for (x, j, y), t in zip((a1, a2, a3), tab))
-    c1 = _comm(a1, a2)
-    c2 = _comm(a1, tuple(2.0 * u + v for u, v in zip(a3, c1)))
-    left = tuple(-20.0 * u - v + w for u, v, w in zip(a1, a3, c1))
-    right = tuple(u - v / 60.0 for u, v in zip(a2, c2))
-    del a2, c1, c2  # dropped early: they set the peak memory of wide batches
-    z, j, x = (u + v / 12.0 + w / 240.0 for u, v, w in zip(a1, a3, _comm(left, right)))
-    del a1, a3, left, right
-    # Omega^2 = (z^2 + x^2 - j^2) I: a rotation when negative, a boost when positive.
-    q = z * z + x * x - j * j
-    w = np.sqrt(np.abs(q))
-    osc = q < 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sinhc = np.where(w > 0.0, np.sinh(w) / w, 1.0)
-    cs = np.where(osc, np.cos(w), np.cosh(w))
-    sn = np.where(osc, np.sinc(w / math.pi), sinhc)
-    return cs + 1j * (sn * j), sn * (z + 1j * x)
+def _omega_table(terms):
+    """Coefficients C[side, i, comp, m] of the sixth-order Magnus Omega of
+    Blanes, Casas & Ros over interval i,
+
+        Omega = a1 + a3/12 + [-20 a1 - a3 + c1, a2 - c2/60] / 240,
+        c1 = [a1, a2],  c2 = [a1, 2 a3 + c1],
+
+    in the (sigma_z, J, sigma_x) component comp and the monomial
+    _MONOMIALS[m], from Magnus terms terms[k, f, side, i] of the rows f of
+    A = g0 sigma_z + (lambda g1 + g4) J - (g2 + domega g3) sigma_x (g4
+    optional). The a_k are expanded once as polynomials; a row that is zero
+    throughout is left out, so its products are never formed, and m stops
+    after the last monomial in use (the four pure-lambda ones when g3 is
+    zero). Read-only."""
+    def term(t):
+        g4 = t[4] if len(t) > 4 else 0.0
+        comps = ({(0, 0): t[0]}, {(1, 0): t[1], (0, 0): g4}, {(0, 0): -t[2], (0, 1): -t[3]})
+        return tuple({key: v for key, v in u.items() if np.any(v)} for u in comps)
+
+    a1, a2, a3 = (term(t) for t in terms)
+    c1 = _pcomm(a1, a2)
+    c2 = _pcomm(a1, [_poly((2.0, u, _ONE), (1.0, v, _ONE)) for u, v in zip(a3, c1)])
+    left = [_poly((-20.0, u, _ONE), (-1.0, v, _ONE), (1.0, w, _ONE)) for u, v, w in zip(a1, a3, c1)]
+    right = [_poly((1.0, u, _ONE), (-1.0 / 60.0, v, _ONE)) for u, v in zip(a2, c2)]
+    omega = [_poly((1.0, u, _ONE), (1.0 / 12.0, v, _ONE), (1.0 / 240.0, w, _ONE))
+             for u, v, w in zip(a1, a3, _pcomm(left, right))]
+    m = 1 + max(_MONOMIALS.index(key) for u in omega for key in u)
+    tabs = np.zeros(terms.shape[2:] + (3, m))
+    for comp, u in enumerate(omega):
+        for key, v in u.items():
+            tabs[..., comp, _MONOMIALS.index(key)] = v
+    tabs.flags.writeable = False
+    return tabs
+
+
+def _monomials(lams, domega, m):
+    """The first m of _MONOMIALS at each row, (m, columns) with a single row
+    repeated: numpy hands a one-column product to gemv, whose sums may round
+    differently from gemm's, and a row must not depend on its batch."""
+    lams = np.resize(lams, max(lams.size, 2))
+    dw = np.broadcast_to(domega, lams.shape)
+    powers = [[np.ones_like(lams), v, v * v, v * v * v] for v in (lams, dw)]
+    return np.stack([powers[0][i] * powers[1][j] for i, j in _MONOMIALS[:m]])
 
 
 def _sweep(tabs, lams, domega, eta0, record):
     """Propagate rows stacked as [left sides, right sides] across the mesh.
+
+    Per block of intervals, Omega = z sigma_z + j J + x sigma_x is one
+    product tabs (intervals x sides x 3, monomials) @ _monomials. With q =
+    z^2 + x^2 - j^2 and s = sqrt(|q|), exp(Omega) = C + (S / s) Omega: (C,
+    S) = (cosh s, sinh s), replaced by the slower (cos s, sin s) only where
+    q < 0. exp(Omega) maps z = u + i v to alpha z + beta conj(z).
 
     eta0 holds the 2 * rows starting phases. Returns the phases at c and,
     when recording, (etas, log_rhos) at every node (arrays (n + 1, 2 rows)).
@@ -457,23 +506,31 @@ def _sweep(tabs, lams, domega, eta0, record):
     successive vectors) and the amplitude the factor |g|. Phase sums run
     strictly in mesh order, whatever the block size."""
     rows = lams.size
-    n = tabs.shape[-1]
+    n, m = tabs.shape[1], tabs.shape[-1]
+    mono = _monomials(lams, domega, m)
     block = max(1, _BLOCK // (2 * rows))
     eta = np.array(eta0, dtype=float)
     w = np.exp(-2j * eta)
     etas, logs = [eta[None]], [np.zeros((1, 2 * rows))]
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
-        alpha = np.empty((i1 - i0, 2 * rows), dtype=complex)
-        beta = np.empty_like(alpha)
-        for s in (0, 1):
-            cols = slice(s * rows, (s + 1) * rows)
-            alpha[:, cols], beta[:, cols] = _interval_maps(tabs[s, :, :, i0:i1, None], lams, domega)
+        coef = np.moveaxis(tabs[:, i0:i1], 0, 1).reshape(-1, m)
+        om = (coef @ mono).reshape(i1 - i0, 2, 3, -1)[..., :rows]
+        z, j, x = om[:, :, 0], om[:, :, 1], om[:, :, 2]
+        q = z * z + x * x - j * j
+        s = np.sqrt(np.abs(q))
+        rot = q < 0.0
+        cs, sn = np.cosh(s), np.sinh(s)
+        cs[rot], sn[rot] = np.cos(s[rot]), np.sin(s[rot])
+        sn = np.divide(sn, s, out=np.ones_like(s), where=s > 0.0)
+        alpha, beta = np.empty((2, i1 - i0, 2 * rows), dtype=complex)
+        alpha.real, alpha.imag = cs.reshape(i1 - i0, -1), (sn * j).reshape(i1 - i0, -1)
+        beta.real, beta.imag = (sn * z).reshape(i1 - i0, -1), (sn * x).reshape(i1 - i0, -1)
         g = np.empty_like(alpha)
         for i in range(i1 - i0):
-            gi = alpha[i] + beta[i] * w
-            g[i] = gi
-            w = w * np.conj(gi) / gi
+            gi = np.add(alpha[i], np.multiply(beta[i], w, out=g[i]), out=g[i])
+            w *= np.conj(gi)
+            w /= gi
         steps = np.cumsum(np.concatenate([eta[None], np.angle(g)]), axis=0)[1:]
         eta = steps[-1]
         if record:

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .angular import (NotLimitPoint, _GAUSS, _GRADE, _PHASE_CAP, _magnus_terms, _mesh_size,
-                      _refined_window, _sweep)
+                      _omega_table, _refined_window, _sweep)
 from .geometry import find_horizons
 from .operators import (
     _factored_quartic_terms,
@@ -120,7 +120,8 @@ def default_r0(p):
 
 def _system_rows(p, ctx, lam, s, shift):
     """Rows g0..g4 at s of the system behind _phase_rhs_s, M = g0 sigma_z +
-    (omega g1 + g4) J - g2 sigma_x (angular._interval_maps' rows, g3 = 0)."""
+    (omega g1 + g4) J - g2 sigma_x: angular._omega_polynomials' rows with
+    omega in lambda's place and g3 = 0."""
     diag, conf, v12 = _radial_terms(p, ctx, lam, np.exp(s))
     g = np.stack([v12, np.ones_like(s), conf, np.zeros_like(s), -(diag + shift)])
     return -tortoise_map(p)._dyds(s) * g
@@ -137,13 +138,12 @@ def _radial_sides(ends, n):
 
 @lru_cache(maxsize=8)
 def _radial_tables(p, ctx, lam, ends, shift, n):
-    """Magnus terms of both sides in angular._magnus_tables' layout."""
+    """Omega coefficients of both sides in angular._magnus_tables' layout,
+    with omega in lambda's place: the four pure-omega monomials."""
     ts = _radial_sides(ends, n)
     h = np.diff(ts)
     g = _system_rows(p, ctx, lam, ts[:, :-1, None] + h[..., None] * _GAUSS, shift)
-    tabs = np.ascontiguousarray(np.moveaxis(_magnus_terms(h, g), 2, 0))
-    tabs.flags.writeable = False
-    return tabs
+    return _omega_table(_magnus_terms(h, g))
 
 
 def _mesh_intervals(p, ctx, lam, ends, shift, omega_bound):
@@ -155,8 +155,9 @@ def _mesh_intervals(p, ctx, lam, ends, shift, omega_bound):
     g0, g1, g2, _, g4 = _system_rows(p, ctx, lam, ts, shift)
     v = np.exp(-ts / _GRADE)
     w = _GRADE * np.abs(v[:, :1] - v[:, -1:]) / v
-    need = np.max(w * np.abs(g1)) * omega_bound + np.max(w * (np.abs(g4) + np.hypot(g0, g2)))
-    return _mesh_size(need / _PHASE_CAP, omega_bound, "omega")
+    parts = np.max(w * np.abs(g1)) * omega_bound, np.max(w * (np.abs(g4) + np.hypot(g0, g2)))
+    return _mesh_size(sum(parts) / _PHASE_CAP, (("|omega| <= {:g}", omega_bound, parts[0]),
+                      ("the radial potential at lambda = {:g}", lam, parts[1])))
 
 
 def _defect_hinf(p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, shift, n=None):
@@ -433,6 +434,12 @@ def infinity_growth_exponents(p, ctx, lam, omega, r1=None, decades=3):
     return slopes[0], slopes[1]
 
 
+def _slopes(x, y):
+    """Least-squares slopes of the columns of y against x, centred."""
+    xc = x - x.mean()
+    return np.sum(xc[:, None] * (y - y.mean(axis=0)), axis=0) / np.sum(xc * xc)
+
+
 def horizon_continuation_evidence(
     p, ctx, lams, omegas, r0=None, y_far=1e3, delta=DEFAULT_DELTA
 ):
@@ -468,9 +475,7 @@ def horizon_continuation_evidence(
     # infinity-side decay exponent: log rho vs log t on the early decades
     ts = np.log(tm.y_of_s(ss))
     sel = ts <= math.log(delta) + 0.5 * (math.log(y0) - math.log(delta))
-    decay = np.array(
-        [fit_line(ts[sel], ys[sel, i, 1])[0] for i in range(lams.size)]
-    )
+    decay = _slopes(ts[sel], ys[sel, :, 1])
 
     s_far = tm.log_u_of_y(y_far)
     _, ss2, ys2 = integrate(
@@ -478,8 +483,6 @@ def horizon_continuation_evidence(
     )
     ts2 = tm.y_of_s(ss2)
     sel2 = ts2 >= 0.1 * y_far
-    slopes = np.array(
-        [-fit_line(ts2[sel2], ys2[sel2, i, 0])[0] for i in range(lams.size)]
-    )
+    slopes = -_slopes(ts2[sel2], ys2[sel2, :, 0])
     amp = np.exp(ys2[sel2][:, :, 1].min(axis=0) - end[:, 1])
     return slopes, amp, decay, ph

@@ -239,6 +239,18 @@ def test_defect_rows_do_not_depend_on_their_batch():
         one = _defect(ROTATING, ctx, lams[i:i + 1], DEFAULT_MATCHING_POINT,
                       math.pi * 1e-6, None, None, domega=offs[i:i + 1])
         assert one[0] == dv[i]
+    # Each Omega block is one matrix product; a single row is padded to two
+    # columns, as numpy hands a one-column product to gemv, whose sums may
+    # round differently from gemm's.
+    rng = np.random.default_rng(11)
+    lams, offs = rng.uniform(-4.0, 4.0, 480), rng.uniform(-0.5, 0.5, 480)
+    args = (DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None)
+    wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
+    for start in (0, 7, 250, 477):
+        for size in (1, 2, 3):
+            rows = slice(start, start + size)
+            got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
+            assert np.array_equal(got, wide[rows]), (start, size)
 
 
 def test_magnus_mesh_converges_at_sixth_order():
@@ -306,3 +318,59 @@ def test_mesh_cap_refuses_before_sampling():
     assert mesh_intervals(ROTATING, ctx, 4.0) <= MAX_MESH_INTERVALS
     with pytest.raises(WindowTooWide):
         mesh_intervals(ROTATING, ctx, math.inf)
+
+
+def _reference_omega(tab, lam, dw):
+    """The sixth-order Magnus Omega by the nested commutators, evaluated at
+    one (lambda, domega): the per-call formula the tabulated coefficients
+    replace. tab[k, f, i] holds the Magnus terms of the rows f of A = g0
+    sigma_z + (lambda g1 + g4) J - (g2 + domega g3) sigma_x."""
+    def comm(x, y):
+        return (2.0 * (x[2] * y[1] - x[1] * y[2]), 2.0 * (x[2] * y[0] - x[0] * y[2]),
+                2.0 * (x[1] * y[0] - x[0] * y[1]))
+
+    a1, a2, a3 = ((t[0], lam * t[1] + (t[4] if len(t) > 4 else 0.0), -(t[2] + dw * t[3]))
+                  for t in tab)
+    c1 = comm(a1, a2)
+    c2 = comm(a1, tuple(2.0 * u + v for u, v in zip(a3, c1)))
+    left = tuple(-20.0 * u - v + w for u, v, w in zip(a1, a3, c1))
+    right = tuple(u - v / 60.0 for u, v in zip(a2, c2))
+    return np.stack([u + v / 12.0 + w / 240.0 for u, v, w in zip(a1, a3, comm(left, right))])
+
+
+@pytest.mark.parametrize("rows, zero_g3, monomials", [(4, False, 15), (5, False, 15), (5, True, 4)])
+def test_tabulated_omega_matches_the_nested_commutators(rows, zero_g3, monomials):
+    # 4 rows: the angular tables; 5 rows with g3 = 0: the radial ones, which
+    # keep the four pure-lambda monomials
+    rng = np.random.default_rng(rows)
+    tab = 0.02 * rng.standard_normal((3, rows, 2, 64))
+    if zero_g3:
+        tab[:, 3] = 0.0
+    coef = angular_mod._omega_table(tab)
+    assert coef.shape == (2, 64, 3, monomials)
+    for lam, dw in zip(rng.uniform(-50.0, 50.0, 12), rng.uniform(-4.0, 4.0, 12)):
+        dw = 0.0 if zero_g3 else dw
+        mono = angular_mod._monomials(np.array([lam]), dw, monomials)[:, 0]
+        got = np.moveaxis(coef @ mono, -1, 0)
+        want = _reference_omega(tab, lam, dw)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (lam, dw)
+    # Omega has degree <= 3 in lambda and in domega and <= 5 in total: the
+    # table raises on a monomial outside those 15, and without the constant J
+    # row each component uses 12 of them
+    used = np.count_nonzero(np.any(coef != 0.0, axis=(0, 1)), axis=-1)
+    assert np.all(used == 12) if rows == 4 else np.all(used <= monomials)
+
+
+def test_mesh_refusal_names_the_dominant_term():
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.5)
+    with pytest.raises(WindowTooWide, match=r"^\|lambda\| <= 1e\+06 needs"):
+        mesh_intervals(ROTATING, ctx, 1e6)
+    with pytest.raises(WindowTooWide, match=r"^\|mu a\| = 3\.5e\+06 needs"):
+        mesh_intervals(ROTATING, dataclasses.replace(ctx, mu=1e7), 1.0)
+    with pytest.raises(WindowTooWide, match=r"^\|a\| \(\|omega\| \+ \|domega\|\) <= 3\.5e\+06"):
+        mesh_intervals(ROTATING, ctx.with_omega(1e7), 1.0)
+    with pytest.raises(WindowTooWide, match=r"^sigma = .* = 1e\+07 needs"):
+        mesh_intervals(ROTATING, dataclasses.replace(ctx, k=1e7 + 0.5), 1.0)
+    # per item: the message names the item that needs the most
+    with pytest.raises(WindowTooWide, match=r"^\|lambda\| <= 2e\+06 needs"):
+        mesh_intervals(ROTATING, ctx, np.array([1.0, 2e6, 3.0]), np.zeros(3))

@@ -401,6 +401,15 @@ def test_far_radial_window_exceeds_the_mesh_cap(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
 
 
+def test_mesh_refusal_names_mu_a(tmp_path, capsys):
+    # the fuzz case below: the refusal named |lambda| <= 4.5, though mu a
+    # drives the phase rate
+    cfg = write_config(tmp_path, a=-0.109, l=0.3, mu=2.6e38, e=5.1e15)
+    rc, _, err = run(capsys, ["angular", "--config", cfg])
+    assert rc == 3 and "WindowTooWide: |mu a| = 2.834e+37 needs a Magnus mesh" in err
+    assert "lambda" not in err
+
+
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 

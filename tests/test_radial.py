@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from knads.angular import NotLimitPoint
+from knads.angular import NotLimitPoint, WindowTooWide
 from knads.geometry import BlackHoleParams, find_horizons, reparameterize
 from knads.operators import (
     ModeContext,
@@ -21,6 +21,7 @@ from knads.radial import (
     _defect_hinf,
     _gauss_segments,
     _infinity_init,
+    _mesh_intervals,
     confinement_certificate,
     default_r0,
     hinf_eigenvalues,
@@ -321,6 +322,23 @@ def test_defect_rows_do_not_depend_on_their_batch():
     batch = _defect_hinf(P0, CTX, LAM, omegas, *ends, *rest)
     alone = [_defect_hinf(P0, CTX, LAM, [w], *ends, *rest)[0] for w in omegas]
     assert np.array_equal(batch, alone)
+    # One Omega product per block: a single row is padded to two columns,
+    # since numpy hands a one-column product to gemv, whose sums may round
+    # differently from gemm's.
+    omegas = np.random.default_rng(5).uniform(-3.0, 3.0, 480)
+    wide = _defect_hinf(P0, CTX, LAM, omegas, *ends, *rest)
+    for start in (0, 7, 250, 477):
+        for size in (1, 2, 3):
+            rows = slice(start, start + size)
+            assert np.array_equal(_defect_hinf(P0, CTX, LAM, omegas[rows], *ends, *rest), wide[rows])
+
+
+def test_mesh_refusal_names_omega_or_the_potential():
+    ends = _ends(P0)
+    with pytest.raises(WindowTooWide, match=r"^\|omega\| <= 1e\+06 needs"):
+        _mesh_intervals(P0, CTX, LAM, ends, 0.0, 1e6)
+    with pytest.raises(WindowTooWide, match=r"^the radial potential at lambda = 1 needs"):
+        _mesh_intervals(P0, CTX, LAM, ends, 1e9, 1.0)
 
 
 def test_magnus_defect_converges_at_sixth_order(wide_sw):
