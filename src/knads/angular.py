@@ -54,8 +54,8 @@ import numpy as np
 from .classify import angular_exponents, classify_angular
 from .geometry import delta_theta
 from .operators import _angular_entries, dirac_d
-# integrate is unused here, but perfbench/tracer.py wraps angular.integrate by name.
-from .rk import IntegratorStall, integrate  # noqa: F401
+# Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
+from .rk import integrate  # noqa: F401
 
 __all__ = [
     "PruferTrace",
@@ -66,7 +66,6 @@ __all__ = [
     "mesh_intervals",
     "NotLimitPoint",
     "WindowTooWide",
-    "IntegratorStall",
     "prufer_rhs",
     "shoot_angular",
     "angular_eigenvalues",
@@ -394,7 +393,7 @@ def _magnus_tables(p, ctx, c, eps, n):
     """Omega coefficients of both sides on the graded mesh of n intervals.
 
     Returns (tabs, ts). With A = g0 sigma_z + lambda g1 J - (g2 + domega g3)
-    sigma_x, J = [[0, -1], [1, 0]], tabs[side, i, comp, m] is the coefficient
+    sigma_x (_ANGULAR_LAYOUT), J = [[0, -1], [1, 0]], tabs[side, i, comp, m] is the coefficient
     of monomial _MONOMIALS[m] in the (sigma_z, J, sigma_x) component comp of
     the sixth-order Magnus Omega over interval i (_omega_table); ts[side] are
     the n + 1 node times t, uniform in e^{t/_GRADE} from log(eps) to log(x)."""
@@ -408,9 +407,9 @@ def _magnus_tables(p, ctx, c, eps, n):
     m11, m12 = _angular_entries(p, ctx, theta)
     sq = np.sqrt(1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2)
     f = sign[..., None] * e / sq
-    g = np.stack([f * m12, f, f * m11, f * p.a * np.sin(theta) / sq])
+    g = np.stack([f * m12, f, -f * m11, -f * p.a * np.sin(theta) / sq])
     ts.flags.writeable = False
-    return _omega_table(_magnus_terms(h, g)), ts
+    return _omega_table(_magnus_terms(h, g), _ANGULAR_LAYOUT), ts
 
 
 def _magnus_terms(h, g):
@@ -424,6 +423,8 @@ def _magnus_terms(h, g):
 # each and <= 5 in total. _ONE is the polynomial 1.
 _MONOMIALS = [(i, j) for j in range(4) for i in range(4) if i + j <= 5]
 _ONE = {(0, 0): 1.0}
+# (component, monomial) of the signed rows (g0, g1, -g2, -g3) of the angular A.
+_ANGULAR_LAYOUT = ((0, (0, 0)), (1, (1, 0)), (2, (0, 0)), (2, (0, 1)))
 
 
 def _poly(*terms):
@@ -445,7 +446,7 @@ def _pcomm(x, y):
     return tuple(_poly((2.0, x[u], y[v]), (-2.0, x[v], y[u])) for u, v in ((2, 1), (2, 0), (1, 0)))
 
 
-def _omega_table(terms):
+def _omega_table(terms, layout):
     """Coefficients C[side, i, comp, m] of the sixth-order Magnus Omega of
     Blanes, Casas & Ros over interval i,
 
@@ -454,15 +455,16 @@ def _omega_table(terms):
 
     in the (sigma_z, J, sigma_x) component comp and the monomial
     _MONOMIALS[m], from Magnus terms terms[k, f, side, i] of the rows f of
-    A = g0 sigma_z + (lambda g1 + g4) J - (g2 + domega g3) sigma_x (g4
-    optional). The a_k are expanded once as polynomials; a row that is zero
-    throughout is left out, so its products are never formed, and m stops
-    after the last monomial in use (the four pure-lambda ones when g3 is
-    zero). Read-only."""
+    A, row f being the coefficient of the monomial layout[f][1] in the
+    component layout[f][0]. The a_k are expanded once as polynomials; a row
+    that is zero throughout is left out, so its products are never formed,
+    and m stops after the last monomial in use (the four pure-lambda ones
+    for the angular rows with g3 zero). Read-only."""
     def term(t):
-        g4 = t[4] if len(t) > 4 else 0.0
-        comps = ({(0, 0): t[0]}, {(1, 0): t[1], (0, 0): g4}, {(0, 0): -t[2], (0, 1): -t[3]})
-        return tuple({key: v for key, v in u.items() if np.any(v)} for u in comps)
+        comps = ({}, {}, {})
+        for row, (comp, key) in ((r, c) for r, c in zip(t, layout) if np.any(r)):
+            comps[comp][key] = row
+        return comps
 
     a1, a2, a3 = (term(t) for t in terms)
     c1 = _pcomm(a1, a2)
@@ -490,55 +492,66 @@ def _monomials(lams, domega, m):
     return np.stack([powers[0][i] * powers[1][j] for i, j in _MONOMIALS[:m]])
 
 
-def _sweep(tabs, lams, domega, eta0, record):
-    """Propagate rows stacked as [left sides, right sides] across the mesh.
+def _sweep(tabs, lams, domega, eta0, record, by_row=False):
+    """Propagate rows stacked as [side 0 rows, side 1 rows, ...] across the
+    mesh of every side of tabs.
 
     Per block of intervals, Omega = z sigma_z + j J + x sigma_x is one
-    product tabs (intervals x sides x 3, monomials) @ _monomials. With q =
-    z^2 + x^2 - j^2 and s = sqrt(|q|), exp(Omega) = C + (S / s) Omega: (C,
-    S) = (cosh s, sinh s), replaced by the slower (cos s, sin s) only where
-    q < 0. exp(Omega) maps z = u + i v to alpha z + beta conj(z).
+    product tabs (intervals x sides x 3, monomials) @ _monomials, or with
+    by_row a sum over the monomials in a fixed order (BLAS may round a
+    column by its place in the product). With q = z^2 + x^2 - j^2 and s =
+    sqrt(|q|), exp(Omega) = C + (S / s) Omega: (C, S) = (cosh s, sinh s)
+    where q >= 0. Where q < 0 the vector turns in the sense of j, through
+    pi each time s passes a multiple of pi: with k = floor(s / pi),
+    exp(Omega) is (-1)^k times that form at (C, S) = (cos, sin)(s - k pi),
+    and the phase gains sign(j) k pi more (a hyperbolic interval never turns
+    through pi). exp(Omega) maps z = u + i v to alpha z + beta conj(z).
 
-    eta0 holds the 2 * rows starting phases. Returns the phases at c and,
-    when recording, (etas, log_rhos) at every node (arrays (n + 1, 2 rows)).
-    The unit vector is carried as w = exp(-2 i eta), so one interval is
-    g = alpha + beta w, the phase gains arg g (atan2 of cross and dot of
-    successive vectors) and the amplitude the factor |g|. Phase sums run
-    strictly in mesh order, whatever the block size."""
+    eta0 holds the sides * rows starting phases; record is False, True or a
+    mask over the n + 1 nodes. Returns the phases at the end and, when
+    recording, (etas, log_rhos) at the recorded nodes (arrays (nodes, sides
+    * rows)). The unit vector is carried as w = exp(-2 i eta), so one
+    interval is g = alpha + beta w, the phase gains arg g and the amplitude
+    the factor |g|. Sums run strictly in mesh order, whatever the block."""
     rows = lams.size
-    n, m = tabs.shape[1], tabs.shape[-1]
+    sides, n, m = tabs.shape[0], tabs.shape[1], tabs.shape[-1]
     mono = _monomials(lams, domega, m)
-    block = max(1, _BLOCK // (2 * rows))
+    block = max(1, _BLOCK // (sides * rows))
+    keep = np.broadcast_to(record, (n + 1,))
     eta = np.array(eta0, dtype=float)
-    w = np.exp(-2j * eta)
-    etas, logs = [eta[None]], [np.zeros((1, 2 * rows))]
+    logr, w = np.zeros(eta.shape), np.exp(-2j * eta)
+    etas, logs = [eta[None][keep[:1]]], [logr[None][keep[:1]]]
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
         coef = np.moveaxis(tabs[:, i0:i1], 0, 1).reshape(-1, m)
-        om = (coef @ mono).reshape(i1 - i0, 2, 3, -1)[..., :rows]
+        om = sum(coef[:, k, None] * mono[k] for k in range(m)) if by_row else coef @ mono
+        om = om.reshape(i1 - i0, sides, 3, -1)[..., :rows]
         z, j, x = om[:, :, 0], om[:, :, 1], om[:, :, 2]
         q = z * z + x * x - j * j
         s = np.sqrt(np.abs(q))
-        rot = q < 0.0
-        cs, sn = np.cosh(s), np.sinh(s)
-        cs[rot], sn[rot] = np.cos(s[rot]), np.sin(s[rot])
+        rot, hyp = q < 0.0, q >= 0.0
+        cs, sn, turns = np.empty_like(s), np.empty_like(s), np.zeros_like(s)
+        cs[hyp], sn[hyp] = np.cosh(s[hyp]), np.sinh(s[hyp])
+        half = np.floor(s[rot] / math.pi) * math.pi
+        cs[rot], sn[rot] = np.cos(s[rot] - half), np.sin(s[rot] - half)
+        turns[rot] = np.copysign(half, j[rot])
         sn = np.divide(sn, s, out=np.ones_like(s), where=s > 0.0)
-        alpha, beta = np.empty((2, i1 - i0, 2 * rows), dtype=complex)
+        alpha, beta = np.empty((2, i1 - i0, sides * rows), dtype=complex)
         alpha.real, alpha.imag = cs.reshape(i1 - i0, -1), (sn * j).reshape(i1 - i0, -1)
         beta.real, beta.imag = (sn * z).reshape(i1 - i0, -1), (sn * x).reshape(i1 - i0, -1)
         g = np.empty_like(alpha)
         for i in range(i1 - i0):
             gi = np.add(alpha[i], np.multiply(beta[i], w, out=g[i]), out=g[i])
-            w *= np.conj(gi)
-            w /= gi
-        steps = np.cumsum(np.concatenate([eta[None], np.angle(g)]), axis=0)[1:]
+            w = w * np.conj(gi) / gi  # in place, numpy rounds a single element apart
+        gain = np.angle(g) + turns.reshape(i1 - i0, -1)
+        steps = np.cumsum(np.concatenate([eta[None], gain]), axis=0)[1:]
         eta = steps[-1]
-        if record:
-            etas.append(steps)
-            logs.append(np.log(np.abs(g)))
-    if not record:
-        return eta, None
-    return eta, (np.concatenate(etas), np.cumsum(np.concatenate(logs), axis=0))
+        if record is not False:
+            growth = np.cumsum(np.concatenate([logr[None], np.log(np.abs(g))]), axis=0)[1:]
+            logr = growth[-1]
+            etas.append(steps[keep[i0 + 1:i1 + 1]])
+            logs.append(growth[keep[i0 + 1:i1 + 1]])
+    return eta, None if record is False else (np.concatenate(etas), np.concatenate(logs))
 
 
 def _shoot_batch(

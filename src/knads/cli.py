@@ -34,7 +34,6 @@ from .geometry import (
     komar,
 )
 from .operators import DomainError, ModeContext, QuadratureFailure, tortoise_map
-from .rk import IntegratorStall
 
 
 class ConfigError(ValueError):
@@ -46,7 +45,6 @@ _SOLVER_ERRORS = (
     OutsideExterior,
     DomainError,
     QuadratureFailure,
-    IntegratorStall,
     angular_mod.NotLimitPoint,
     angular_mod.WindowTooWide,
     radial_mod.NotConfining,

@@ -30,7 +30,7 @@ from .classify import sa_report
 from .geometry import find_horizons
 from .operators import phi_plus
 from .radial import horizon_continuation_evidence, levinson_phi_plus
-# Unused here, but perfbench/tracer.py wraps modescan.bisect_batched by name.
+# Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
 from .rk import bisect_batched  # noqa: F401
 
 DEFAULT_THRESHOLD = 1e-3

@@ -238,11 +238,11 @@ class TortoiseMap:
     tail, and asymptotic branches extend both ends (exponential approach for
     a non-extremal horizon, 1/y approach for an extremal one).
 
-    The radial phase equations, the Levinson certificate included, integrate
-    in s itself, through y_of_s, so the inverse (log_u_of_y, one vectorized
-    Newton loop) stays off their hot path. It maps interval endpoints once
-    per call, and places the y nodes of the finite-difference oracle, of
-    classify's deviation bound and of the AC/Levinson deviation integrals.
+    Every radial Magnus sweep runs in s itself and maps its nodes back to y
+    through y_of_s, so the inverse (log_u_of_y, one vectorized Newton loop)
+    stays off its hot path. It maps interval endpoints once per call, and
+    places the y nodes of the finite-difference oracle, of classify's
+    deviation bound and of the AC/Levinson deviation integrals.
     """
 
     def __init__(self, p, n_init=4000):

@@ -1,21 +1,21 @@
 """Radial spectral certificates and the confined-operator eigenvalue solver.
 
 The system is written in the tortoise coordinate x = -y, dX/dx = A X with
-X = rho (cos eta, sin eta), and slopes are reported in that convention. The
-Prüfer phase equation is written in s = log(r - r_plus), _phase_rhs_s: dy/ds
-comes in closed form from the factored Delta_r, so no step maps y back to
-r. Toward infinity s ~ -log(y), which keeps the confining mass term (mu*l/y
-in y) bounded; toward a non-extremal horizon dy/ds tends to -slope and V to
+X = rho (cos eta, sin eta), and slopes are reported in that convention. It
+is integrated in s = log(r - r_plus) (_system_rows): dy/ds comes in closed
+form from the factored Delta_r, so no node maps y back to r. Toward
+infinity s ~ -log(y), which keeps the confining mass term (mu*l/y in y)
+bounded; toward a non-extremal horizon dy/ds tends to -slope and V to
 phi_plus * I, finite even where e^s underflows. Endpoints given in y are
 mapped to s once per call (TortoiseMap.log_u_of_y), and recorded nodes back
-to y once per integration (TortoiseMap.y_of_s), so fits and selections stay
-defined in y. The Levinson certificate is the same phase equation at omega
-= phi_plus. Only the AC and Levinson deviation integrals stay in y: their
-Gauss nodes go through the inverse in one vectorized call.
+to y once per leg (TortoiseMap.y_of_s), so fits and selections stay defined
+in y. Only the AC and Levinson deviation integrals stay in y: their Gauss
+nodes go through the inverse in one vectorized call.
 
-The confined solve runs angular._sweep on the system behind _phase_rhs_s,
-affine in omega like the angular one; the certificates and the
-continuation evidence use the adaptive stepper of knads.rk.
+Every integration runs angular._sweep on the Magnus Omega tabulated once per
+mesh as a polynomial in (omega, lambda) (_radial_tables): the confined solve
+on two sides, the certificates and the continuation evidence on recorded
+legs (_leg), each row on the mesh of its own (omega, lambda) and endpoints.
 
 Certificate evidence is numeric and reproducible: decade-resolved integrals
 with Cauchy-tail ratios, linear fits of Prüfer phase slopes, and growth
@@ -28,12 +28,10 @@ import math
 
 import numpy as np
 
-from .angular import (NotLimitPoint, _GAUSS, _GRADE, _PHASE_CAP, _magnus_terms, _mesh_size,
-                      _omega_table, _refined_window, _sweep)
+from .angular import (NotLimitPoint, _GAUSS, _GRADE, _PHASE_CAP, _PHASE_STEP, _magnus_terms,
+                      _mesh_size, _omega_table, _refined_window, _sweep)
 from .geometry import find_horizons
 from .operators import (
-    _factored_quartic_terms,
-    _p_function,
     _radial_terms,
     decade_integrals,
     deviation_norm,
@@ -41,7 +39,8 @@ from .operators import (
     sqrt_delta_r_from_u,
     tortoise_map,
 )
-from .rk import fit_line, integrate
+# Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
+from .rk import integrate  # noqa: F401
 
 DEFAULT_DELTA = 1e-5
 
@@ -75,37 +74,6 @@ class OscillationReport:
     passed: bool
 
 
-def _phase_rhs_s(p, ctx, lam, omegas, potential_shift=0.0):
-    """d(eta, log rho)/ds in s = log(r - r_plus) for the batch of omega
-    values (state (B, 2)): dy/ds times the y-picture derivative, whose
-    components are the exact negations of the x-picture ones (dy = -dx).
-
-    dy/ds = -l^2 (r^2 + a^2) / ((u + r_plus - r_minus) q2(r)) with u = e^s,
-    from the factored Delta_r. Where u underflows to 0 it is -slope and the
-    potential is phi_plus * I, so the right-hand side stays finite."""
-    rp, rm, c1, c0 = _factored_quartic_terms(p)
-    lam = np.asarray(lam, dtype=float)
-
-    def f(s, state):
-        u = math.exp(s)
-        r = rp + u
-        r2a2 = r * r + p.a**2
-        q2 = (r + c1) * r + c0
-        sq = math.sqrt(u * (u + (rp - rm)) * q2) / p.l
-        dyds = -(p.l**2) * r2a2 / ((u + (rp - rm)) * q2)
-        diag = _p_function(p, ctx, r) / r2a2 + potential_shift
-        conf = ctx.mu * r * sq / r2a2
-        v12 = lam * (sq / r2a2)
-        eta = state[:, 0]
-        c2, s2 = np.cos(2.0 * eta), np.sin(2.0 * eta)
-        out = np.empty_like(state)
-        out[:, 0] = -dyds * (omegas - diag - conf * c2 - v12 * s2)
-        out[:, 1] = -dyds * (v12 * c2 - conf * s2)
-        return out
-
-    return f
-
-
 def _infinity_init(p, ctx, lam, omegas, delta):
     """Recessive phase at y = delta with the first-order correction."""
     mul = ctx.mu * p.l
@@ -118,46 +86,104 @@ def default_r0(p):
     return find_horizons(p).r_plus + p.l
 
 
-def _system_rows(p, ctx, lam, s, shift):
-    """Rows g0..g4 at s of the system behind _phase_rhs_s, M = g0 sigma_z +
-    (omega g1 + g4) J - g2 sigma_x: angular._omega_polynomials' rows with
-    omega in lambda's place and g3 = 0."""
-    diag, conf, v12 = _radial_terms(p, ctx, lam, np.exp(s))
-    g = np.stack([v12, np.ones_like(s), conf, np.zeros_like(s), -(diag + shift)])
+# (component, monomial omega^i lambda^j) of the signed rows (h0, g1, -g2, g4).
+_RADIAL_LAYOUT = ((0, (0, 1)), (1, (1, 0)), (2, (0, 0)), (1, (0, 0)))
+
+
+def _system_rows(p, ctx, s, shift):
+    """Rows at s of the radial system in s, A = lambda h0 sigma_z + (omega
+    g1 + g4) J - g2 sigma_x, as laid out in _RADIAL_LAYOUT: affine in omega
+    and in lambda, like the angular system in (lambda, domega)."""
+    diag, conf, off = _radial_terms(p, ctx, 1.0, np.exp(s))
+    g = np.stack([off, np.ones_like(s), -conf, -(diag + shift)])
     return -tortoise_map(p)._dyds(s) * g
 
 
-def _radial_sides(ends, n):
-    """Node times (2, n + 1) from s0 and sd to sc, uniform in e^{-s/_GRADE}."""
-    s0, sc, sd = ends
-    v = np.exp(-np.array([[s0], [sd], [sc]]) / _GRADE)
-    ts = -_GRADE * np.log(v[:2] + (v[2] - v[:2]) * np.linspace(0.0, 1.0, n + 1))
-    ts[:, 0], ts[:, -1] = (s0, sd), sc
-    return ts
+def _leg_nodes(legs, n):
+    """Node times (legs, pieces * n + 1) of legs (grade, s_0, ..., s_k), n
+    intervals on each piece [s_i, s_i+1]: uniform in e^{-s/_GRADE} for grade
+    "exp" (short toward s_i+1 when s_i > s_i+1), else at s_i + (s_i+1 -
+    s_i) u^grade, u uniform (short toward s_i for grade 3)."""
+    out, u = [], np.linspace(0.0, 1.0, n + 1)
+    for grade, *ends in legs:
+        a, b = np.array(ends[:-1])[:, None], np.array(ends[1:])[:, None]
+        if grade == "exp":
+            v = np.exp(-a / _GRADE)
+            ts = -_GRADE * np.log(v + (np.exp(-b / _GRADE) - v) * u)
+        else:
+            ts = a + (b - a) * u**grade
+        ts[:, 0], ts[:, -1] = a[:, 0], b[:, 0]
+        out.append(np.append(ts[:, :-1], b[-1]))
+    return np.array(out)
 
 
 @lru_cache(maxsize=8)
-def _radial_tables(p, ctx, lam, ends, shift, n):
-    """Omega coefficients of both sides in angular._magnus_tables' layout,
-    with omega in lambda's place: the four pure-omega monomials."""
-    ts = _radial_sides(ends, n)
+def _radial_tables(p, ctx, legs, shift, n):
+    """Omega coefficients of the legs (_leg_nodes) in angular._magnus_tables'
+    layout, all 15 monomials omega^i lambda^j: one table serves every
+    (omega, lambda) row."""
+    ts = _leg_nodes(legs, n)
     h = np.diff(ts)
-    g = _system_rows(p, ctx, lam, ts[:, :-1, None] + h[..., None] * _GAUSS, shift)
-    return _omega_table(_magnus_terms(h, g))
+    g = _system_rows(p, ctx, ts[:, :-1, None] + h[..., None] * _GAUSS, shift)
+    return _omega_table(_magnus_terms(h, g), _RADIAL_LAYOUT)
 
 
 def _mesh_intervals(p, ctx, lam, ends, shift, omega_bound):
     """Magnus intervals per side keeping each interval's phase move within
     _PHASE_CAP for |omega| <= omega_bound (scalar or per row): an interval at
     s spans <= _GRADE |v(start) - v(sc)| / (n v(s)), v = e^{-s/_GRADE}, and
-    |d eta/ds| <= |omega g1| + |g4| + hypot(g0, g2)."""
-    ts = _radial_sides(ends, 1024)
-    g0, g1, g2, _, g4 = _system_rows(p, ctx, lam, ts, shift)
+    |d eta/ds| <= |omega g1| + |g4| + hypot(lambda h0, g2)."""
+    s0, sc, sd = ends
+    ts = _leg_nodes((("exp", s0, sc), ("exp", sd, sc)), 1024)
+    h0, g1, g2, g4 = _system_rows(p, ctx, ts, shift)
     v = np.exp(-ts / _GRADE)
     w = _GRADE * np.abs(v[:, :1] - v[:, -1:]) / v
-    parts = np.max(w * np.abs(g1)) * omega_bound, np.max(w * (np.abs(g4) + np.hypot(g0, g2)))
+    parts = np.max(w * np.abs(g1)) * omega_bound, np.max(w * (np.abs(g4) + np.hypot(lam * h0, g2)))
     return _mesh_size(sum(parts) / _PHASE_CAP, (("|omega| <= {:g}", omega_bound, parts[0]),
                       ("the radial potential at lambda = {:g}", lam, parts[1])))
+
+
+def _leg_intervals(p, ctx, leg, omegas, lams):
+    """Magnus intervals per piece of leg for each row (omega, lambda), from
+    the leading-order n h(s) of the leg's grading at n = 1024: the change
+    of A across an interval, h^2 |A'|, stays within _PHASE_STEP, and the
+    whole rate moves it by at most _PHASE_CAP wherever the sigma_z and
+    sigma_x parts still move it by _PHASE_STEP / n or more. Beyond, A is a
+    rotation settling to its limit, whose half-turns _sweep counts."""
+    ts = _leg_nodes((leg,), 1024)[0]
+    nh = 1024.0 * np.abs(np.diff(ts))
+    g = _system_rows(p, ctx, ts, 0.0)
+    vary = 1024.0 * np.max(nh * np.abs(np.diff(g)), axis=1)
+    h0, g1, g2, g4 = nh * np.maximum(np.abs(g[:, 1:]), np.abs(g[:, :-1]))
+    om, lam = np.abs(omegas), np.abs(lams)
+    cap = np.empty(om.shape)
+    for i in range(0, om.size, 64):  # in row blocks, so the (rows, samples) arrays stay small
+        mix = lam[i:i + 64, None] * h0 + g2
+        cap[i:i + 64] = np.max(np.where(mix >= _PHASE_STEP, om[i:i + 64, None] * g1 + g4 + mix, 0.0), axis=1)
+    acc = [np.sqrt(v / _PHASE_STEP) for v in (om * vary[1], lam * vary[0], vary[2] + vary[3])]
+    causes = (("|omega| = {:g}", om, np.maximum(acc[0], om * np.max(g1) / _PHASE_CAP)),
+              ("|lambda| = {:g}", lam, np.maximum(acc[1], lam * np.max(h0) / _PHASE_CAP)),
+              ("the radial potential at lambda = {:g}", lam, acc[2]))
+    return _mesh_size(np.maximum(np.sqrt(sum(a * a for a in acc)), cap / _PHASE_CAP), causes)
+
+
+def _leg(p, ctx, leg, omegas, lams, eta0, keep):
+    """Sweeps of the rows (omegas, lams) along leg from the phases eta0,
+    each row on the mesh of its own _leg_intervals, recording only the nodes
+    whose y passes keep. Yields per mesh size (rows, phases at the end, s and
+    y of the kept nodes, etas and log rhos there as arrays (rows, nodes)),
+    log rho counted from the leg's start."""
+    omegas, lams, eta0 = np.broadcast_arrays(np.atleast_1d(np.asarray(omegas, float)),
+                                             np.asarray(lams, float), eta0)
+    n = _leg_intervals(p, ctx, leg, omegas, lams)
+    for nn in np.unique(n):
+        rows = np.flatnonzero(n == nn)
+        ts = _leg_nodes((leg,), int(nn))[0]
+        ys = tortoise_map(p).y_of_s(ts)
+        sel = keep(ys)
+        tabs = _radial_tables(p, ctx, (leg,), 0.0, int(nn))
+        end, (etas, logs) = _sweep(tabs, omegas[rows], lams[rows], eta0[rows], sel, by_row=True)
+        yield rows, end, ts[sel], ys[sel], etas.T.copy(), logs.T.copy()
 
 
 def _defect_hinf(p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, shift, n=None):
@@ -165,6 +191,7 @@ def _defect_hinf(p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, sh
     y = delta (s = sd) per omega, on n intervals per side (default: per row)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     lam, ends, shift = float(lam), (float(s0), float(sc), float(sd)), float(shift)
+    legs = (("exp", ends[0], ends[1]), ("exp", ends[2], ends[1]))
     if n is None:
         n = _mesh_intervals(p, ctx, lam, ends, shift, np.abs(omegas))
     inf0 = _infinity_init(p, ctx, lam, omegas, delta) if beta_infinity is None else beta_infinity
@@ -173,8 +200,8 @@ def _defect_hinf(p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, sh
     for nn in np.unique(n):
         rows = np.flatnonzero(np.broadcast_to(n, omegas.shape) == nn)
         both = np.concatenate([rows, omegas.size + rows])
-        tabs = _radial_tables(p, ctx, lam, ends, shift, int(nn))
-        phases, _ = _sweep(tabs, omegas[rows], 0.0, eta0[both], False)
+        phases, _ = _sweep(_radial_tables(p, ctx, legs, shift, int(nn)), omegas[rows], lam,
+                           eta0[both], False, by_row=True)
         out[rows] = phases[: rows.size] - phases[rows.size:]
     return out
 
@@ -292,24 +319,20 @@ def levinson_phi_plus(p, ctx, lam, y_start=1.0, y_max=1e4):
     Rbar is the system matrix at omega = phi_plus; since ||Rbar|| is L^1 the
     solutions approach constant non-zero vectors, so no solution is square
     integrable in y and phi_plus is not an eigenvalue. The solutions start
-    at the unit vectors, (eta, log rho) = (0, 0) and (pi/2, 0), and follow
-    the exact Prüfer form of that system, _phase_rhs_s at omega = phi_plus,
-    in s; the checkpoints are mapped to s once."""
+    at the unit vectors, (eta, log rho) = (0, 0) and (pi/2, 0), and are swept
+    in s on a leg whose pieces end at the checkpoints (mapped to s once), so
+    every checkpoint is a mesh node."""
     hd = find_horizons(p)
     if hd.extremal:
         raise ValueError("Levinson certificate applies to the non-extremal case")
     ph = phi_plus(p, ctx)
     tm = tortoise_map(p)
-    f = _phase_rhs_s(p, ctx, lam, np.full(2, ph))
     checkpoints = tm.log_u_of_y(np.array([y_start, y_max / 8, y_max / 4, y_max / 2, y_max]))
-    cur = np.array([[0.0, 0.0], [math.pi / 2, 0.0]])
-    states, min_logr = [cur], 0.0
-    for a, b in zip(checkpoints[:-1], checkpoints[1:]):
-        cur, _, ys = integrate(f, a, b, cur, rtol=1e-11, atol=1e-13, record=True)
-        min_logr = min(min_logr, float(ys[:, :, 1].min()))
-        states.append(cur)
-    # X = rho (cos eta, sin eta) at each checkpoint
-    vecs = [np.exp(x[:, 1:]) * np.stack([np.cos(x[:, 0]), np.sin(x[:, 0])], 1) for x in states]
+    (_, _, _, ys, etas, logs), = _leg(p, ctx, (3, *checkpoints), ph, lam, np.array([0.0, math.pi / 2]),
+                                      lambda y: np.ones(y.shape, bool))
+    min_logr = min(0.0, float(logs.min()))
+    at = slice(None, None, (ys.size - 1) // 4)  # the checkpoints, X = rho (cos eta, sin eta)
+    vecs = [np.exp(x)[:, None] * np.stack([np.cos(e), np.sin(e)], 1) for e, x in zip(etas.T[at], logs.T[at])]
     rel_changes = [
         float(np.max(np.linalg.norm(v2 - v1, axis=1) / np.linalg.norm(v2, axis=1)))
         for v1, v2 in zip(vecs[-3:-1], vecs[-2:])
@@ -348,21 +371,13 @@ def horizon_oscillation(p, ctx, lam, omega, y_start=1.0, y_max=1e4):
             f"|omega - phi_plus| = {abs(omega - ph):.2e} < 1e-6"
         )
 
-    tm = tortoise_map(p)
-    s_start, s_max = tm.log_u_of_y(y_start), tm.log_u_of_y(y_max)
-    _, ss, ys = integrate(
-        _phase_rhs_s(p, ctx, lam, omega), s_start, s_max, np.zeros((1, 2)),
-        rtol=1e-11, atol=1e-12, max_step=(s_start - s_max) / 64, record=True,
-    )
-    ts = tm.y_of_s(ss)
-    etas = ys[:, 0, 0]
-    logr = ys[:, 0, 1]
-    sel = ts >= 0.1 * y_max
-    slope_y, _ = fit_line(ts[sel], etas[sel])
-    slope = -slope_y  # x-convention
+    s_start, s_max = tortoise_map(p).log_u_of_y(np.array([y_start, y_max]))
+    (_, _, _, ys, etas, logs), = _leg(p, ctx, (3, s_start, s_max), omega, lam, 0.0,
+                                      lambda y: y >= 0.1 * y_max)
+    slope = -_slopes(ys, etas)[0]  # x-convention
     expected = omega - ph
     rel = abs(slope - expected) / abs(expected)
-    rr = float(np.exp(logr[sel].max() - logr[sel].min()))
+    rr = float(np.exp(logs.max() - logs.min()))
     return OscillationReport(
         slope=float(slope),
         expected=float(expected),
@@ -414,30 +429,27 @@ def infinity_growth_exponents(p, ctx, lam, omega, r1=None, decades=3):
     Integrating outward from r1, a generic solution is dominated by the
     growing branch and log||X|| vs log r fits +mu*l over the last decade;
     integrating inward from the far end, the backward-dominant branch is the
-    decaying one and the fit over the small-r decade gives -mu*l. log||X||
-    is the log rho component of _phase_rhs_s, integrated in s."""
+    decaying one and the fit over the small-r decade gives -mu*l. The legs
+    are uniform in s, so each fitted decade is densely and evenly noded."""
     if r1 is None:
         r1 = default_r0(p)
-    rp = find_horizons(p).r_plus
+    tm = tortoise_map(p)
     r2 = r1 * 10.0**decades
-    f = _phase_rhs_s(p, ctx, lam, omega)
-    s1, s2 = math.log(r1 - rp), math.log(r2 - rp)
+    s1, s2 = math.log(r1 - tm.r_plus), math.log(r2 - tm.r_plus)
+    y1, y2 = tm.y(10.0 * r1), tm.y(0.1 * r2)  # the decade each leg ends on
     slopes = []
-    for a, b in ((s1, s2), (s2, s1)):
-        _, ss, ys = integrate(
-            f, a, b, np.array([[math.atan2(0.7, 1.0), 0.0]]),
-            rtol=1e-10, atol=1e-12, max_step=abs(b - a) / 30, record=True,
-        )
-        logr = np.log(rp + np.exp(ss))
-        sel = np.abs(logr - logr[-1]) <= math.log(10.0)  # the decade it ends on
-        slopes.append(fit_line(logr[sel], ys[sel, 0, 1])[0])
+    for leg, keep in (((1, s1, s2), lambda y: y <= y2), ((1, s2, s1), lambda y: y >= y1)):
+        (_, _, ss, _, _, logs), = _leg(p, ctx, leg, omega, lam, math.atan2(0.7, 1.0), keep)
+        slopes.append(float(_slopes(np.log(tm.r_plus + np.exp(ss)), logs)[0]))
     return slopes[0], slopes[1]
 
 
 def _slopes(x, y):
-    """Least-squares slopes of the columns of y against x, centred."""
+    """Least-squares slopes of the rows of y against x, centred. Each row's
+    sums run along its own contiguous row, so a row does not depend on how
+    many share the array."""
     xc = x - x.mean()
-    return np.sum(xc[:, None] * (y - y.mean(axis=0)), axis=0) / np.sum(xc * xc)
+    return np.sum(xc * (y - y.mean(axis=1, keepdims=True)), axis=1) / np.sum(xc * xc)
 
 
 def horizon_continuation_evidence(
@@ -463,26 +475,18 @@ def horizon_continuation_evidence(
     tm = tortoise_map(p)
     y0 = tm.y(r0)
     s0 = math.log(r0 - tm.r_plus)
+    sd, s_far = tm.log_u_of_y(np.array([delta, y_far]))
     ph = phi_plus(p, ctx)
-    f = _phase_rhs_s(p, ctx, lams, omegas)
-
-    init = np.zeros((lams.size, 2))
-    init[:, 0] = _infinity_init(p, ctx, lams, omegas, delta)
-    end, ss, ys = integrate(
-        f, tm.log_u_of_y(delta), s0, init, rtol=1e-11, atol=1e-12,
-        max_step=0.5, phase_cap=math.pi / 2, record=True,
-    )
-    # infinity-side decay exponent: log rho vs log t on the early decades
-    ts = np.log(tm.y_of_s(ss))
-    sel = ts <= math.log(delta) + 0.5 * (math.log(y0) - math.log(delta))
-    decay = _slopes(ts[sel], ys[sel, :, 1])
-
-    s_far = tm.log_u_of_y(y_far)
-    _, ss2, ys2 = integrate(
-        f, s0, s_far, end, rtol=1e-10, atol=1e-12, max_step=(s0 - s_far) / 64, record=True
-    )
-    ts2 = tm.y_of_s(ss2)
-    sel2 = ts2 >= 0.1 * y_far
-    slopes = -_slopes(ts2[sel2], ys2[sel2, :, 0])
-    amp = np.exp(ys2[sel2][:, :, 1].min(axis=0) - end[:, 1])
+    at_r0, decay, slopes, amp = (np.empty(lams.size) for _ in range(4))
+    # infinity-side decay exponent: log rho vs log y on the early decades,
+    # on a leg graded like the confined solve's infinity side
+    mid = math.log(delta) + 0.5 * (math.log(y0) - math.log(delta))
+    inf0 = _infinity_init(p, ctx, lams, omegas, delta)
+    for rows, end, _, ys, _, logs in _leg(p, ctx, ("exp", sd, s0), omegas, lams, inf0,
+                                          lambda y: np.log(y) <= mid):
+        at_r0[rows], decay[rows] = end, _slopes(np.log(ys), logs)
+    # the horizon leg, short intervals near r0 where A varies
+    for rows, _, _, ys, etas, logs in _leg(p, ctx, (3, s0, s_far), omegas, lams, at_r0,
+                                           lambda y: y >= 0.1 * y_far):
+        slopes[rows], amp[rows] = -_slopes(ys, etas), np.exp(logs.min(axis=1))
     return slopes, amp, decay, ph

@@ -1,15 +1,12 @@
 """Batched embedded Runge-Kutta 5(4) stepper and a batched bisection engine.
 
-The stepper now serves only the radial certificates and the continuation
-evidence, which integrate the radial phase equation with recorded nodes over
-long horizon stretches; eigenvalue shooting, angular and radial, runs on the
-Magnus mesh of knads.angular. One shared adaptive step advances the whole
-batch, error controlled by the worst member, on state (batch, 2): (phase,
-log amplitude). bisect_batched has no caller in the package.
-
-The Dormand-Prince 5(4) pair with FSAL is used; local error is measured in a
-scaled max norm. An optional per-step cap on the first state component keeps
-phase increments below pi/2 so winding counts cannot slip a branch.
+Nothing in the package calls either: every integration runs on the Magnus
+sweep of knads.angular. The module stays for the benchmark's tracer
+(perfbench/tracer.py), which wraps integrate and bisect_batched where
+angular, radial and modescan bind them and tests both, _self_test and
+IntegratorStall. The Dormand-Prince 5(4) pair with FSAL advances the whole
+batch by one step, error controlled by the worst member in a scaled max
+norm; an optional cap on the first component keeps phase steps below pi/2.
 """
 
 import numpy as np
@@ -151,14 +148,6 @@ def bisect_batched(fun, lo, hi, n_iter=60, tol=0.0):
     return 0.5 * (lo + hi)
 
 
-def fit_line(x, y):
-    """Least squares slope and intercept of y against x (plain 1D arrays)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept)
-
-
 def _self_test():
     """Exponential decay batch, exact solution check."""
     rates = np.array([[1.0], [2.0], [0.5]])
@@ -169,7 +158,3 @@ def _self_test():
     y0 = np.ones((3, 1))
     y, _, _ = integrate(f, 0.0, 1.0, y0, rtol=1e-12, atol=1e-14)
     return float(np.max(np.abs(y - np.exp(-rates))))
-
-
-if __name__ == "__main__":
-    print(_self_test())

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 import knads.angular as angular_mod
 from knads.angular import (
@@ -23,7 +24,7 @@ from knads.angular import _defect
 from knads.geometry import BlackHoleParams
 from knads.operators import ModeContext, angular_matrix, dirac_d
 from knads.oracle import load_fixtures
-from knads.rk import fit_line
+from knads.radial import _RADIAL_LAYOUT
 
 SPHERE = BlackHoleParams(m=1.0, a=0.0, q_e=0.0, q_m=0.0, l=1.0)
 ROTATING = BlackHoleParams(m=1.0, a=0.35, q_e=0.1, q_m=0.0, l=1.0)
@@ -124,11 +125,11 @@ def test_frobenius_exponent_recovered_from_trace():
     lam = eigenvalues_by_label(PMAG, ctx, (1,))[1]
     _, _, (lt, rt) = shoot_angular(PMAG, ctx, lam)
     sel = lt.thetas < 3e-3
-    slope, _ = fit_line(np.log(lt.thetas[sel]), lt.log_rhos[sel])
+    slope, _ = np.polyfit(np.log(lt.thetas[sel]), lt.log_rhos[sel], 1)
     assert slope == pytest.approx(abs(ctx.k - d), abs=1e-3)
     alphas = math.pi - rt.thetas
     sel = alphas < 3e-3
-    slope, _ = fit_line(np.log(alphas[sel]), rt.log_rhos[sel])
+    slope, _ = np.polyfit(np.log(alphas[sel]), rt.log_rhos[sel], 1)
     assert slope == pytest.approx(abs(ctx.k + d), abs=1e-3)
 
 
@@ -320,17 +321,23 @@ def test_mesh_cap_refuses_before_sampling():
         mesh_intervals(ROTATING, ctx, math.inf)
 
 
-def _reference_omega(tab, lam, dw):
+def _reference_omega(tab, lam, dw, layout):
     """The sixth-order Magnus Omega by the nested commutators, evaluated at
     one (lambda, domega): the per-call formula the tabulated coefficients
-    replace. tab[k, f, i] holds the Magnus terms of the rows f of A = g0
-    sigma_z + (lambda g1 + g4) J - (g2 + domega g3) sigma_x."""
+    replace. tab[k, f, i] holds the Magnus terms of the rows f of A, row f
+    the coefficient of lambda^i domega^j in component comp, (comp, (i, j)) =
+    layout[f]."""
     def comm(x, y):
         return (2.0 * (x[2] * y[1] - x[1] * y[2]), 2.0 * (x[2] * y[0] - x[0] * y[2]),
                 2.0 * (x[1] * y[0] - x[0] * y[1]))
 
-    a1, a2, a3 = ((t[0], lam * t[1] + (t[4] if len(t) > 4 else 0.0), -(t[2] + dw * t[3]))
-                  for t in tab)
+    def components(t):
+        out = [0.0, 0.0, 0.0]
+        for row, (comp, (i, j)) in zip(t, layout):
+            out[comp] = out[comp] + lam**i * dw**j * row
+        return tuple(out)
+
+    a1, a2, a3 = (components(t) for t in tab)
     c1 = comm(a1, a2)
     c2 = comm(a1, tuple(2.0 * u + v for u, v in zip(a3, c1)))
     left = tuple(-20.0 * u - v + w for u, v, w in zip(a1, a3, c1))
@@ -338,27 +345,42 @@ def _reference_omega(tab, lam, dw):
     return np.stack([u + v / 12.0 + w / 240.0 for u, v, w in zip(a1, a3, comm(left, right))])
 
 
+def _check_omega_table(tab, layout, monomials, rng, zero_dw=False):
+    coef = angular_mod._omega_table(tab, layout)
+    assert coef.shape == (2, 64, 3, monomials)
+    for lam, dw in zip(rng.uniform(-50.0, 50.0, 12), rng.uniform(-4.0, 4.0, 12)):
+        dw = 0.0 if zero_dw else dw
+        mono = angular_mod._monomials(np.array([lam]), dw, monomials)[:, 0]
+        got = np.moveaxis(coef @ mono, -1, 0)
+        want = _reference_omega(tab, lam, dw, layout)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (lam, dw)
+    return coef
+
+
 @pytest.mark.parametrize("rows, zero_g3, monomials", [(4, False, 15), (5, False, 15), (5, True, 4)])
 def test_tabulated_omega_matches_the_nested_commutators(rows, zero_g3, monomials):
-    # 4 rows: the angular tables; 5 rows with g3 = 0: the radial ones, which
-    # keep the four pure-lambda monomials
+    # 4 rows: the angular tables; a fifth, constant J row; with g3 = 0 only
+    # the four pure-lambda monomials remain
     rng = np.random.default_rng(rows)
     tab = 0.02 * rng.standard_normal((3, rows, 2, 64))
     if zero_g3:
         tab[:, 3] = 0.0
-    coef = angular_mod._omega_table(tab)
-    assert coef.shape == (2, 64, 3, monomials)
-    for lam, dw in zip(rng.uniform(-50.0, 50.0, 12), rng.uniform(-4.0, 4.0, 12)):
-        dw = 0.0 if zero_g3 else dw
-        mono = angular_mod._monomials(np.array([lam]), dw, monomials)[:, 0]
-        got = np.moveaxis(coef @ mono, -1, 0)
-        want = _reference_omega(tab, lam, dw)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (lam, dw)
+    layout = angular_mod._ANGULAR_LAYOUT + ((1, (0, 0)),)
+    coef = _check_omega_table(tab, layout[:rows], monomials, rng, zero_g3)
     # Omega has degree <= 3 in lambda and in domega and <= 5 in total: the
     # table raises on a monomial outside those 15, and without the constant J
     # row each component uses 12 of them
     used = np.count_nonzero(np.any(coef != 0.0, axis=(0, 1)), axis=-1)
     assert np.all(used == 12) if rows == 4 else np.all(used <= monomials)
+
+
+def test_radial_omega_table_is_a_polynomial_in_omega_and_lambda():
+    # lambda h0 sigma_z + (omega g1 + g4) J - g2 sigma_x: omega in the first
+    # variable, lambda in the second; Omega uses all 15 monomials
+    rng = np.random.default_rng(11)
+    tab = 0.02 * rng.standard_normal((3, 4, 2, 64))
+    coef = _check_omega_table(tab, _RADIAL_LAYOUT, 15, rng)
+    assert np.all(np.any(coef != 0.0, axis=(0, 1, 2)))
 
 
 def test_mesh_refusal_names_the_dominant_term():
@@ -374,3 +396,40 @@ def test_mesh_refusal_names_the_dominant_term():
     # per item: the message names the item that needs the most
     with pytest.raises(WindowTooWide, match=r"^\|lambda\| <= 2e\+06 needs"):
         mesh_intervals(ROTATING, ctx, np.array([1.0, 2e6, 3.0]), np.zeros(3))
+
+
+_SIGMA_Z = np.diag([1.0, -1.0])
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("z, j, x", [(0.0, 7.3, 0.0), (2.0, -7.3, 1.5)])
+def test_sweep_counts_the_half_turns_of_a_long_elliptic_interval(z, j, x):
+    # Regression: an interval's phase gain was arg g alone, which loses every
+    # full turn: Omega = 7.3 J gained 7.3 - 2 pi. Both cases have q < 0.
+    assert z * z + x * x - j * j < 0.0
+    tabs = np.array([z, j, x]).reshape(1, 1, 3, 1)
+    eta0 = np.array([0.3])
+    gain = angular_mod._sweep(tabs, np.zeros(1), 0.0, eta0, False)[0][0] - eta0[0]
+    if z == x == 0.0:
+        assert gain == j
+    # reference: the same exponential in 4,000 steps, each far below pi
+    step = expm((z * _SIGMA_Z + j * _J + x * _SIGMA_X) / 4000.0)
+    v, want = np.array([math.cos(eta0[0]), math.sin(eta0[0])]), 0.0
+    for _ in range(4000):
+        w = step @ v
+        want += math.atan2(v[0] * w[1] - v[1] * w[0], v @ w)
+        v = w
+    assert gain == pytest.approx(want, abs=1e-11)
+
+
+def test_sweep_records_only_the_masked_nodes():
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5)
+    tabs, _ = angular_mod._magnus_tables(ROTATING, ctx, DEFAULT_MATCHING_POINT, 1e-6 * math.pi, 256)
+    lams, eta0 = np.array([0.7, -2.0]), np.array([0.1, 0.2, -0.3, 0.4])
+    end, (etas, logs) = angular_mod._sweep(tabs, lams, 0.0, eta0, True)
+    mask = np.zeros(257, bool)
+    mask[[0, 5, 100, 256]] = True
+    end_m, (etas_m, logs_m) = angular_mod._sweep(tabs, lams, 0.0, eta0, mask)
+    assert np.array_equal(end_m, end) and np.array_equal(etas_m, etas[mask])
+    assert np.array_equal(logs_m, logs[mask])

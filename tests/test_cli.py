@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
 
 from hypothesis import example, given, settings, strategies as st
@@ -10,10 +11,11 @@ import pytest
 
 import knads.cli as cli_mod
 import knads.radial as radial_mod
+import knads.rk as rk_mod
 from knads.angular import eigenvalues_by_label
 from knads.cli import main, parse_config
 from knads.geometry import BlackHoleParams, extremal_mass, find_horizons
-from knads.operators import ModeContext, QuadratureFailure
+from knads.operators import ModeContext, QuadratureFailure, phi_plus
 
 BASE = {
     "m": 1.0,
@@ -166,6 +168,33 @@ def test_scan_deterministic_output(tmp_path, capsys):
     ]
     assert len(rows) == 5 * 2
     assert all(r["verdict_code"] != "amp_collapse" for r in rows)
+
+
+def test_nothing_calls_the_adaptive_stepper(tmp_path, capsys, monkeypatch):
+    # rk.integrate stays bound only for the benchmark's tracer: every radial
+    # integration, certificates and continuation evidence included, runs on
+    # the Magnus sweep
+    def refuse(*args, **kwargs):
+        raise AssertionError("rk.integrate called")
+
+    bound = [name for name, mod in sys.modules.items()
+             if name.startswith("knads") and getattr(mod, "integrate", None) is rk_mod.integrate]
+    assert {"knads.rk", "knads.angular", "knads.radial"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "integrate", refuse)
+    p = BlackHoleParams(**{k: BASE[k] for k in ("m", "a", "q_e", "q_m", "l")})
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5)
+    ph = phi_plus(p, ctx)
+    assert radial_mod.levinson_phi_plus(p, ctx, 1.0).passed
+    assert radial_mod.horizon_oscillation(p, ctx, 1.0, ph + 0.5).passed
+    radial_mod.infinity_growth_exponents(p, ctx, 1.0, 0.3)
+    radial_mod.horizon_continuation_evidence(p, ctx, [1.0, -2.0], [ph + 0.5, ph - 1.0])
+    rc, _, _ = run(capsys, ["radial", "--config", write_config(tmp_path, **{"lambda": 1.0})])
+    assert rc == 0
+    cfg = write_config(tmp_path, "scan.json", omega_min=-0.3, omega_max=0.3, omega_step=0.15,
+                       j_window=1)
+    rc, _, _ = run(capsys, ["scan", "--config", cfg])
+    assert rc == 0
 
 
 def test_scan_verdict_line_on_stderr(tmp_path, capsys):

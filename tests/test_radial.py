@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import knads.radial as radial_mod
 from knads.angular import NotLimitPoint, WindowTooWide
 from knads.geometry import BlackHoleParams, find_horizons, reparameterize
+from knads.modescan import coupled_scan
 from knads.operators import (
     ModeContext,
     TortoiseMap,
@@ -387,3 +389,74 @@ def test_gauss_segments_match_a_per_segment_loop():
         half = 0.5 * (hi - lo)
         want.append(half * float(f(0.5 * (lo + hi) + half * nodes) @ weights))
     assert _gauss_segments(f, breaks) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_evidence_rows_do_not_depend_on_their_batch():
+    # The adaptive stepper set the step of the whole batch by its worst
+    # member; every row now sweeps the mesh of its own (omega, lambda).
+    # Criterion 8's 486 rows, whole and in batches of 1, 7 and 243.
+    p = BlackHoleParams(m=1.0, a=0.2, q_e=0.1, q_m=0.0, l=1.0)
+    scan = coupled_scan(p, CTX, -2.0 + 0.05 * np.arange(81), j_window=3)
+    lams = np.array([r["lambda"] for r in scan.rows])
+    omegas = np.array([r["omega"] for r in scan.rows])
+    assert lams.size == 486
+    whole = horizon_continuation_evidence(p, CTX, lams, omegas)[:3]
+    for size in (1, 7, 243):
+        parts = [horizon_continuation_evidence(p, CTX, lams[i:i + size], omegas[i:i + size])[:3]
+                 for i in range(0, lams.size, size)]
+        for k, column in enumerate(whole):
+            assert np.concatenate([part[k] for part in parts]).tobytes() == column.tobytes()
+
+
+@pytest.fixture
+def leg_mesh(monkeypatch):
+    """Calls fn with every recorded leg on n intervals per piece."""
+    def at(n, fn):
+        monkeypatch.setattr(radial_mod, "_leg_intervals",
+                            lambda p, ctx, leg, omegas, lams: np.full(omegas.shape, n))
+        return fn()
+    return at
+
+
+def test_recorded_legs_converge_when_the_mesh_doubles(leg_mesh):
+    # Each caller at n = 64, 128, 256 (the default here) and 512 intervals
+    # per piece. What the sweep propagates converges at sixth order (2^6 =
+    # 64); the phase slopes are at rounding from the start, since the
+    # far horizon stretch is a rotation the half-turn count makes exact.
+    # The fitted exponents move only with their node set.
+    ns = (64, 128, 256, 512)
+    ph = phi_plus(P0, CTX)
+    lams, omegas = np.array([1.0, 1.0, -0.5]), ph + np.array([0.8, -1.1, 0.4])
+    assert np.all(radial_mod._leg_intervals(P0, CTX, (3, 0.0, -3000.0), omegas, lams) == 256)
+
+    def moves(fn, rel=False):
+        out = [np.asarray(leg_mesh(n, fn), dtype=float) for n in ns]
+        return [float(np.max(np.abs(b / a - 1.0 if rel else b - a))) for a, b in zip(out, out[1:])]
+
+    def sixth_order(d, last):
+        assert d[0] / d[1] > 40.0 and d[1] / d[2] > 40.0 and d[2] < last, d
+
+    evidence = lambda k: lambda: horizon_continuation_evidence(P0, CTX, lams, omegas)[k]  # noqa: E731
+    sixth_order(moves(evidence(1), rel=True), 1e-8)  # amplitude ratios
+    assert max(moves(evidence(0), rel=True)) < 1e-14  # phase slopes
+    assert max(moves(evidence(2), rel=True)) < 1e-7  # decay exponents
+
+    def osc():
+        rep = horizon_oscillation(P0, CTX, LAM, ph + 0.5)
+        return rep.slope, rep.radius_ratio
+
+    assert max(moves(osc)) < 1e-13
+    sixth_order(moves(lambda: levinson_phi_plus(P0, CTX, LAM).evidence["final_vectors"]), 1e-9)
+    # criterion 3 allows 1e-2; the fits themselves are biased by about 5e-3
+    assert max(moves(lambda: infinity_growth_exponents(P0, CTX, 1.0, 0.3))) < 5e-4
+
+
+def test_leg_mesh_grows_with_the_rotation_where_the_potential_mixes():
+    # The horizon leg's long intervals are safe only once the sigma_z and
+    # sigma_x parts have died away; before that the whole rate is capped, so
+    # n grows with |omega|. Far beyond the cap the refusal names omega.
+    leg = (3, 0.0, -3000.0)
+    n = radial_mod._leg_intervals(P0, CTX, leg, np.array([0.5, 10.0, 50.0]), np.ones(3))
+    assert n[0] == 256 and n[0] < n[1] < n[2]
+    with pytest.raises(WindowTooWide, match=r"^\|omega\| = 1e\+06 needs"):
+        radial_mod._leg_intervals(P0, CTX, leg, np.array([1e6]), np.ones(1))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from knads.rk import IntegratorStall, bisect_batched, fit_line, integrate
+from knads.rk import IntegratorStall, bisect_batched, integrate
 
 
 def test_exponential_decay_batch():
@@ -82,10 +82,3 @@ def test_bisect_batched_tol_early_exit():
 
     bisect_batched(fun, np.array([0.0]), np.array([1.0]), n_iter=60, tol=1e-3)
     assert len(calls) < 15
-
-
-def test_fit_line_exact():
-    x = np.arange(10.0)
-    s, b = fit_line(x, 3.0 * x - 2.0)
-    assert s == pytest.approx(3.0, rel=1e-12)
-    assert b == pytest.approx(-2.0, abs=1e-11)
