@@ -33,7 +33,7 @@ from .geometry import (
     find_horizons,
     komar,
 )
-from .operators import DomainError, ModeContext, QuadratureFailure, tortoise_map
+from .operators import DomainError, ModeContext, tortoise_map
 
 
 class ConfigError(ValueError):
@@ -44,7 +44,6 @@ _SOLVER_ERRORS = (
     NoHorizon,
     OutsideExterior,
     DomainError,
-    QuadratureFailure,
     angular_mod.NotLimitPoint,
     angular_mod.WindowTooWide,
     radial_mod.NotConfining,

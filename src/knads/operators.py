@@ -16,7 +16,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import OutsideExterior, find_horizons, horizon_slope, require_finite
 
@@ -24,10 +23,6 @@ from .geometry import OutsideExterior, find_horizons, horizon_slope, require_fin
 class DomainError(ValueError):
     """Raised when a coordinate sits outside the open domain of a coefficient
     function (e.g. theta at an endpoint)."""
-
-
-class QuadratureFailure(Exception):
-    """Raised when adaptive quadrature for the tortoise map exceeds budget."""
 
 
 @dataclass(frozen=True)
@@ -228,15 +223,40 @@ def _tail_integral(p, r):
     return (g @ _GAUSS_WEIGHTS) * half
 
 
+# Tortoise panels: at most _PANEL_WIDTH wide in sigma = -s, each a degree
+# _CHEB_DEG Chebyshev series through its values at the ascending
+# Chebyshev-Lobatto points _CHEB_X. _PANEL_QUAD_X holds, per point, the
+# Gauss-Legendre nodes on [-1, _CHEB_X[k]] in panel coordinates.
+_PANEL_WIDTH = 0.5
+_CHEB_DEG = 15
+_CHEB_X = -np.cos(np.pi * np.arange(_CHEB_DEG + 1) / _CHEB_DEG)
+_CHEB_FROM_VALUES = np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB_X, _CHEB_DEG)).T
+_PANEL_GL_X, _PANEL_GL_W = np.polynomial.legendre.leggauss(16)
+_PANEL_QUAD_X = 0.5 * (_CHEB_X[:, None] + 1.0) * (_PANEL_GL_X + 1.0) - 1.0
+# Points of the log_u_of_y seed table.
+_SEED_POINTS = 4000
+
+
+def _panel_edges(lo, hi):
+    """Uniform panel edges on [lo, hi], at most _PANEL_WIDTH apart."""
+    return np.linspace(lo, hi, math.ceil((hi - lo) / _PANEL_WIDTH) + 1)
+
+
 class TortoiseMap:
     """Monotone map between exterior radius and the tortoise coordinates.
 
     y(r) = integral_r^infinity (t^2 + a^2) / Delta_t dt is strictly
     decreasing with y -> infinity at the horizon and y -> 0+ at infinity;
-    x = -y. Built once per parameter set: a dense ODE solution in
-    s = log(r - r_plus) spans the bulk, a closed quadrature covers the far
-    tail, and asymptotic branches extend both ends (exponential approach for
-    a non-extremal horizon, 1/y approach for an extremal one).
+    x = -y. Built once per parameter set: a table of degree-15 Chebyshev
+    panels in sigma = -s = log v, with s = log(r - r_plus) and v = 1/u,
+    spans the bulk (and, for an extremal horizon, the v-branch), a closed
+    quadrature covers the far tail, and asymptotic branches extend both ends
+    (exponential approach for a non-extremal horizon, 1/y approach for an
+    extremal one).
+
+    The panel values at the Chebyshev points are Gauss-Legendre integrals of
+    the analytic dy/dsigma, summed from the tail value at s_hi towards the
+    horizon; every summed term is positive, so nothing cancels.
 
     Every radial Magnus sweep runs in s itself and maps its nodes back to y
     through y_of_s, so the inverse (log_u_of_y, one vectorized Newton loop)
@@ -245,7 +265,7 @@ class TortoiseMap:
     deviation bound and of the AC/Levinson deviation integrals.
     """
 
-    def __init__(self, p, n_init=4000):
+    def __init__(self, p):
         hd = find_horizons(p)
         self.p = p
         self.r_plus = hd.r_plus
@@ -255,69 +275,69 @@ class TortoiseMap:
 
         self.r_big = 50.0 * max(self.r_plus, p.l)
         s_hi = math.log(self.r_big - self.r_plus)
-        u_lo = 1e-12 * max(self.r_plus, p.l)
-        s_lo = math.log(u_lo)
-        y_big = float(_tail_integral(p, self.r_big))
-
         if self.extremal:
-            # Stop the log-range at a moderate u and hand over to v = 1/u.
+            # Stop the bulk at a moderate u and hand over to v = 1/u, where
+            # the horizon is taken as an exact double root.
             s_lo = math.log(0.25 * self.r_plus)
-        sol = solve_ivp(
-            lambda s, _y: self._dyds(s),
-            (s_hi, s_lo),
-            [y_big],
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-15,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise QuadratureFailure(sol.message)
-        self._sol = sol.sol
+            self.v_hi = math.exp(-s_lo) * 1e15
+        else:
+            s_lo = math.log(1e-12 * max(self.r_plus, p.l))
         self.s_lo, self.s_hi = s_lo, s_hi
-        self.y_at_s_lo = float(self._sol(s_lo)[0])
+
+        edges = _panel_edges(-s_hi, -s_lo)
+        gap = np.full(edges.size - 1, self.r_plus - rm)
+        if self.extremal:
+            v_edges = _panel_edges(-s_lo, math.log(self.v_hi))
+            gap = np.concatenate([gap, np.zeros(v_edges.size - 1)])
+            edges = np.concatenate([edges, v_edges[1:]])
+        self._edges = edges
+        self._mid = 0.5 * (edges[:-1] + edges[1:])
+        self._half = 0.5 * np.diff(edges)
+        # Integrals from each panel's left end to its Chebyshev points.
+        sig = self._mid[:, None, None] + self._half[:, None, None] * _PANEL_QUAD_X
+        f = -self._dyds(-sig, gap[:, None, None])
+        part = (f @ _PANEL_GL_W) * (0.5 * (_CHEB_X + 1.0)) * self._half[:, None]
+        y_big = float(_tail_integral(p, self.r_big))
+        self._left = np.cumsum(np.concatenate([[y_big], part[:-1, -1]]))
+        self._coef = part @ _CHEB_FROM_VALUES
+
+        self.y_at_s_lo = float(self._series(np.array([-s_lo]))[0])
         # Horizon-side asymptotics.
         if not self.extremal:
             self.slope = horizon_slope(p)
         else:
             q2e = (self.r_plus + c1) * self.r_plus + c0
             self._a_inf = p.l**2 * (self.r_plus**2 + p.a**2) / q2e
-            v_mid = math.exp(-s_lo)
-            self.v_hi = v_mid * 1e15
-
-            def dydv(v, _y):
-                r = self.r_plus + 1.0 / v
-                q2 = (r + c1) * r + c0
-                return p.l**2 * (r * r + p.a**2) / q2
-
-            solv = solve_ivp(
-                dydv,
-                (v_mid, self.v_hi),
-                [self.y_at_s_lo],
-                method="DOP853",
-                rtol=1e-12,
-                atol=1e-15,
-                dense_output=True,
-            )
-            if not solv.success:
-                raise QuadratureFailure(solv.message)
-            self._solv = solv.sol
-            self.y_at_v_hi = float(solv.sol(self.v_hi)[0])
+            self.y_at_v_hi = float(self._series(edges[-1:])[0])
         # Seed table of the inverse, from the extremal v-branch (or s_lo)
         # into the far tail (y ~ l^2 / r, down to y ~ 1e-12 l^2 / r_big); s
         # descends so that log y ascends, as np.interp needs.
-        s_min = -math.log(self.v_hi) if self.extremal else s_lo
-        self._s_table = np.linspace(s_hi + 12.0 * math.log(10.0), s_min, n_init)
+        self._s_table = np.linspace(s_hi + 12.0 * math.log(10.0), -edges[-1], _SEED_POINTS)
         self._logy_table = np.log(self.y_of_s(self._s_table))
 
     # -- forward map ------------------------------------------------------
 
-    def _dyds(self, s):
+    def _dyds(self, s, gap=None):
+        """dy/ds at r = r_plus + e^s through the factored Delta_r, with
+        gap = r_plus - r_minus unless given (0 on the extremal v-branch)."""
+        if gap is None:
+            gap = self.r_plus - self._rm
         u = np.exp(s)
         r = self.r_plus + u
         q2 = (r + self._c1) * r + self._c0
-        rp_minus_rm = self.r_plus - self._rm
-        return -(self.p.l**2) * ((r * r + self.p.a**2) / q2) / (u + rp_minus_rm)
+        return -(self.p.l**2) * ((r * r + self.p.a**2) / q2) / (u + gap)
+
+    def _series(self, sig):
+        """y at sigma = -s: the panel's left-end value plus its Chebyshev
+        series of the integral from there, by Clenshaw."""
+        i = np.clip(np.searchsorted(self._edges, sig, side="right") - 1, 0, self._mid.size - 1)
+        x = (sig - self._mid[i]) / self._half[i]
+        x2 = 2.0 * x
+        c = self._coef[i]
+        b1 = b2 = 0.0
+        for j in range(_CHEB_DEG, 0, -1):
+            b1, b2 = c[:, j] + x2 * b1 - b2, b1
+        return self._left[i] + (c[:, 0] + x * b1 - b2)
 
     def y(self, r):
         """Tortoise coordinate y(r), scalar or array, for r > r_plus."""
@@ -329,8 +349,8 @@ class TortoiseMap:
     def y_of_s(self, s):
         """y at r = r_plus + e^s, scalar or array, also where e^s underflows:
         below s_lo the non-extremal map continues linearly in s, the extremal
-        one in v = e^-s (there y ~ a_inf e^-s overflows once s is below
-        about log(a_inf) - 709)."""
+        one past v_hi linearly in v = e^-s (there y ~ a_inf e^-s overflows
+        once s is below about log(a_inf) - 709)."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
@@ -338,20 +358,15 @@ class TortoiseMap:
         far = s >= self.s_hi
         if far.any():
             out[far] = _tail_integral(self.p, self.r_plus + np.exp(s[far]))
-        inside = ~far & (s >= self.s_lo)
+        deep = -s > self._edges[-1]
+        inside = ~far & ~deep
         if inside.any():
-            out[inside] = self._sol(s[inside])[0]
-        deep = s < self.s_lo
+            out[inside] = self._series(-s[inside])
         if deep.any():
             if not self.extremal:
                 out[deep] = self.y_at_s_lo + self.slope * (self.s_lo - s[deep])
             else:
-                v = np.exp(-s[deep])
-                out[deep] = np.where(
-                    v > self.v_hi,
-                    self.y_at_v_hi + self._a_inf * (v - self.v_hi),
-                    self._solv(np.minimum(v, self.v_hi))[0],
-                )
+                out[deep] = self.y_at_v_hi + self._a_inf * (np.exp(-s[deep]) - self.v_hi)
         return float(out[0]) if scalar else out
 
     def x(self, r):

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 
@@ -9,13 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-import knads.cli as cli_mod
+import knads
 import knads.radial as radial_mod
 import knads.rk as rk_mod
 from knads.angular import eigenvalues_by_label
 from knads.cli import main, parse_config
 from knads.geometry import BlackHoleParams, extremal_mass, find_horizons
-from knads.operators import ModeContext, QuadratureFailure, phi_plus
+from knads.operators import ModeContext, phi_plus
 
 BASE = {
     "m": 1.0,
@@ -393,13 +395,13 @@ def test_empty_label_window_is_a_config_error(tmp_path, capsys):
     assert rc == 2 and "j_window" in err
 
 
-def test_quadrature_failure_is_a_solver_error(tmp_path, capsys, monkeypatch):
-    def failing(p):
-        raise QuadratureFailure("Required step size is less than spacing between numbers.")
-
-    monkeypatch.setattr(cli_mod, "tortoise_map", failing)
-    rc, _, err = run(capsys, ["tortoise", "--config", write_config(tmp_path)])
-    assert rc == 3 and "QuadratureFailure" in err
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about a quarter second per process; the package's
+    # one scipy import is the oracle's tridiagonal eigensolver
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(knads.__file__)))
+    code = "import sys, knads, knads.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_threads_flag_is_retired(tmp_path, capsys):

@@ -35,8 +35,9 @@ P0 = BlackHoleParams(m=1.0, a=0.2, q_e=0.1, q_m=0.0, l=1.0)
 CTX0 = ModeContext(mu=1.0, e=0.1, k=0.5)
 
 
-def extremal_params(r0=0.6, a=0.3, l=1.0):
-    m, z2 = reparameterize(r0, r0, a, l)
+def extremal_params(r0=0.6, a=0.3, l=1.0, offset=0.0):
+    """Background with r_minus = r0 - offset (extremal at offset 0)."""
+    m, z2 = reparameterize(r0, r0 - offset, a, l)
     return BlackHoleParams(m=m, a=a, q_e=math.sqrt(z2), q_m=0.0, l=l)
 
 
@@ -263,6 +264,64 @@ def test_y_of_s_matches_y_and_is_continuous_at_the_seams(p):
         want, _ = quad(lambda s: _dyds(p, s), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
         got = tm.y_of_s(hi) - tm.y_of_s(lo)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def _tail_reference(p, r):
+    """y(r) past the bulk by quad in v = 1/t, where (t^2 + a^2) / Delta_t dt
+    becomes (1 + a^2 v^2) / (v^4 Delta_r(1/v)) dv."""
+
+    def g(v):
+        w = (1.0 + (p.a * v) ** 2) * (1.0 + (p.l * v) ** 2) / p.l**2 - 2.0 * p.m * v**3 + p.z2 * v**4
+        return (1.0 + (p.a * v) ** 2) / w
+
+    return quad(g, 0.0, 1.0 / r, epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+
+
+def _y_reference(p, tm, ss):
+    """y at each s of ss: the tail quadrature at s_hi plus piecewise quad of
+    -dy/ds, summed from s_hi downwards over pieces at most 1 wide."""
+    inner = np.asarray([s for s in ss if s < tm.s_hi])
+    knots = np.unique(np.concatenate([inner, np.arange(tm.s_hi, inner.min(), -1.0)]))[::-1]
+    pieces = [
+        quad(lambda s: -_dyds(p, s), lo, hi, epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+        for hi, lo in zip(knots[:-1], knots[1:])
+    ]
+    y_hi = _tail_reference(p, tm.r_plus + math.exp(tm.s_hi))
+    ys = dict(zip(knots[1:], y_hi + np.cumsum(pieces)))
+    return np.array([ys[s] if s < tm.s_hi else _tail_reference(p, tm.r_plus + math.exp(s)) for s in ss])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [P0, extremal_params(0.6, offset=1e-4), extremal_params()],
+    ids=["P0", "near-extremal", "extremal"],
+)
+def test_y_of_s_matches_a_quadrature_reference(p):
+    # The panel table against piecewise quad over the bulk, both sides of
+    # every seam and the extremal v-branch. The seam points stay within
+    # 1e-9 of it: the linear branch past a non-extremal s_lo drops a
+    # relative (r - r_plus) / (r_plus - r_minus) of dy/ds, 1e-8 at offset
+    # 1e-4, which is not the table's error.
+    tm = tortoise_map(p)
+    s_min = -math.log(tm.v_hi) if tm.extremal else tm.s_lo
+    ss = np.linspace(s_min, tm.s_hi + 3.0, 41)
+    near = [s + d * max(1.0, abs(s)) for s in _seams(tm) for d in (-1e-9, 1e-9)]
+    ss = np.concatenate([ss, near])
+    want = _y_reference(p, tm, ss)
+    assert np.max(np.abs(tm.y_of_s(ss) / want - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])
+def test_tortoise_maps_do_not_depend_on_the_batch(p):
+    # 4,000 points over every branch, split into batches of 1, 7 and the rest.
+    tm = tortoise_map(p)
+    s_bottom = -700.0 if tm.extremal else -800.0
+    ss = np.random.default_rng(3).permutation(np.linspace(s_bottom, tm.s_hi + 30.0, 4000))
+    ys = tm.y_of_s(ss)
+    for f, xs in ((tm.y_of_s, ss), (tm.log_u_of_y, ys)):
+        whole = f(xs)
+        parts = np.concatenate([f(xs[:1]), f(xs[1:8]), f(xs[8:])])
+        assert np.array_equal(whole, parts)
 
 
 @pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])
