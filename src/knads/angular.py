@@ -136,8 +136,8 @@ class PruferTrace:
 class SpectrumWindow:
     """Sorted eigenvalues in [lam_lo, lam_hi] with matching-defect residuals
     and signed mode labels (ordered by value, positive labels above lambda=0).
-    mesh_error is the a-posteriori eigenvalue error estimate of a mesh-based
-    defect (None when the solve had no coarse mesh to compare with)."""
+    mesh_error is the a-posteriori eigenvalue error estimate from the
+    coarser mesh's defect."""
 
     lam_lo: float
     lam_hi: float
@@ -145,7 +145,7 @@ class SpectrumWindow:
     residuals: tuple
     labels: tuple
     count: int
-    mesh_error: float = None
+    mesh_error: float
 
 
 def illinois_batched(fun, lo, hi, flo, fhi, tol):
@@ -196,7 +196,7 @@ def illinois_batched(fun, lo, hi, flo, fhi, tol):
     return np.where(use_a, a, b), np.where(use_a, fa, fb)
 
 
-def solve_window(defect, lo, hi, tol, coarse=None):
+def solve_window(defect, lo, hi, tol, coarse):
     """Every root of defect(x) = m*pi in [lo, hi], m integer, for a strictly
     increasing matching defect evaluated in batches (array in, array out).
 
@@ -208,9 +208,9 @@ def solve_window(defect, lo, hi, tol, coarse=None):
     batch). A window of more than MAX_WINDOW_SEGMENTS segments raises
     WindowTooWide before the first defect call.
 
-    coarse, when given, is the same defect on a coarser mesh; the result
-    then carries mesh_error, the largest |coarse - defect| at a root over
-    the secant slope of the root's segment."""
+    coarse is the same defect on a coarser mesh; mesh_error is the largest
+    |coarse - defect| at a root over the secant slope of the root's
+    segment."""
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise ValueError("window must satisfy lam_lo < lam_hi")
@@ -226,9 +226,8 @@ def solve_window(defect, lo, hi, tol, coarse=None):
     m_lo = math.floor(dgrid[0] / math.pi)
     m_hi = math.floor(dgrid[-1] / math.pi)
     targets = np.arange(m_lo + 1, m_hi + 1)
-    mesh_error = None if coarse is None else 0.0
     if targets.size == 0:
-        return SpectrumWindow(lo, hi, (), (), (), 0, mesh_error=mesh_error)
+        return SpectrumWindow(lo, hi, (), (), (), 0, mesh_error=0.0)
     tpi = targets * math.pi
     seg = np.clip(np.searchsorted(dgrid, tpi) - 1, 0, nseg - 1)
     a, b = grid[seg], grid[seg + 1]
@@ -236,9 +235,8 @@ def solve_window(defect, lo, hi, tol, coarse=None):
     roots, resid = illinois_batched(
         lambda xs, idx: defect(xs) - tpi[idx], a, b, fa, fb, 0.5 * tol
     )
-    if coarse is not None:
-        slope = (fb - fa) / (b - a)
-        mesh_error = float(np.max(np.abs(coarse(roots) - tpi - resid) / slope))
+    slope = (fb - fa) / (b - a)
+    mesh_error = float(np.max(np.abs(coarse(roots) - tpi - resid) / slope))
 
     labels = targets - math.floor(d0 / math.pi)
     labels = np.where(labels <= 0, labels - 1, labels)
@@ -327,20 +325,21 @@ def mesh_intervals(
     domega_bound = np.asarray(domega_bound, dtype=float)
     sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
     mu_a, a_omega = abs(ctx.mu * p.a), abs(p.a) * (abs(ctx.omega) + domega_bound)
-    lam_rate = (lam_bound + mu_a) / math.sqrt(p.xi) + a_omega / p.xi
-    need, lam_w, sigma_w = np.zeros(lam_rate.shape), 0.0, 0.0
-    e0 = eps ** (1.0 / _GRADE)
-    for _, _, _, x in _sides(c):
-        span = _GRADE * (x ** (1.0 / _GRADE) - e0)
-        lam_part = span * x ** (1.0 - 1.0 / _GRADE) * lam_rate
-        sigma_part = span * sigma * max(
-            0.5 / math.sin(0.5) / e0, x / math.sin(x) * 2.0 ** (1.0 / _GRADE)
-        )
-        need = np.maximum(
-            need, np.maximum(lam_part / _PHASE_STEP, (lam_part + sigma_part) / _PHASE_CAP)
-        )
-        lam_w = max(lam_w, span * x ** (1.0 - 1.0 / _GRADE) / _PHASE_STEP)
-        sigma_w = max(sigma_w, sigma_part / _PHASE_CAP)
+    with np.errstate(over="ignore"):  # a rate past the float range is +inf, refused below
+        lam_rate = (lam_bound + mu_a) / math.sqrt(p.xi) + a_omega / p.xi
+        need, lam_w, sigma_w = np.zeros(lam_rate.shape), 0.0, 0.0
+        e0 = eps ** (1.0 / _GRADE)
+        for _, _, _, x in _sides(c):
+            span = _GRADE * (x ** (1.0 / _GRADE) - e0)
+            lam_part = span * x ** (1.0 - 1.0 / _GRADE) * lam_rate
+            sigma_part = span * sigma * max(
+                0.5 / math.sin(0.5) / e0, x / math.sin(x) * 2.0 ** (1.0 / _GRADE)
+            )
+            need = np.maximum(
+                need, np.maximum(lam_part / _PHASE_STEP, (lam_part + sigma_part) / _PHASE_CAP)
+            )
+            lam_w = max(lam_w, span * x ** (1.0 - 1.0 / _GRADE) / _PHASE_STEP)
+            sigma_w = max(sigma_w, sigma_part / _PHASE_CAP)
     return _mesh_size(need, (
         ("|lambda| <= {:g}", lam_bound, lam_w * lam_bound / math.sqrt(p.xi)),
         ("|mu a| = {:g}", mu_a, lam_w * mu_a / math.sqrt(p.xi)),
@@ -746,17 +745,14 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
     return roots, np.abs(resid)
 
 
-def eigenvalues_by_label(p, ctx, labels, window_hint=None, c=DEFAULT_MATCHING_POINT):
+def eigenvalues_by_label(p, ctx, labels):
     """Eigenvalues for specific signed labels, expanding the search window
     until every requested label is present. Returns {label: eigenvalue}."""
     want = set(int(j) for j in labels)
-    if window_hint is None:
-        w = max(abs(j) for j in want) + 2.0 + abs(ctx.k) + abs(ctx.omega) * p.a
-        lo, hi = -w, w
-    else:
-        lo, hi = window_hint
+    w = max(abs(j) for j in want) + 2.0 + abs(ctx.k) + abs(ctx.omega) * p.a
+    lo, hi = -w, w
     for _ in range(12):
-        sw = angular_eigenvalues(p, ctx, (lo, hi), c=c)
+        sw = angular_eigenvalues(p, ctx, (lo, hi))
         found = dict(zip(sw.labels, sw.eigenvalues))
         if want <= set(found):
             return {j: found[j] for j in sorted(want)}

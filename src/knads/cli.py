@@ -171,6 +171,10 @@ def parse_config(text):
         )
     except (TypeError, ValueError) as ex:
         raise ConfigError(f"bad config value: {ex}") from ex
+    for key, val in (("lambda", cfg.lam), ("r0", cfg.r0), ("omega_min", cfg.omega_min),
+                     ("omega_max", cfg.omega_max), ("threshold", cfg.threshold)):
+        if val is not None and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val}")
     if not 1 <= cfg.j_window <= MAX_J_WINDOW:
         raise ConfigError(f"j_window must lie in [1, {MAX_J_WINDOW}], got {cfg.j_window}")
     if not cfg.oracle_n <= MAX_ORACLE_N:

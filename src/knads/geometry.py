@@ -193,6 +193,8 @@ def find_horizons(p):
     Declares extremal when the two roots agree within 1e-8 relative.
     """
     m = max(p.m, 0.0)
+    if not math.isfinite(2.0 * m):  # the mass scale; Delta_r holds -2 m r
+        raise NoHorizon(f"2 m overflows at m = {m:.3g}")
     r_max = min(p.l * (1.0 + 2.0 * math.sqrt(m * p.l)), 2.0 * m) + p.a + 1.0
     try:
         while delta_r_prime(p, r_max) <= 0.0 or delta_r(p, r_max) <= 0.0:

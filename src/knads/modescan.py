@@ -94,15 +94,7 @@ def _solve_items(p, ctx0, targets, lam_seed, half_width, domega):
     )
 
 
-def coupled_scan(
-    p,
-    ctx_base,
-    omega_grid,
-    j_window=3,
-    r0=None,
-    y_far=1e3,
-    threshold=DEFAULT_THRESHOLD,
-):
+def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT_THRESHOLD):
     """Scan the frequency grid and certify the absence of normalizable modes.
 
     For each omega the angular eigenvalues lambda_j(omega) for |j| <=
@@ -165,9 +157,7 @@ def coupled_scan(
     ph = phi_plus(p, ctx_base)
     lam_flat = curves.reshape(-1)
     om_flat = np.repeat(omegas, nj)
-    slopes, amps, decays, _ = horizon_continuation_evidence(
-        p, ctx_base, lam_flat, om_flat, r0=r0, y_far=y_far
-    )
+    slopes, amps, decays, _ = horizon_continuation_evidence(p, ctx_base, lam_flat, om_flat, r0=r0)
 
     rows = []
     lev_cache = {}

@@ -120,9 +120,14 @@ def _factored_quartic_terms(p):
 
 def sqrt_delta_r_from_u(p, u):
     """sqrt(Delta_r) at r = r_plus + u, via the factored quartic; exact at
-    u = 0 and stable for tiny u, vectorized."""
+    u = 0 and stable for tiny u, vectorized. Refuses u past min(1e75, 1e150
+    / sqrt(c0)), where u^2 q2(r) could overflow (q2 <= r^2 + 3 r sqrt(c0) +
+    c0)."""
     rp, rm, c1, c0 = _factored_quartic_terms(p)
     u = np.asarray(u, dtype=float)
+    u_max = min(1e75, 1e150 / math.sqrt(c0))
+    if np.any(u > u_max):
+        raise ValueError(f"r - r_plus = {np.max(u):.3g} is past {u_max:.3g}, where Delta_r overflows")
     r = rp + u
     q2 = (r + c1) * r + c0
     return np.sqrt(u * (u + (rp - rm)) * q2) / p.l
@@ -314,6 +319,9 @@ class TortoiseMap:
         # descends so that log y ascends, as np.interp needs.
         self._s_table = np.linspace(s_hi + 12.0 * math.log(10.0), -edges[-1], _SEED_POINTS)
         self._logy_table = np.log(self.y_of_s(self._s_table))
+        # Past r - r_plus = 1e150, r^2 in dy/ds overflows; log_u_of_y
+        # refuses y below its image.
+        self._y_min = float(self.y_of_s(math.log(1e150)))
 
     # -- forward map ------------------------------------------------------
 
@@ -386,6 +394,8 @@ class TortoiseMap:
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0.0):
             raise ValueError("y must be positive")
+        if np.any(y < self._y_min):
+            raise ValueError(f"y = {np.min(y):.3g} maps past r - r_plus = 1e+150, where dy/ds overflows")
         yf = y.ravel()
         logy = np.log(yf)
         s = np.interp(logy, self._logy_table, self._s_table)

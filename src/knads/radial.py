@@ -15,7 +15,9 @@ nodes go through the inverse in one vectorized call.
 Every integration runs angular._sweep on the Magnus Omega tabulated once per
 mesh as a polynomial in (omega, lambda) (_radial_tables): the confined solve
 on two sides, the certificates and the continuation evidence on recorded
-legs (_leg), each row on the mesh of its own (omega, lambda) and endpoints.
+legs (_leg). One rule, _leg_intervals, sizes every mesh a priori: per row of
+a recorded leg, and for the confined solve as the larger of its two sides at
+the window's |omega| bound, checked there at n/2.
 
 Certificate evidence is numeric and reproducible: decade-resolved integrals
 with Cauchy-tail ratios, linear fits of Prüfer phase slopes, and growth
@@ -43,6 +45,12 @@ from .operators import (
 from .rk import integrate  # noqa: F401
 
 DEFAULT_DELTA = 1e-5
+_BETA = math.pi / 4  # confined solve: phase at r0, equal components
+_TOL = 1e-10  # confined solve: eigenvalue bracket and n/2 mesh check
+_Y_START, _Y_MAX = 1.0, 1e4  # horizon certificates: the stretch in y
+_Y_FAR = 1e3  # continuation evidence: end of the horizon leg in y
+_N_DECADES = 4  # confinement certificate: decades from r0
+_GROWTH_DECADES = 3  # growth exponents: decades from default_r0
 
 
 class NotConfining(Exception):
@@ -90,12 +98,12 @@ def default_r0(p):
 _RADIAL_LAYOUT = ((0, (0, 1)), (1, (1, 0)), (2, (0, 0)), (1, (0, 0)))
 
 
-def _system_rows(p, ctx, s, shift):
+def _system_rows(p, ctx, s):
     """Rows at s of the radial system in s, A = lambda h0 sigma_z + (omega
     g1 + g4) J - g2 sigma_x, as laid out in _RADIAL_LAYOUT: affine in omega
     and in lambda, like the angular system in (lambda, domega)."""
     diag, conf, off = _radial_terms(p, ctx, 1.0, np.exp(s))
-    g = np.stack([off, np.ones_like(s), -conf, -(diag + shift)])
+    g = np.stack([off, np.ones_like(s), -conf, -diag])
     return -tortoise_map(p)._dyds(s) * g
 
 
@@ -118,29 +126,14 @@ def _leg_nodes(legs, n):
 
 
 @lru_cache(maxsize=8)
-def _radial_tables(p, ctx, legs, shift, n):
+def _radial_tables(p, ctx, legs, n):
     """Omega coefficients of the legs (_leg_nodes) in angular._magnus_tables'
     layout, all 15 monomials omega^i lambda^j: one table serves every
     (omega, lambda) row."""
     ts = _leg_nodes(legs, n)
     h = np.diff(ts)
-    g = _system_rows(p, ctx, ts[:, :-1, None] + h[..., None] * _GAUSS, shift)
+    g = _system_rows(p, ctx, ts[:, :-1, None] + h[..., None] * _GAUSS)
     return _omega_table(_magnus_terms(h, g), _RADIAL_LAYOUT)
-
-
-def _mesh_intervals(p, ctx, lam, ends, shift, omega_bound):
-    """Magnus intervals per side keeping each interval's phase move within
-    _PHASE_CAP for |omega| <= omega_bound (scalar or per row): an interval at
-    s spans <= _GRADE |v(start) - v(sc)| / (n v(s)), v = e^{-s/_GRADE}, and
-    |d eta/ds| <= |omega g1| + |g4| + hypot(lambda h0, g2)."""
-    s0, sc, sd = ends
-    ts = _leg_nodes((("exp", s0, sc), ("exp", sd, sc)), 1024)
-    h0, g1, g2, g4 = _system_rows(p, ctx, ts, shift)
-    v = np.exp(-ts / _GRADE)
-    w = _GRADE * np.abs(v[:, :1] - v[:, -1:]) / v
-    parts = np.max(w * np.abs(g1)) * omega_bound, np.max(w * (np.abs(g4) + np.hypot(lam * h0, g2)))
-    return _mesh_size(sum(parts) / _PHASE_CAP, (("|omega| <= {:g}", omega_bound, parts[0]),
-                      ("the radial potential at lambda = {:g}", lam, parts[1])))
 
 
 def _leg_intervals(p, ctx, leg, omegas, lams):
@@ -152,7 +145,7 @@ def _leg_intervals(p, ctx, leg, omegas, lams):
     rotation settling to its limit, whose half-turns _sweep counts."""
     ts = _leg_nodes((leg,), 1024)[0]
     nh = 1024.0 * np.abs(np.diff(ts))
-    g = _system_rows(p, ctx, ts, 0.0)
+    g = _system_rows(p, ctx, ts)
     vary = 1024.0 * np.max(nh * np.abs(np.diff(g)), axis=1)
     h0, g1, g2, g4 = nh * np.maximum(np.abs(g[:, 1:]), np.abs(g[:, :-1]))
     om, lam = np.abs(omegas), np.abs(lams)
@@ -181,52 +174,32 @@ def _leg(p, ctx, leg, omegas, lams, eta0, keep):
         ts = _leg_nodes((leg,), int(nn))[0]
         ys = tortoise_map(p).y_of_s(ts)
         sel = keep(ys)
-        tabs = _radial_tables(p, ctx, (leg,), 0.0, int(nn))
+        tabs = _radial_tables(p, ctx, (leg,), int(nn))
         end, (etas, logs) = _sweep(tabs, omegas[rows], lams[rows], eta0[rows], sel, by_row=True)
         yield rows, end, ts[sel], ys[sel], etas.T.copy(), logs.T.copy()
 
 
-def _defect_hinf(p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, shift, n=None):
-    """Phase mismatch at s = sc between the shots from r0 (s = s0) and from
-    y = delta (s = sd) per omega, on n intervals per side (default: per row)."""
+def _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n):
+    """Phase mismatch per omega at the common end of legs, the shots from r0
+    (phase _BETA) and from y = delta, on n intervals per leg."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    lam, ends, shift = float(lam), (float(s0), float(sc), float(sd)), float(shift)
-    legs = (("exp", ends[0], ends[1]), ("exp", ends[2], ends[1]))
-    if n is None:
-        n = _mesh_intervals(p, ctx, lam, ends, shift, np.abs(omegas))
     inf0 = _infinity_init(p, ctx, lam, omegas, delta) if beta_infinity is None else beta_infinity
-    eta0 = np.concatenate([np.full(omegas.shape, float(beta)), np.broadcast_to(inf0, omegas.shape)])
-    out = np.empty(omegas.size)
-    for nn in np.unique(n):
-        rows = np.flatnonzero(np.broadcast_to(n, omegas.shape) == nn)
-        both = np.concatenate([rows, omegas.size + rows])
-        phases, _ = _sweep(_radial_tables(p, ctx, legs, shift, int(nn)), omegas[rows], lam,
-                           eta0[both], False, by_row=True)
-        out[rows] = phases[: rows.size] - phases[rows.size:]
-    return out
+    eta0 = np.concatenate([np.full(omegas.shape, _BETA), np.broadcast_to(inf0, omegas.shape)])
+    phases, _ = _sweep(_radial_tables(p, ctx, legs, n), omegas, float(lam), eta0, False, by_row=True)
+    return phases[: omegas.size] - phases[omegas.size:]
 
 
-def hinf_eigenvalues(
-    p,
-    ctx,
-    lam,
-    r0=None,
-    window=(-5.0, 5.0),
-    beta=math.pi / 4,
-    beta_infinity=None,
-    delta=DEFAULT_DELTA,
-    potential_shift=0.0,
-    tol=1e-10,
-):
+def hinf_eigenvalues(p, ctx, lam, r0=None, window=(-5.0, 5.0), beta_infinity=None, delta=DEFAULT_DELTA):
     """Eigenvalues of the confined radial operator on (r0, infinity) in the
     frequency window, by two-sided Prüfer shooting.
 
-    The boundary condition at r0 is the phase beta (default pi/4, equal
-    components); the infinity side starts on the recessive branch at
-    y = delta unless mu*l < 1/2, in which case that endpoint is limit
-    circle and an explicit beta_infinity is required. The two sides meet at
-    y(r0)/2; the matching defect is strictly increasing in omega, and
-    solve_window locates every eigenvalue on a Magnus mesh checked at n/2."""
+    The boundary condition at r0 is the phase pi/4 (equal components); the
+    infinity side starts on the recessive branch at y = delta unless mu*l <
+    1/2, in which case that endpoint is limit circle and an explicit
+    beta_infinity is required. The two sides meet at y(r0)/2; the matching
+    defect is strictly increasing in omega, and solve_window locates every
+    eigenvalue to 1e-10 on the _leg_intervals mesh of the window's |omega|
+    bound, doubled while the n/2 check estimates a larger error."""
     if ctx.mu == 0.0:
         raise NotConfining("mu = 0 has no confining term; spectrum not discrete")
     if ctx.mu * p.l < 0.5 and beta_infinity is None:
@@ -239,13 +212,12 @@ def hinf_eigenvalues(
     yc = 0.5 * tm.y(r0)
     if not yc > 10.0 * delta:
         raise ValueError("r0 too close to the infinity cutoff")
-    s0 = math.log(r0 - tm.r_plus)
-    sc, sd = tm.log_u_of_y(yc), tm.log_u_of_y(delta)
+    s0, sc, sd = math.log(r0 - tm.r_plus), float(tm.log_u_of_y(yc)), float(tm.log_u_of_y(delta))
+    legs = (("exp", s0, sc), ("exp", sd, sc))
     bound = max(abs(float(window[0])), abs(float(window[1])))
-    n = _mesh_intervals(p, ctx, lam, (s0, sc, sd), potential_shift, bound)
-    return _refined_window(lambda omegas, n: _defect_hinf(
-        p, ctx, lam, omegas, s0, sc, sd, delta, beta, beta_infinity, potential_shift, n
-    ), window, tol, n, bound, "omega")
+    n = max(int(_leg_intervals(p, ctx, leg, [bound], [lam])[0]) for leg in legs)
+    return _refined_window(lambda omegas, n: _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n),
+                           window, _TOL, n, bound, "omega")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -261,7 +233,7 @@ def _gauss_segments(f, breaks):
     return half * (f(mid + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
 
 
-def horizon_ac_certificate(p, ctx, lam, y_start=1.0):
+def horizon_ac_certificate(p, ctx, lam):
     """Horizon-side decay certificate for the potential.
 
     Non-extremal: the integral of ||V - phi_plus I|| dy up to Y in
@@ -273,7 +245,7 @@ def horizon_ac_certificate(p, ctx, lam, y_start=1.0):
     tm = tortoise_map(p)
     f = lambda y: deviation_norm(p, ctx, lam, tm.u_of_y(y))
     breaks = np.concatenate(
-        [np.geomspace(y_start, 1e2, 9), np.geomspace(1e2, 1e3, 9)[1:], np.geomspace(1e3, 1e4, 9)[1:]]
+        [np.geomspace(_Y_START, 1e2, 9), np.geomspace(1e2, 1e3, 9)[1:], np.geomspace(1e3, _Y_MAX, 9)[1:]]
     )
     segs = _gauss_segments(f, breaks)
     cum = np.cumsum(segs)
@@ -312,7 +284,7 @@ def horizon_ac_certificate(p, ctx, lam, y_start=1.0):
     )
 
 
-def levinson_phi_plus(p, ctx, lam, y_start=1.0, y_max=1e4):
+def levinson_phi_plus(p, ctx, lam):
     """Non-eigenvalue certificate at omega = phi_plus.
 
     Integrates X' = Rbar(y) X for two independent initial vectors, where
@@ -327,7 +299,7 @@ def levinson_phi_plus(p, ctx, lam, y_start=1.0, y_max=1e4):
         raise ValueError("Levinson certificate applies to the non-extremal case")
     ph = phi_plus(p, ctx)
     tm = tortoise_map(p)
-    checkpoints = tm.log_u_of_y(np.array([y_start, y_max / 8, y_max / 4, y_max / 2, y_max]))
+    checkpoints = tm.log_u_of_y(np.array([_Y_START, _Y_MAX / 8, _Y_MAX / 4, _Y_MAX / 2, _Y_MAX]))
     (_, _, _, ys, etas, logs), = _leg(p, ctx, (3, *checkpoints), ph, lam, np.array([0.0, math.pi / 2]),
                                       lambda y: np.ones(y.shape, bool))
     min_logr = min(0.0, float(logs.min()))
@@ -339,7 +311,7 @@ def levinson_phi_plus(p, ctx, lam, y_start=1.0, y_max=1e4):
     ]
     # ||Rbar||_F is the deviation norm of V from phi_plus * I
     integrable = _gauss_segments(
-        lambda y: deviation_norm(p, ctx, lam, tm.u_of_y(y)), np.geomspace(y_start, y_max, 17)
+        lambda y: deviation_norm(p, ctx, lam, tm.u_of_y(y)), np.geomspace(_Y_START, _Y_MAX, 17)
     )
     cauchy = float(integrable[-4:].sum() / max(integrable.sum(), 1e-300))
     min_norm = math.exp(min_logr)
@@ -358,7 +330,7 @@ def levinson_phi_plus(p, ctx, lam, y_start=1.0, y_max=1e4):
     )
 
 
-def horizon_oscillation(p, ctx, lam, omega, y_start=1.0, y_max=1e4):
+def horizon_oscillation(p, ctx, lam, omega):
     """Oscillatory (non-normalizable) behavior certificate at the horizon for
     omega != phi_plus: the Prüfer phase grows linearly with slope omega -
     phi_plus in the x convention, and the Prüfer radius stays bounded."""
@@ -371,9 +343,9 @@ def horizon_oscillation(p, ctx, lam, omega, y_start=1.0, y_max=1e4):
             f"|omega - phi_plus| = {abs(omega - ph):.2e} < 1e-6"
         )
 
-    s_start, s_max = tortoise_map(p).log_u_of_y(np.array([y_start, y_max]))
+    s_start, s_max = tortoise_map(p).log_u_of_y(np.array([_Y_START, _Y_MAX]))
     (_, _, _, ys, etas, logs), = _leg(p, ctx, (3, s_start, s_max), omega, lam, 0.0,
-                                      lambda y: y >= 0.1 * y_max)
+                                      lambda y: y >= 0.1 * _Y_MAX)
     slope = -_slopes(ys, etas)[0]  # x-convention
     expected = omega - ph
     rel = abs(slope - expected) / abs(expected)
@@ -385,12 +357,12 @@ def horizon_oscillation(p, ctx, lam, omega, y_start=1.0, y_max=1e4):
         radius_ratio=rr,
         phi_plus=float(ph),
         omega=float(omega),
-        y_max=float(y_max),
+        y_max=_Y_MAX,
         passed=bool(rel < 1e-3 and rr < 10.0),
     )
 
 
-def confinement_certificate(p, ctx, r0=None, n_decades=4):
+def confinement_certificate(p, ctx, r0=None):
     """Discreteness evidence: the confinement density mu*r/sqrt(Delta_r)
     integrates to mu*l per log-decade (so its integral diverges like
     mu*l*log R), and r * density tends to mu*l."""
@@ -404,11 +376,11 @@ def confinement_certificate(p, ctx, r0=None, n_decades=4):
         u = np.asarray(r, dtype=float) - hd.r_plus
         return ctx.mu * np.asarray(r, float) / sqrt_delta_r_from_u(p, u)
 
-    vals = decade_integrals(q_times_r, r0, n_decades)
+    vals = decade_integrals(q_times_r, r0, _N_DECADES)
     mul = ctx.mu * p.l
     target = mul * math.log(10.0)
     rel_last = abs(vals[-1] - target) / target
-    tail_r = r0 * 10.0**n_decades
+    tail_r = r0 * 10.0**_N_DECADES
     limit_val = float(q_times_r(tail_r) * tail_r)
     passed = bool(rel_last < 1e-2 and abs(limit_val - mul) / mul < 1e-2)
     return RadialCertificate(
@@ -423,18 +395,18 @@ def confinement_certificate(p, ctx, r0=None, n_decades=4):
     )
 
 
-def infinity_growth_exponents(p, ctx, lam, omega, r1=None, decades=3):
+def infinity_growth_exponents(p, ctx, lam, omega):
     """Fitted growth exponents of the radial system toward infinity.
 
-    Integrating outward from r1, a generic solution is dominated by the
-    growing branch and log||X|| vs log r fits +mu*l over the last decade;
-    integrating inward from the far end, the backward-dominant branch is the
-    decaying one and the fit over the small-r decade gives -mu*l. The legs
-    are uniform in s, so each fitted decade is densely and evenly noded."""
-    if r1 is None:
-        r1 = default_r0(p)
+    Integrating outward from r1 = default_r0 to 1e3 r1, a generic solution is
+    dominated by the growing branch and log||X|| vs log r fits +mu*l over
+    the last decade; integrating inward from the far end, the
+    backward-dominant branch is the decaying one and the fit over the
+    small-r decade gives -mu*l. The legs are uniform in s, so each fitted
+    decade is densely and evenly noded."""
+    r1 = default_r0(p)
     tm = tortoise_map(p)
-    r2 = r1 * 10.0**decades
+    r2 = r1 * 10.0**_GROWTH_DECADES
     s1, s2 = math.log(r1 - tm.r_plus), math.log(r2 - tm.r_plus)
     y1, y2 = tm.y(10.0 * r1), tm.y(0.1 * r2)  # the decade each leg ends on
     slopes = []
@@ -452,13 +424,11 @@ def _slopes(x, y):
     return np.sum(xc * (y - y.mean(axis=1, keepdims=True)), axis=1) / np.sum(xc * xc)
 
 
-def horizon_continuation_evidence(
-    p, ctx, lams, omegas, r0=None, y_far=1e3, delta=DEFAULT_DELTA
-):
+def horizon_continuation_evidence(p, ctx, lams, omegas, r0=None):
     """Batched non-normalizability evidence for (omega, lambda) pairs.
 
-    The recessive-at-infinity solution is continued from y = delta through
-    the matching radius r0 and out to y_far on the horizon side. For a
+    The recessive-at-infinity solution is continued from y = DEFAULT_DELTA
+    through the matching radius r0 and out to y_far = 1e3 on the horizon side. For a
     normalizable mode the amplitude would have to collapse toward the
     horizon; instead it stays of order one (oscillation). The amplitude
     ratio is min rho(y >= 0.1 * y_far) / rho(r0), the smallest Prüfer
@@ -475,18 +445,18 @@ def horizon_continuation_evidence(
     tm = tortoise_map(p)
     y0 = tm.y(r0)
     s0 = math.log(r0 - tm.r_plus)
-    sd, s_far = tm.log_u_of_y(np.array([delta, y_far]))
+    sd, s_far = tm.log_u_of_y(np.array([DEFAULT_DELTA, _Y_FAR]))
     ph = phi_plus(p, ctx)
     at_r0, decay, slopes, amp = (np.empty(lams.size) for _ in range(4))
     # infinity-side decay exponent: log rho vs log y on the early decades,
     # on a leg graded like the confined solve's infinity side
-    mid = math.log(delta) + 0.5 * (math.log(y0) - math.log(delta))
-    inf0 = _infinity_init(p, ctx, lams, omegas, delta)
+    mid = math.log(DEFAULT_DELTA) + 0.5 * (math.log(y0) - math.log(DEFAULT_DELTA))
+    inf0 = _infinity_init(p, ctx, lams, omegas, DEFAULT_DELTA)
     for rows, end, _, ys, _, logs in _leg(p, ctx, ("exp", sd, s0), omegas, lams, inf0,
                                           lambda y: np.log(y) <= mid):
         at_r0[rows], decay[rows] = end, _slopes(np.log(ys), logs)
     # the horizon leg, short intervals near r0 where A varies
     for rows, _, _, ys, etas, logs in _leg(p, ctx, (3, s0, s_far), omegas, lams, at_r0,
-                                           lambda y: y >= 0.1 * y_far):
+                                           lambda y: y >= 0.1 * _Y_FAR):
         slopes[rows], amp[rows] = -_slopes(ys, etas), np.exp(logs.min(axis=1))
     return slopes, amp, decay, ph

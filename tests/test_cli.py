@@ -336,7 +336,9 @@ def test_over_wide_window_is_refused_before_shooting(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("m", math.nan), ("a", math.inf), ("mu", -math.inf), ("k", math.inf)]
+    "field, value",
+    [("m", math.nan), ("a", math.inf), ("mu", -math.inf), ("k", math.inf), ("threshold", math.nan),
+     ("lambda", math.nan), ("r0", math.nan), ("omega_min", math.nan), ("omega_max", math.inf)],
 )
 def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, field, value):
     # json.dumps writes NaN and Infinity literals, which json.loads accepts.
@@ -427,7 +429,7 @@ def test_far_radial_window_exceeds_the_mesh_cap(tmp_path, capsys):
     before = radial_mod._radial_tables.cache_info()
     start = time.perf_counter()
     rc, _, err = run(capsys, ["radial", "--config", cfg])
-    assert rc == 3 and "WindowTooWide" in err and "|omega| <= 1e+06" in err and "intervals" in err
+    assert rc == 3 and "WindowTooWide" in err and "|omega| = 1e+06" in err and "intervals" in err
     assert radial_mod._radial_tables.cache_info() == before
     assert time.perf_counter() - start < 5.0
 
@@ -479,6 +481,20 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
     # sweep and exited 3 with "cannot convert float NaN to integer"
     command="angular",
     cfg=dict(BASE, a=-0.109, mu=2.6e38, e=5.1e15, l=0.3),
+)
+@example(
+    # r - r_plus ~ l^2 / y: Delta_r at y = 1 (classify) and dy/ds at y = 1e-5
+    # (radial) once overflowed with a RuntimeWarning (exit 1)
+    command="classify",
+    cfg=dict(BASE, l=3.402823669209399e38),
+)
+@example(command="radial", cfg=dict(BASE, l=1e100))
+@example(command="horizons", cfg=dict(BASE, m=8.98846567431158e307, l=2.0))  # r_plus was NaN
+@example(
+    # the mesh bound's rate once overflowed (RuntimeWarning, exit 1) instead
+    # of being refused as past the cap
+    command="angular",
+    cfg=dict(BASE, m=0.0, a=0.875, q_e=0.0, l=1.0, mu=9.946336532733077e307, e=0.0, k=-5.5),
 )
 def test_cli_config_fuzz_ends_in_an_exit_code(tmp_path_factory, command, cfg):
     # Drawn configs, windows at most 2 wide: every run ends in exit 0, 2

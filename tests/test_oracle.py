@@ -1,5 +1,8 @@
 import json
 import math
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,3 +131,19 @@ def test_weights_positive_and_measure_sane():
     dth = 1.0 - (ROTATING.a / ROTATING.l) ** 2 * np.cos(ths) ** 2
     want = 2.0 * np.trapezoid(1.0 / np.sqrt(dth), ths)
     assert total == pytest.approx(want, rel=1e-3)
+
+
+def test_generate_fixtures_reproduces_the_packaged_file(tmp_path):
+    # Eigenvalues to 1e-12 rather than bytes: LAPACK builds may round the
+    # last bits differently.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "generate_fixtures.py"
+    out = tmp_path / "fixtures.json"
+    subprocess.run([sys.executable, str(script), str(out)], check=True, capture_output=True)
+    got, want = load_fixtures(out), load_fixtures()
+    assert got.keys() == want.keys() and got["grid_n"] == want["grid_n"]
+    for kind in ("angular", "radial"):
+        assert len(got[kind]) == len(want[kind])
+        for g, w in zip(got[kind], want[kind]):
+            ev_g, ev_w = g.pop("eigenvalues"), w.pop("eigenvalues")
+            assert g == w and len(ev_g) == len(ev_w), w["name"]
+            assert np.max(np.abs(np.subtract(ev_g, ev_w)), initial=0.0) <= 1e-12, w["name"]

@@ -9,6 +9,7 @@ import knads.radial as radial_mod
 from knads.angular import NotLimitPoint, WindowTooWide
 from knads.geometry import BlackHoleParams, find_horizons, reparameterize
 from knads.modescan import coupled_scan
+from knads.oracle import discretize_radial_confined
 from knads.operators import (
     ModeContext,
     TortoiseMap,
@@ -23,7 +24,6 @@ from knads.radial import (
     _defect_hinf,
     _gauss_segments,
     _infinity_init,
-    _mesh_intervals,
     confinement_certificate,
     default_r0,
     hinf_eigenvalues,
@@ -33,6 +33,8 @@ from knads.radial import (
     infinity_growth_exponents,
     levinson_phi_plus,
 )
+
+from conftest import SEED, draw_nonextremal
 
 P0 = BlackHoleParams(m=1.0, a=0.3, q_e=0.2, q_m=0.0, l=1.0)
 CTX = ModeContext(mu=1.0, e=0.1, k=0.5)
@@ -70,15 +72,21 @@ def test_hinf_against_fixture_value():
     assert sw.eigenvalues[0] == pytest.approx(1.0346836026292294, abs=1e-4)
 
 
-def test_constant_shift_moves_spectrum_exactly():
-    s = 0.7
-    base = hinf_eigenvalues(P0, CTX, LAM, window=(-3.0, 3.0))
-    shifted = hinf_eigenvalues(
-        P0, CTX, LAM, window=(-3.0 + s, 3.0 + s), potential_shift=s
-    )
-    assert shifted.count == base.count
-    d = np.array(shifted.eigenvalues) - np.array(base.eigenvalues)
-    assert np.max(np.abs(d - s)) < 1e-9
+def test_confined_solves_across_the_family_match_the_oracle():
+    # Criterion 7's tolerance away from its three fixtures: mu*l up to 6,
+    # |k| up to 4.5 and |lambda| up to 5, each on the larger _leg_intervals
+    # mesh of its two sides, refined only where the n/2 check asks.
+    rng = np.random.default_rng(SEED + 31)
+    window = (-15.0, 15.0)
+    for _ in range(12):
+        p = draw_nonextremal(rng)
+        ctx = ModeContext(mu=rng.uniform(0.5, 6.0) / p.l, e=rng.uniform(-0.5, 0.5),
+                          k=float(rng.choice([-1.5, -0.5, 0.5, 1.5, 4.5])))
+        lam = rng.uniform(-5.0, 5.0)
+        sw = hinf_eigenvalues(p, ctx, lam, window=window)
+        ref = discretize_radial_confined(p, ctx, lam, default_r0(p), 4000).eigenvalues_in_window(*window)
+        assert sw.count == ref.size, (p, ctx, lam)
+        assert np.max(np.abs(np.array(sw.eigenvalues) - ref), initial=0.0) < 1e-4, (p, ctx, lam)
 
 
 def test_infinity_offset_robustness():
@@ -273,13 +281,9 @@ def inverse_calls(monkeypatch):
 
 
 def test_tortoise_inverse_is_off_the_radial_hot_path(inverse_calls):
-    tm = tortoise_map(P0)
-    r0 = default_r0(P0)
-    s0 = math.log(r0 - tm.r_plus)
-    sc, sd = tm.log_u_of_y(0.5 * tm.y(r0)), tm.log_u_of_y(DEFAULT_DELTA)
+    legs = _legs(P0)
     inverse_calls.clear()
-    omegas = np.linspace(-3.0, 3.0, 9)
-    _defect_hinf(P0, CTX, LAM, omegas, s0, sc, sd, DEFAULT_DELTA, math.pi / 4, None, 0.0)
+    _defect_hinf(P0, CTX, LAM, np.linspace(-3.0, 3.0, 9), legs, DEFAULT_DELTA, None, 256)
     assert not inverse_calls
 
     # Every other path maps its endpoints once, however wide the window or
@@ -309,50 +313,52 @@ def test_tortoise_inverse_is_off_the_radial_hot_path(inverse_calls):
         assert a == b and a["u_of_y"] == 1 and a["log_u_of_y"] <= 2
 
 
-def _ends(p):
-    """(s0, sc, sd) of hinf_eigenvalues' default shooting setup."""
+def _legs(p):
+    """The two legs of hinf_eigenvalues' default shooting setup, from r0 and
+    from y = DEFAULT_DELTA to y(r0) / 2."""
     tm, r0 = tortoise_map(p), default_r0(p)
-    return math.log(r0 - tm.r_plus), tm.log_u_of_y(0.5 * tm.y(r0)), tm.log_u_of_y(DEFAULT_DELTA)
+    sc = float(tm.log_u_of_y(0.5 * tm.y(r0)))
+    return ("exp", math.log(r0 - tm.r_plus), sc), ("exp", float(tm.log_u_of_y(DEFAULT_DELTA)), sc)
 
 
 def test_defect_rows_do_not_depend_on_their_batch():
     # The adaptive stepper controlled the error of the worst batch member,
     # so a row's last bits depended on the rest of the batch.
-    ends = _ends(P0)
+    legs = _legs(P0)
     omegas = np.linspace(-3.0, 3.0, 9)
-    rest = (DEFAULT_DELTA, math.pi / 4, None, 0.0)
-    batch = _defect_hinf(P0, CTX, LAM, omegas, *ends, *rest)
-    alone = [_defect_hinf(P0, CTX, LAM, [w], *ends, *rest)[0] for w in omegas]
+    rest = (DEFAULT_DELTA, None, 256)
+    batch = _defect_hinf(P0, CTX, LAM, omegas, legs, *rest)
+    alone = [_defect_hinf(P0, CTX, LAM, [w], legs, *rest)[0] for w in omegas]
     assert np.array_equal(batch, alone)
     # One Omega product per block: a single row is padded to two columns,
     # since numpy hands a one-column product to gemv, whose sums may round
     # differently from gemm's.
     omegas = np.random.default_rng(5).uniform(-3.0, 3.0, 480)
-    wide = _defect_hinf(P0, CTX, LAM, omegas, *ends, *rest)
+    wide = _defect_hinf(P0, CTX, LAM, omegas, legs, *rest)
     for start in (0, 7, 250, 477):
         for size in (1, 2, 3):
             rows = slice(start, start + size)
-            assert np.array_equal(_defect_hinf(P0, CTX, LAM, omegas[rows], *ends, *rest), wide[rows])
+            assert np.array_equal(_defect_hinf(P0, CTX, LAM, omegas[rows], legs, *rest), wide[rows])
 
 
 def test_mesh_refusal_names_omega_or_the_potential():
-    ends = _ends(P0)
-    with pytest.raises(WindowTooWide, match=r"^\|omega\| <= 1e\+06 needs"):
-        _mesh_intervals(P0, CTX, LAM, ends, 0.0, 1e6)
+    before = radial_mod._radial_tables.cache_info()
+    with pytest.raises(WindowTooWide, match=r"^\|omega\| = 1e\+06 needs"):
+        hinf_eigenvalues(P0, CTX, LAM, window=(1e6 - 1.0, 1e6))
     with pytest.raises(WindowTooWide, match=r"^the radial potential at lambda = 1 needs"):
-        _mesh_intervals(P0, CTX, LAM, ends, 1e9, 1.0)
+        hinf_eigenvalues(P0, ModeContext(mu=1.0, e=1e9, k=0.5), LAM)
+    assert radial_mod._radial_tables.cache_info() == before
 
 
 def test_magnus_defect_converges_at_sixth_order(wide_sw):
-    ends = _ends(P0)
+    legs = _legs(P0)
     omegas = np.linspace(-25.0, 25.0, 7)
-    rest = (DEFAULT_DELTA, math.pi / 4, None, 0.0)
-    ref = _defect_hinf(P0, CTX, LAM, omegas, *ends, *rest, 4096)
-    err = [np.max(np.abs(_defect_hinf(P0, CTX, LAM, omegas, *ends, *rest, n) - ref))
+    ref = _defect_hinf(P0, CTX, LAM, omegas, legs, DEFAULT_DELTA, None, 4096)
+    err = [np.max(np.abs(_defect_hinf(P0, CTX, LAM, omegas, legs, DEFAULT_DELTA, None, n) - ref))
            for n in (16, 32, 64, 256)]
     assert err[0] / err[1] > 40.0 and err[1] / err[2] > 40.0  # 2^6 = 64
     assert err[3] < 1e-12
-    assert wide_sw.mesh_error is not None and wide_sw.mesh_error < 1e-10
+    assert wide_sw.mesh_error < 1e-10
 
 
 def test_levinson_segments_resolve_the_confining_deviation():
