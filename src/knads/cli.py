@@ -13,7 +13,7 @@ by the test suite (see oracle.fixtures_path).
 """
 
 import argparse
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 import json
 import math
 import sys
@@ -33,7 +33,7 @@ from .geometry import (
     find_horizons,
     komar,
 )
-from .operators import DomainError, ModeContext, tortoise_map
+from .operators import ModeContext, tortoise_map
 
 
 class ConfigError(ValueError):
@@ -43,7 +43,6 @@ class ConfigError(ValueError):
 _SOLVER_ERRORS = (
     NoHorizon,
     OutsideExterior,
-    DomainError,
     angular_mod.NotLimitPoint,
     angular_mod.WindowTooWide,
     radial_mod.NotConfining,
@@ -58,25 +57,13 @@ MAX_SCAN_POINTS = 10**5
 MAX_ORACLE_N = 10**5
 MAX_J_WINDOW = 100
 
-_REQUIRED = ("m", "a", "q_e", "q_m", "l", "mu", "e", "k")
-_OPTIONAL = {
-    "omega": 0.0,
-    "gauge_b": 0.0,
-    "lambda": None,
-    "window": None,
-    "r0": None,
-    "oracle_n": 4000,
-    "omega_min": None,
-    "omega_max": None,
-    "omega_step": 0.05,
-    "j_window": 3,
-    "threshold": 1e-3,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration; round-trips through to_json unchanged."""
+    """The config schema. A field's JSON key is its name ("lambda" for lam)
+    and its type converts the value (float, int or the tuple window); every
+    float must be finite. A field without a default is required, and one
+    whose default is None also accepts null."""
 
     m: float
     a: float
@@ -88,7 +75,7 @@ class RunConfig:
     k: float
     omega: float = 0.0
     gauge_b: float = 0.0
-    lam: float = None
+    lam: float = field(default=None, metadata={"key": "lambda"})
     window: tuple = None
     r0: float = None
     oracle_n: int = 4000
@@ -105,21 +92,33 @@ class RunConfig:
         b = self.gauge_b if gauge_b is None else gauge_b
         return ModeContext(mu=self.mu, e=self.e, k=self.k, omega=self.omega, gauge_b=b)
 
-    def to_json(self):
-        out = {}
-        for f in fields(self):
-            key = "lambda" if f.name == "lam" else f.name
-            val = getattr(self, f.name)
-            if key in _REQUIRED or val != _OPTIONAL.get(key):
-                out[key] = list(val) if isinstance(val, tuple) else val
-        return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+_FIELDS = {f.metadata.get("key", f.name): f for f in fields(RunConfig)}
 
 
-def _integer(vals, name):
+def _window(val):
     try:
-        return int(vals[name])
+        lo, hi = (float(w) for w in val) if isinstance(val, (list, tuple)) else ()
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be an integer, got {vals[name]!r}") from None
+        raise ConfigError(f"window must be two numbers [lo, hi], got {val!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"window must satisfy lo < hi, both finite, got {[lo, hi]}")
+    return (lo, hi)
+
+
+def _convert(key, f, val):
+    if val is None and f.default is None:
+        return None
+    if f.type is tuple:
+        return _window(val)
+    try:
+        val = f.type(val)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if f.type is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {val!r}") from None
+    if f.type is float and not math.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {val}")
+    return val
 
 
 def parse_config(text):
@@ -129,52 +128,13 @@ def parse_config(text):
         raise ConfigError(f"config is not valid JSON: {ex}") from ex
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = set(_REQUIRED) | set(_OPTIONAL)
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    missing = [k for k in _REQUIRED if k not in raw]
+    missing = [key for key, f in _FIELDS.items() if f.default is MISSING and key not in raw]
     if missing:
         raise ConfigError(f"missing config fields: {missing}")
-    vals = dict(_OPTIONAL)
-    vals.update(raw)
-    window = vals["window"]
-    if window is not None:
-        try:
-            lo, hi = (float(w) for w in window) if isinstance(window, (list, tuple)) else ()
-        except (TypeError, ValueError):
-            raise ConfigError(f"window must be two numbers [lo, hi], got {window!r}") from None
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigError(f"window must satisfy lo < hi, both finite, got {[lo, hi]}")
-        window = (lo, hi)
-    try:
-        cfg = RunConfig(
-            m=float(vals["m"]),
-            a=float(vals["a"]),
-            q_e=float(vals["q_e"]),
-            q_m=float(vals["q_m"]),
-            l=float(vals["l"]),
-            mu=float(vals["mu"]),
-            e=float(vals["e"]),
-            k=float(vals["k"]),
-            omega=float(vals["omega"]),
-            gauge_b=float(vals["gauge_b"]),
-            lam=None if vals["lambda"] is None else float(vals["lambda"]),
-            window=window,
-            r0=None if vals["r0"] is None else float(vals["r0"]),
-            oracle_n=_integer(vals, "oracle_n"),
-            omega_min=None if vals["omega_min"] is None else float(vals["omega_min"]),
-            omega_max=None if vals["omega_max"] is None else float(vals["omega_max"]),
-            omega_step=float(vals["omega_step"]),
-            j_window=_integer(vals, "j_window"),
-            threshold=float(vals["threshold"]),
-        )
-    except (TypeError, ValueError) as ex:
-        raise ConfigError(f"bad config value: {ex}") from ex
-    for key, val in (("lambda", cfg.lam), ("r0", cfg.r0), ("omega_min", cfg.omega_min),
-                     ("omega_max", cfg.omega_max), ("threshold", cfg.threshold)):
-        if val is not None and not math.isfinite(val):
-            raise ConfigError(f"{key} must be finite, got {val}")
+    cfg = RunConfig(**{f.name: _convert(key, f, raw[key]) for key, f in _FIELDS.items() if key in raw})
     if not 1 <= cfg.j_window <= MAX_J_WINDOW:
         raise ConfigError(f"j_window must lie in [1, {MAX_J_WINDOW}], got {cfg.j_window}")
     if not cfg.oracle_n <= MAX_ORACLE_N:
@@ -228,6 +188,24 @@ def _validated(cfg, args):
     except (ValueError, TypeError) as ex:
         raise ConfigError(str(ex)) from ex
     return p, ctx
+
+
+def _exterior_r0(cfg, p):
+    """Refuse a config r0 at or inside the outer horizon."""
+    if cfg.r0 is not None and not cfg.r0 > (r_plus := find_horizons(p).r_plus):
+        raise ConfigError(f"r0 must lie outside the horizon, got r0 = {cfg.r0} <= r_plus = {r_plus}")
+
+
+def _nearest_oracle(op, window, values):
+    """Each value's nearest oracle eigenvalue in the window widened by 0.5
+    on each side; empty when that window holds none."""
+    ov = op.eigenvalues_in_window(window[0] - 0.5, window[1] + 0.5)
+    return {v: float(ov[np.argmin(np.abs(ov - v))]) for v in values} if len(ov) else {}
+
+
+def _certificate_row(cert, value, detail):
+    return {"record": "certificate", "label": cert.kind, "value": value, "residual": None,
+            "passed": cert.passed, "detail": detail}
 
 
 def cmd_horizons(cfg, args):
@@ -299,21 +277,14 @@ def cmd_angular(cfg, args):
     p, ctx = _validated(cfg, args)
     window = cfg.window or (-4.5, 4.5)
     sw = angular_mod.angular_eigenvalues(p, ctx, window)
-    oracle_vals = {}
+    near = {}
     if args.oracle:
-        op = oracle_mod.discretize_angular(p, ctx, cfg.oracle_n)
-        ov = op.eigenvalues_in_window(window[0] - 0.5, window[1] + 0.5)
-        for lam in sw.eigenvalues:
-            if len(ov):
-                oracle_vals[lam] = float(ov[np.argmin(np.abs(ov - lam))])
+        near = _nearest_oracle(oracle_mod.discretize_angular(p, ctx, cfg.oracle_n), window, sw.eigenvalues)
     rows = []
     for lab, lam, res in zip(sw.labels, sw.eigenvalues, sw.residuals):
         row = {"label": lab, "lambda": lam, "residual": res}
         if args.oracle:
-            row["oracle_lambda"] = oracle_vals.get(lam)
-            row["oracle_delta"] = (
-                None if lam not in oracle_vals else lam - oracle_vals[lam]
-            )
+            row.update(oracle_lambda=near.get(lam), oracle_delta=lam - near[lam] if lam in near else None)
         rows.append(row)
     cols = ["label", "lambda", "residual"] + (
         ["oracle_lambda", "oracle_delta"] if args.oracle else []
@@ -324,71 +295,34 @@ def cmd_angular(cfg, args):
 
 def cmd_radial(cfg, args):
     p, ctx = _validated(cfg, args)
+    _exterior_r0(cfg, p)
     lam = cfg.lam
     if lam is None:
         lam = angular_mod.eigenvalues_by_label(p, ctx, [1])[1]
     window = cfg.window or (-5.0, 5.0)
-    rows = []
     sw = radial_mod.hinf_eigenvalues(p, ctx, lam, r0=cfg.r0, window=window)
-    oracle_vals = {}
+    near = {}
     if args.oracle:
-        op = oracle_mod.discretize_radial_confined(
-            p, ctx, lam, cfg.r0 or radial_mod.default_r0(p), cfg.oracle_n
-        )
-        ov = op.eigenvalues_in_window(window[0] - 0.5, window[1] + 0.5)
-        for om in sw.eigenvalues:
-            if len(ov):
-                oracle_vals[om] = float(ov[np.argmin(np.abs(ov - om))])
-    for lab, om, res in zip(sw.labels, sw.eigenvalues, sw.residuals):
-        detail = f"oracle={_fmt(oracle_vals[om])}" if om in oracle_vals else ""
-        rows.append(
-            {
-                "record": "eigenvalue",
-                "label": lab,
-                "value": om,
-                "residual": res,
-                "passed": "",
-                "detail": detail,
-            }
-        )
+        r0 = cfg.r0 or radial_mod.default_r0(p)
+        op = oracle_mod.discretize_radial_confined(p, ctx, lam, r0, cfg.oracle_n)
+        near = _nearest_oracle(op, window, sw.eigenvalues)
+    rows = [{"record": "eigenvalue", "label": lab, "value": om, "residual": res, "passed": "",
+             "detail": f"oracle={_fmt(near[om])}" if om in near else ""}
+            for lab, om, res in zip(sw.labels, sw.eigenvalues, sw.residuals)]
     hd = find_horizons(p)
     ac = radial_mod.horizon_ac_certificate(p, ctx, lam)
     head = (
         ac.evidence["tail_ratio"] if not hd.extremal else ac.evidence["decay_rate"]
     )
-    rows.append(
-        {
-            "record": "certificate",
-            "label": ac.kind,
-            "value": head,
-            "residual": None,
-            "passed": ac.passed,
-            "detail": "integral_Y=" + "/".join(_fmt(v) for v in ac.evidence["integral_Y"].values()),
-        }
-    )
+    rows.append(_certificate_row(
+        ac, head, "integral_Y=" + "/".join(_fmt(v) for v in ac.evidence["integral_Y"].values())))
     if not hd.extremal:
         lev = radial_mod.levinson_phi_plus(p, ctx, lam)
-        rows.append(
-            {
-                "record": "certificate",
-                "label": lev.kind,
-                "value": max(lev.evidence["asymptotic_rel_change"]),
-                "residual": None,
-                "passed": lev.passed,
-                "detail": "min_norm=" + _fmt(lev.evidence["min_norm_over_traces"]),
-            }
-        )
+        rows.append(_certificate_row(lev, max(lev.evidence["asymptotic_rel_change"]),
+                                     "min_norm=" + _fmt(lev.evidence["min_norm_over_traces"])))
     conf = radial_mod.confinement_certificate(p, ctx, r0=cfg.r0)
-    rows.append(
-        {
-            "record": "certificate",
-            "label": conf.kind,
-            "value": conf.evidence["per_decade_integrals"][-1],
-            "residual": None,
-            "passed": conf.passed,
-            "detail": "target=" + _fmt(conf.evidence["per_decade_target"]),
-        }
-    )
+    rows.append(_certificate_row(conf, conf.evidence["per_decade_integrals"][-1],
+                                 "target=" + _fmt(conf.evidence["per_decade_target"])))
     _emit(
         ["record", "label", "value", "residual", "passed", "detail"],
         rows,
@@ -402,8 +336,8 @@ def cmd_scan(cfg, args):
     p, ctx = _validated(cfg, args)
     lo = cfg.omega_min if cfg.omega_min is not None else cfg.omega - 2.0
     hi = cfg.omega_max if cfg.omega_max is not None else cfg.omega + 2.0
-    if not (math.isfinite(cfg.omega_step) and cfg.omega_step > 0.0):
-        raise ConfigError(f"omega_step must be positive and finite, got {cfg.omega_step}")
+    if not cfg.omega_step > 0.0:
+        raise ConfigError(f"omega_step must be positive, got {cfg.omega_step}")
     steps = (hi - lo) / cfg.omega_step
     if not steps < MAX_SCAN_POINTS - 1:  # n + 1 grid points after rounding
         raise ConfigError(
@@ -417,6 +351,7 @@ def cmd_scan(cfg, args):
             f"{cfg.omega_step} has fewer than 2 points"
         )
     grid = lo + cfg.omega_step * np.arange(n + 1)
+    _exterior_r0(cfg, p)
     scan = modescan_mod.coupled_scan(
         p, ctx, grid, j_window=cfg.j_window, r0=cfg.r0, threshold=cfg.threshold
     )
@@ -509,10 +444,7 @@ def main(argv=None):
     except ConfigError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as ex:
-        print(f"solver error: {type(ex).__name__}: {ex}", file=sys.stderr)
-        return 3
-    except ValueError as ex:
+    except (*_SOLVER_ERRORS, ValueError) as ex:
         print(f"solver error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 3
 

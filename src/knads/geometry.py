@@ -77,15 +77,6 @@ class BlackHoleParams:
         """Combined squared charge q_e**2 + q_m**2."""
         return self.q_e**2 + self.q_m**2
 
-    @property
-    def lambda_cosmological(self):
-        return -3.0 / self.l**2
-
-    @property
-    def nonextremal(self):
-        """True iff m exceeds the extremal mass for (a, z2, l)."""
-        return self.m > extremal_mass(self.a, self.z2, self.l)
-
 
 @dataclass(frozen=True)
 class HorizonData:

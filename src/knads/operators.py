@@ -160,10 +160,14 @@ def deviation_norm(p, ctx, lam, u):
 
     Its diagonal is formed as (diag - phi_plus) +- conf, never as
     V11 - phi_plus: once conf drops below an ulp of phi_plus, V11 and V22
-    round to the same value and the difference would lose it."""
+    round to the same value and the difference would lose it. The terms are
+    scaled by the power of two of the largest one, which is exact, so the
+    squares cannot overflow."""
     diag, conf, off = _radial_terms(p, ctx, lam, u)
     dev = diag - phi_plus(p, ctx)
-    return np.sqrt((dev + conf) ** 2 + (dev - conf) ** 2 + 2.0 * off**2)
+    _, scale = np.frexp(np.maximum(np.maximum(np.abs(dev), np.abs(conf)), np.abs(off)))
+    dev, conf, off = (np.ldexp(t, -scale) for t in (dev, conf, off))
+    return np.ldexp(np.sqrt((dev + conf) ** 2 + (dev - conf) ** 2 + 2.0 * off**2), scale)
 
 
 def radial_potential(p, ctx, lam, r):

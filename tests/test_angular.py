@@ -252,6 +252,16 @@ def test_defect_rows_do_not_depend_on_their_batch():
             rows = slice(start, start + size)
             got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
             assert np.array_equal(got, wide[rows]), (start, size)
+    # 480 is a multiple of 8; OpenBLAS has rounded the tail columns of a
+    # 486-column product differently, so check the rows past the last full
+    # block of a 487-row batch, alone and in pairs.
+    lams, offs = rng.uniform(-4.0, 4.0, 487), rng.uniform(-0.5, 0.5, 487)
+    wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
+    for start in range(480, 487):
+        for size in (1, 2):
+            rows = slice(start, min(start + size, 487))
+            got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
+            assert np.array_equal(got, wide[rows]), (start, size)
 
 
 def test_magnus_mesh_converges_at_sixth_order():

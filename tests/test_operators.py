@@ -18,6 +18,7 @@ from knads.operators import (
     ModeContext,
     angular_matrix,
     confinement_density,
+    deviation_norm,
     dirac_d,
     phi_plus,
     radial_potential,
@@ -147,6 +148,25 @@ def test_radial_potential_horizon_limit():
     assert ph == pytest.approx(
         (P0.a * P0.xi * 0.5 + 0.1 * P0.q_e * hd.r_plus) / (hd.r_plus**2 + P0.a**2)
     )
+
+
+
+def test_deviation_norm_scales_its_terms_instead_of_overflowing():
+    # Squaring the terms unscaled overflowed for e above about 1.5e155, and
+    # knads classify exited 1 on the RuntimeWarning. With a = mu = lambda = 0
+    # only the diagonal term is left, and it is e times a fixed profile, so
+    # a power-of-two change of e scales the norm exactly.
+    p = BlackHoleParams(m=1.0, a=0.0, q_e=0.5, q_m=0.0, l=1.0)
+    u = np.geomspace(1e-3, 1e3, 9)
+    small = deviation_norm(p, ModeContext(mu=0.0, e=3.0, k=-5.5), 0.0, u)
+    big = deviation_norm(p, ModeContext(mu=0.0, e=3.0 * 2.0**515, k=-5.5), 0.0, u)
+    assert np.all(np.isfinite(big)) and np.all(small > 0.0)
+    assert np.array_equal(big, np.ldexp(small, 515))
+    # the Frobenius norm of V - phi_plus I on an ordinary background
+    v11, v22, v12 = radial_potential_from_u(P0, CTX0, 1.7, u)
+    ph = phi_plus(P0, CTX0)
+    ref = np.sqrt((v11 - ph) ** 2 + (v22 - ph) ** 2 + 2.0 * v12**2)
+    np.testing.assert_allclose(deviation_norm(P0, CTX0, 1.7, u), ref, rtol=1e-12)
 
 
 def test_confinement_density_tail():
