@@ -20,9 +20,10 @@ Blanes, Casas & Ros (BIT 40, 2000) advances psi across an interval by the
 closed-form exponential of a traceless 2x2 matrix Omega, and the Prüfer
 phase eta is the sum of the per-interval rotation angles atan2(cross, dot).
 Omega is a polynomial in (lambda, domega) on each interval, so the tables
-hold its coefficients and a defect call evaluates it by one matrix product.
-Interval propagators are built in blocks of at most _BLOCK elements (rows x
-intervals), so memory stays flat however wide the batch. Near each pole the
+hold its coefficients and a defect call evaluates it by stacked matrix
+products of one shape per table. Interval propagators are built in blocks of
+at most _BLOCK elements (rows x intervals) where the batch allows, so memory
+stays flat however wide the batch. Near each pole the
 recessive (power-law bounded) solution is selected by the Frobenius phase at
 theta = eps.
 
@@ -41,8 +42,8 @@ integer m doubles as a global mode label. illinois_batched finds them: a
 batched, safeguarded Illinois (modified regula falsi) iteration in which
 each item stops on its own bracket width and is then frozen. Because the
 mesh depends only on an item's or window's own bounds and every operation
-is elementwise over the batch, no eigenvalue depends on what else shares
-its batch.
+is elementwise over the batch or a product of fixed shape, no eigenvalue
+depends on what else shares its batch.
 """
 
 from dataclasses import dataclass
@@ -86,8 +87,11 @@ _PHASE_STEP = 0.1
 _PHASE_CAP = 1.0
 # Mesh grading: interval lengths in t scale as e^(-t / _GRADE).
 _GRADE = 3.0
-# Largest propagator block built at once, in rows x intervals.
+# Largest propagator block built at once, in rows x intervals. Each Omega
+# product spans _PER intervals (cut to a divisor of n) and _WIDTH rows.
 _BLOCK = 8192
+_PER = 4
+_WIDTH = 8
 # Illinois steps without halving the bracket before a bisection step, and
 # the step budget of one root-finder call.
 _STALE_STEPS = 3
@@ -482,23 +486,23 @@ def _omega_table(terms, layout):
 
 
 def _monomials(lams, domega, m):
-    """The first m of _MONOMIALS at each row, (m, columns) with a single row
-    repeated: numpy hands a one-column product to gemv, whose sums may round
-    differently from gemm's, and a row must not depend on its batch."""
-    lams = np.resize(lams, max(lams.size, 2))
-    dw = np.broadcast_to(domega, lams.shape)
+    """The first m of _MONOMIALS at each row, (m, columns), the rows repeated
+    up to a multiple of _WIDTH columns: _sweep's products have one width."""
+    cols = -(-lams.size // _WIDTH) * _WIDTH
+    lams, dw = (np.resize(v, cols) for v in np.broadcast_arrays(lams, domega))
     powers = [[np.ones_like(lams), v, v * v, v * v * v] for v in (lams, dw)]
     return np.stack([powers[0][i] * powers[1][j] for i, j in _MONOMIALS[:m]])
 
 
-def _sweep(tabs, lams, domega, eta0, record, by_row=False):
+def _sweep(tabs, lams, domega, eta0, record):
     """Propagate rows stacked as [side 0 rows, side 1 rows, ...] across the
     mesh of every side of tabs.
 
     Per block of intervals, Omega = z sigma_z + j J + x sigma_x is one
-    product tabs (intervals x sides x 3, monomials) @ _monomials, or with
-    by_row a sum over the monomials in a fixed order (BLAS may round a
-    column by its place in the product). With q = z^2 + x^2 - j^2 and s =
+    np.matmul of products tabs (per intervals x sides x 3, monomials) @
+    _monomials (monomials, _WIDTH rows), per = gcd(n, _PER), of one shape
+    per table; every OpenBLAS kernel tested sums their columns alike, so a
+    row's bits do not depend on its batch. With q = z^2 + x^2 - j^2 and s =
     sqrt(|q|), exp(Omega) = C + (S / s) Omega: (C, S) = (cosh s, sinh s)
     where q >= 0. Where q < 0 the vector turns in the sense of j, through
     pi each time s passes a multiple of pi: with k = floor(s / pi),
@@ -514,18 +518,19 @@ def _sweep(tabs, lams, domega, eta0, record, by_row=False):
     the factor |g|. Sums run strictly in mesh order, whatever the block."""
     rows = lams.size
     sides, n, m = tabs.shape[0], tabs.shape[1], tabs.shape[-1]
-    mono = _monomials(lams, domega, m)
-    block = max(1, _BLOCK // (sides * rows))
+    per = math.gcd(n, _PER)
+    mono = _monomials(lams, domega, m).reshape(m, -1, _WIDTH).swapaxes(0, 1)
+    block = per * max(1, _BLOCK // (sides * rows * per))
     keep = np.broadcast_to(record, (n + 1,))
     eta = np.array(eta0, dtype=float)
     logr, w = np.zeros(eta.shape), np.exp(-2j * eta)
     etas, logs = [eta[None][keep[:1]]], [logr[None][keep[:1]]]
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
-        coef = np.moveaxis(tabs[:, i0:i1], 0, 1).reshape(-1, m)
-        om = sum(coef[:, k, None] * mono[k] for k in range(m)) if by_row else coef @ mono
-        om = om.reshape(i1 - i0, sides, 3, -1)[..., :rows]
-        z, j, x = om[:, :, 0], om[:, :, 1], om[:, :, 2]
+        coef = np.moveaxis(tabs[:, i0:i1], 0, 1).reshape(-1, 1, per * sides * 3, m)
+        om = np.empty((coef.shape[0], per * sides * 3, mono.shape[0], _WIDTH))
+        np.matmul(coef, mono, out=om.swapaxes(1, 2))  # lands in row order, no copy
+        z, j, x = np.moveaxis(om.reshape(i1 - i0, sides, 3, -1)[..., :rows], 2, 0)
         q = z * z + x * x - j * j
         s = np.sqrt(np.abs(q))
         rot, hyp = q < 0.0, q >= 0.0
@@ -541,7 +546,7 @@ def _sweep(tabs, lams, domega, eta0, record, by_row=False):
         g = np.empty_like(alpha)
         for i in range(i1 - i0):
             gi = np.add(alpha[i], np.multiply(beta[i], w, out=g[i]), out=g[i])
-            w = w * np.conj(gi) / gi  # in place, numpy rounds a single element apart
+            w = w * np.conj(gi) / gi  # not in place: in place, numpy rounds one element apart
         gain = np.angle(g) + turns.reshape(i1 - i0, -1)
         steps = np.cumsum(np.concatenate([eta[None], gain]), axis=0)[1:]
         eta = steps[-1]

@@ -124,7 +124,7 @@ def _convert(key, f, val):
 def parse_config(text):
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # not JSON, or an integer of more than 4,300 digits
         raise ConfigError(f"config is not valid JSON: {ex}") from ex
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -144,9 +144,9 @@ def parse_config(text):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise ConfigError(f"cannot read config: {ex}") from ex
     return parse_config(text)
 
@@ -351,6 +351,11 @@ def cmd_scan(cfg, args):
             f"{cfg.omega_step} has fewer than 2 points"
         )
     grid = lo + cfg.omega_step * np.arange(n + 1)
+    if not np.all(np.diff(grid) > 0.0):
+        raise ConfigError(
+            f"scan grid [{grid[0]}, {grid[-1]}] at omega_step {cfg.omega_step} "
+            "repeats frequencies in floating point"
+        )
     _exterior_r0(cfg, p)
     scan = modescan_mod.coupled_scan(
         p, ctx, grid, j_window=cfg.j_window, r0=cfg.r0, threshold=cfg.threshold

@@ -175,7 +175,7 @@ def _leg(p, ctx, leg, omegas, lams, eta0, keep):
         ys = tortoise_map(p).y_of_s(ts)
         sel = keep(ys)
         tabs = _radial_tables(p, ctx, (leg,), int(nn))
-        end, (etas, logs) = _sweep(tabs, omegas[rows], lams[rows], eta0[rows], sel, by_row=True)
+        end, (etas, logs) = _sweep(tabs, omegas[rows], lams[rows], eta0[rows], sel)
         yield rows, end, ts[sel], ys[sel], etas.T.copy(), logs.T.copy()
 
 
@@ -185,7 +185,7 @@ def _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     inf0 = _infinity_init(p, ctx, lam, omegas, delta) if beta_infinity is None else beta_infinity
     eta0 = np.concatenate([np.full(omegas.shape, _BETA), np.broadcast_to(inf0, omegas.shape)])
-    phases, _ = _sweep(_radial_tables(p, ctx, legs, n), omegas, float(lam), eta0, False, by_row=True)
+    phases, _ = _sweep(_radial_tables(p, ctx, legs, n), omegas, float(lam), eta0, False)
     return phases[: omegas.size] - phases[omegas.size:]
 
 

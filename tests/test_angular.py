@@ -22,9 +22,9 @@ from knads.angular import (
 )
 from knads.angular import _defect
 from knads.geometry import BlackHoleParams
-from knads.operators import ModeContext, angular_matrix, dirac_d
+from knads.operators import ModeContext, angular_matrix, dirac_d, tortoise_map
 from knads.oracle import load_fixtures
-from knads.radial import _RADIAL_LAYOUT
+from knads.radial import _RADIAL_LAYOUT, DEFAULT_DELTA, _radial_tables, default_r0
 
 SPHERE = BlackHoleParams(m=1.0, a=0.0, q_e=0.0, q_m=0.0, l=1.0)
 ROTATING = BlackHoleParams(m=1.0, a=0.35, q_e=0.1, q_m=0.0, l=1.0)
@@ -240,9 +240,8 @@ def test_defect_rows_do_not_depend_on_their_batch():
         one = _defect(ROTATING, ctx, lams[i:i + 1], DEFAULT_MATCHING_POINT,
                       math.pi * 1e-6, None, None, domega=offs[i:i + 1])
         assert one[0] == dv[i]
-    # Each Omega block is one matrix product; a single row is padded to two
-    # columns, as numpy hands a one-column product to gemv, whose sums may
-    # round differently from gemm's.
+    # Every Omega product has one shape per table: a row's bits depend only
+    # on its own values, whether it sweeps alone, in a pair or in a wide batch.
     rng = np.random.default_rng(11)
     lams, offs = rng.uniform(-4.0, 4.0, 480), rng.uniform(-0.5, 0.5, 480)
     args = (DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None)
@@ -252,9 +251,9 @@ def test_defect_rows_do_not_depend_on_their_batch():
             rows = slice(start, start + size)
             got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
             assert np.array_equal(got, wide[rows]), (start, size)
-    # 480 is a multiple of 8; OpenBLAS has rounded the tail columns of a
-    # 486-column product differently, so check the rows past the last full
-    # block of a 487-row batch, alone and in pairs.
+    # Rows are padded to a multiple of 8 columns, so no row falls in a
+    # narrower tail product: check the rows past 480 of a 487-row batch,
+    # alone and in pairs.
     lams, offs = rng.uniform(-4.0, 4.0, 487), rng.uniform(-0.5, 0.5, 487)
     wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
     for start in range(480, 487):
@@ -262,6 +261,38 @@ def test_defect_rows_do_not_depend_on_their_batch():
             rows = slice(start, min(start + size, 487))
             got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
             assert np.array_equal(got, wide[rows]), (start, size)
+
+
+@pytest.mark.parametrize("table", ["angular", "radial leg"])
+def test_sweep_rows_do_not_depend_on_their_batch(table):
+    # Each row of a sweep, batched at every size and place, equals its
+    # one-row sweep bit for bit: end phases, recorded phases and amplitudes.
+    rng = np.random.default_rng(15)
+    pool = 600
+    if table == "angular":
+        ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.4)
+        tabs, _ = angular_mod._magnus_tables(ROTATING, ctx, DEFAULT_MATCHING_POINT,
+                                             math.pi * 1e-6, 256)
+        values = rng.uniform(-4.0, 4.0, pool), rng.uniform(-0.5, 0.5, pool)
+    else:
+        tm = tortoise_map(ROTATING)
+        sc = float(tm.log_u_of_y(0.5 * tm.y(default_r0(ROTATING))))
+        leg = ("exp", float(tm.log_u_of_y(DEFAULT_DELTA)), sc)
+        tabs = _radial_tables(ROTATING, ModeContext(mu=1.0, e=0.1, k=0.5), (leg,), 512)
+        values = rng.uniform(-3.0, 3.0, pool), rng.uniform(-3.0, 3.0, pool)
+    sides = tabs.shape[0]
+    eta0 = rng.uniform(-math.pi, math.pi, (sides, pool))
+
+    def sweep(k):
+        end, (etas, logs) = angular_mod._sweep(tabs, values[0][k], values[1][k],
+                                               eta0[:, k].ravel(), True)
+        return [v.reshape(v.shape[:-1] + (sides, k.size)) for v in (end, etas, logs)]
+
+    alone = [sweep(np.array([i])) for i in range(pool)]
+    for size in [*range(1, 71), 100, 243, 486, 487]:
+        k = int(rng.integers(0, pool - size + 1)) + np.arange(size)
+        for got, want in zip(sweep(k), zip(*(alone[i] for i in k))):
+            assert np.array_equal(got, np.concatenate(want, axis=-1)), size
 
 
 def test_magnus_mesh_converges_at_sixth_order():

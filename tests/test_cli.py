@@ -40,6 +40,16 @@ def write_config(tmp_path, name="cfg.json", **extra):
     return str(path)
 
 
+def dumps(cfg):
+    """json.dumps that writes integers past the 4,300-digit conversion limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(cfg)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr()
@@ -393,6 +403,31 @@ def test_non_finite_gauge_flag_is_a_config_error(tmp_path, capsys, command, valu
     assert rc == 2 and "gauge_b must be finite" in err
 
 
+def test_undecodable_config_is_a_config_error(tmp_path, capsys):
+    # a Latin-1 file once ended in a UnicodeDecodeError traceback (exit 1)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(dict(BASE, note="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+    rc, _, err = run(capsys, ["horizons", "--config", str(path)])
+    assert rc == 2 and "config error: cannot read config" in err and "utf-8" in err
+
+
+def test_integer_past_the_conversion_limit_is_a_config_error(tmp_path, capsys):
+    # json.loads raises ValueError, not JSONDecodeError, on an integer of more
+    # than 4,300 digits: once a traceback (exit 1)
+    path = tmp_path / "huge.json"
+    path.write_text(dumps(dict(BASE, m=10**4400)))
+    rc, _, err = run(capsys, ["horizons", "--config", str(path)])
+    assert rc == 2 and "config error: config is not valid JSON" in err and "4300 digits" in err
+
+
+def test_collapsed_scan_grid_is_a_config_error(tmp_path, capsys):
+    # at omega = 1e16 the grid lo + 0.05 k repeats values: once a solver
+    # refusal (exit 3) from coupled_scan
+    cfg = write_config(tmp_path, omega=1e16)
+    rc, _, err = run(capsys, ["scan", "--config", cfg])
+    assert rc == 2 and "[9999999999999998.0, 1.0000000000000002e+16] at omega_step 0.05" in err
+
+
 @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.0, 0.01)])
 def test_reversed_scan_range_is_a_config_error(tmp_path, capsys, lo, hi):
     # reversed, or too short for a second grid point at omega_step 0.05
@@ -512,12 +547,13 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
     cfg=dict(BASE, a=0.0, q_e=0.5, mu=0.0, e=3e155, k=-5.5),
 )
 @example(command="radial", cfg=dict(BASE, r0=0.5))  # inside r_plus: was exit 3
+@example(command="horizons", cfg=dict(BASE, m=10**4400))  # json.loads' ValueError: was exit 1
 def test_cli_config_fuzz_ends_in_an_exit_code(tmp_path_factory, command, cfg):
     # Drawn configs, windows at most 2 wide: every run ends in exit 0, 2
     # (config error) or 3 (solver refusal) with a message, never in a
     # traceback.
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main([command, "--config", str(path)])

@@ -330,9 +330,8 @@ def test_defect_rows_do_not_depend_on_their_batch():
     batch = _defect_hinf(P0, CTX, LAM, omegas, legs, *rest)
     alone = [_defect_hinf(P0, CTX, LAM, [w], legs, *rest)[0] for w in omegas]
     assert np.array_equal(batch, alone)
-    # One Omega product per block: a single row is padded to two columns,
-    # since numpy hands a one-column product to gemv, whose sums may round
-    # differently from gemm's.
+    # Every Omega product has one shape per table: a row's bits depend only
+    # on its own values, whether it sweeps alone or in a wide batch.
     omegas = np.random.default_rng(5).uniform(-3.0, 3.0, 480)
     wide = _defect_hinf(P0, CTX, LAM, omegas, legs, *rest)
     for start in (0, 7, 250, 477):
