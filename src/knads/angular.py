@@ -17,8 +17,9 @@ coefficients are sampled once per (p, ctx, c, eps, n), at 3 Gauss nodes per
 interval, and serve every trial eigenvalue, as in MATSLISE (Ledoux, Van
 Daele & Vanden Berghe, ACM TOMS 31, 2005). The sixth-order Magnus method of
 Blanes, Casas & Ros (BIT 40, 2000) advances psi across an interval by the
-closed-form exponential of a traceless 2x2 matrix Omega, and the Prüfer
-phase eta is the sum of the per-interval rotation angles atan2(cross, dot).
+exponential C + (S/s) Omega of a traceless 2x2 matrix Omega, S/s a power
+series in q = -det Omega where |q| <= 1 and cosh/sinh or cos/sin beyond, and
+the Prüfer phase eta is the sum of the per-interval rotation angles.
 Omega is a polynomial in (lambda, domega) on each interval, so the tables
 hold its coefficients and a defect call evaluates it by stacked matrix
 products of one shape per table. Interval propagators are built in blocks of
@@ -38,12 +39,12 @@ estimated eigenvalue error |D_n - D_{n/2}| / D' exceeds tol.
 
 Eigenvalues are the roots of the matching defect D = eta_left(c) -
 eta_right(c) at multiples m*pi; D is strictly increasing in lambda and the
-integer m doubles as a global mode label. illinois_batched finds them: a
-batched, safeguarded Illinois (modified regula falsi) iteration in which
-each item stops on its own bracket width and is then frozen. Because the
-mesh depends only on an item's or window's own bounds and every operation
-is elementwise over the batch or a product of fixed shape, no eigenvalue
-depends on what else shares its batch.
+integer m doubles as a global mode label. chandrupatla_batched finds them:
+a batched, safeguarded Chandrupatla iteration (inverse-quadratic steps where
+admitted, bisections otherwise) in which each item stops on its own bracket
+width and is then frozen. Because the mesh depends only on an item's or
+window's own bounds and every operation is elementwise over the batch or a
+product of fixed shape, no eigenvalue depends on what else shares its batch.
 """
 
 from dataclasses import dataclass
@@ -63,7 +64,7 @@ __all__ = [
     "SpectrumWindow",
     "solve_window",
     "solve_items",
-    "illinois_batched",
+    "chandrupatla_batched",
     "mesh_intervals",
     "NotLimitPoint",
     "WindowTooWide",
@@ -92,10 +93,11 @@ _GRADE = 3.0
 _BLOCK = 8192
 _PER = 4
 _WIDTH = 8
-# Illinois steps without halving the bracket before a bisection step, and
+# Root-finder steps without halving the bracket before a bisection step, and
 # the step budget of one root-finder call.
 _STALE_STEPS = 3
 _MAX_ROOT_STEPS = 200
+_SINC = [1.0 / math.factorial(2 * k + 1) for k in range(9)]  # sinh(s)/s in q = s^2; 1/19! < 2^-53
 # Gauss-Legendre nodes of one interval, as fractions of its length.
 _GAUSS = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
 
@@ -152,50 +154,50 @@ class SpectrumWindow:
     mesh_error: float
 
 
-def illinois_batched(fun, lo, hi, flo, fhi, tol):
-    """Batched, safeguarded Illinois (modified regula falsi) root finder.
+def chandrupatla_batched(fun, lo, hi, flo, fhi, tol):
+    """Batched, safeguarded Chandrupatla root finder (Adv. Eng. Software 28,
+    145, 1997).
 
     fun(x, idx) returns the residuals of items idx at abscissae x, in one
     call for every live item. Item i starts on [lo_i, hi_i] with residuals
-    flo_i, fhi_i of opposite sign. When the same end moves twice running,
-    the residual kept for the other end is halved (the Illinois step).
-    Every trial point stays tol/4 inside its bracket, and an item whose
-    bracket did not halve over _STALE_STEPS steps bisects next. An item stops once
-    its bracket is narrower than tol and is then frozen, so its iterates
-    never depend on the other items.
+    flo_i, fhi_i of opposite sign. The first step is the secant between the
+    ends; later steps are inverse-quadratic through the bracket ends and the
+    point last dropped where 1 - sqrt(1 - xi) < Phi < sqrt(xi) admits them,
+    and bisections otherwise. Every trial point stays tol/4 inside its
+    bracket, and an item whose bracket did not halve over _STALE_STEPS steps
+    bisects next. An item stops once its bracket is narrower than tol and is
+    then frozen, so its iterates never depend on the other items.
 
     Returns (x, fx): per item the evaluated bracket end with the smaller
     |residual|, and that residual."""
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    fa, fb = np.array(flo, dtype=float), np.array(fhi, dtype=float)
-    ga, gb = fa.copy(), fb.copy()  # end residuals with the Illinois halvings
-    moved = np.zeros(a.shape, dtype=int)  # -1: a moved last, +1: b moved last
-    w_ref = b - a  # width when the bracket last halved
-    stale = np.zeros(a.shape, dtype=int)  # steps since then
-    live = (b - a >= tol) & (fa != 0.0) & (fb != 0.0)
-    for _ in range(_MAX_ROOT_STEPS):
+    # rows a (the newest bracket end), b (the other end), c (the point last
+    # dropped), then their residuals
+    st = np.array([lo, hi, hi, flo, fhi, fhi], dtype=float)
+    w_ref = st[1] - st[0]  # width when the bracket last halved
+    stale = np.zeros(w_ref.shape, dtype=int)  # steps since then
+    live = (w_ref >= tol) & (st[3] != 0.0) & (st[4] != 0.0)
+    for step in range(_MAX_ROOT_STEPS):
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
-        ai, bi, gai, gbi = a[idx], b[idx], ga[idx], gb[idx]
+        a, b, c, fa, fb, fc = st[:, idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = bi - gbi * (bi - ai) / (gbi - gai)
-        x = np.where((stale[idx] >= _STALE_STEPS) | ~np.isfinite(x), 0.5 * (ai + bi), x)
-        x = np.clip(x, ai + 0.25 * tol, bi - 0.25 * tol)
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+            quad = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            x = a + (np.where(quad, t, 0.5) if step else fa / (fa - fb)) * (b - a)
+        x = np.where((stale[idx] >= _STALE_STEPS) | ~np.isfinite(x), 0.5 * (a + b), x)
+        x = np.clip(x, np.minimum(a, b) + 0.25 * tol, np.maximum(a, b) - 0.25 * tol)
         fx = np.asarray(fun(x, idx), dtype=float)
 
-        to_a = np.sign(fx) == np.sign(fa[idx])
-        ia, ib = idx[to_a], idx[~to_a]
-        gb[ia] = np.where(moved[ia] == -1, 0.5 * gb[ia], gb[ia])
-        a[ia], fa[ia], ga[ia], moved[ia] = x[to_a], fx[to_a], fx[to_a], -1
-        ga[ib] = np.where(moved[ib] == 1, 0.5 * ga[ib], ga[ib])
-        b[ib], fb[ib], gb[ib], moved[ib] = x[~to_a], fx[~to_a], fx[~to_a], 1
-
-        width = b[idx] - a[idx]
+        across = np.sign(fx) != np.sign(fa)  # the root lies between x and a
+        st[:, idx] = np.where(across, [x, a, b, fx, fa, fb], [x, b, a, fx, fb, fa])
+        width = np.abs(st[1, idx] - x)
         halved = width <= 0.5 * w_ref[idx]
         w_ref[idx] = np.where(halved, width, w_ref[idx])
         stale[idx] = np.where(halved, 0, stale[idx] + 1)
         live[idx] = (width >= tol) & (fx != 0.0)
+    a, b, _, fa, fb, _ = st
     use_a = np.abs(fa) <= np.abs(fb)
     return np.where(use_a, a, b), np.where(use_a, fa, fb)
 
@@ -206,11 +208,12 @@ def solve_window(defect, lo, hi, tol, coarse):
 
     The number of multiples of pi crossed between the window ends counts the
     eigenvalues. Each is bracketed in one of the grid segments of width
-    <= 0.5 and located there by illinois_batched to a bracket narrower than
-    tol / 2. Labels are signed indices ordered by value, anchored so the
-    first eigenvalue above x = 0 gets +1 (a probe at 0 rides in the grid
-    batch). A window of more than MAX_WINDOW_SEGMENTS segments raises
-    WindowTooWide before the first defect call.
+    <= 0.5 and located there by chandrupatla_batched, from the secant
+    between the segment ends, to a bracket narrower than tol / 2. Labels are
+    signed indices ordered by value, anchored so the first eigenvalue above
+    x = 0 gets +1 (a probe at 0 rides in the grid batch). A window of more
+    than MAX_WINDOW_SEGMENTS segments raises WindowTooWide before the first
+    defect call.
 
     coarse is the same defect on a coarser mesh; mesh_error is the largest
     |coarse - defect| at a root over the secant slope of the root's
@@ -236,7 +239,7 @@ def solve_window(defect, lo, hi, tol, coarse):
     seg = np.clip(np.searchsorted(dgrid, tpi) - 1, 0, nseg - 1)
     a, b = grid[seg], grid[seg + 1]
     fa, fb = dgrid[seg] - tpi, dgrid[seg + 1] - tpi
-    roots, resid = illinois_batched(
+    roots, resid = chandrupatla_batched(
         lambda xs, idx: defect(xs) - tpi[idx], a, b, fa, fb, 0.5 * tol
     )
     slope = (fb - fa) / (b - a)
@@ -502,13 +505,16 @@ def _sweep(tabs, lams, domega, eta0, record):
     np.matmul of products tabs (per intervals x sides x 3, monomials) @
     _monomials (monomials, _WIDTH rows), per = gcd(n, _PER), of one shape
     per table; every OpenBLAS kernel tested sums their columns alike, so a
-    row's bits do not depend on its batch. With q = z^2 + x^2 - j^2 and s =
-    sqrt(|q|), exp(Omega) = C + (S / s) Omega: (C, S) = (cosh s, sinh s)
-    where q >= 0. Where q < 0 the vector turns in the sense of j, through
-    pi each time s passes a multiple of pi: with k = floor(s / pi),
-    exp(Omega) is (-1)^k times that form at (C, S) = (cos, sin)(s - k pi),
-    and the phase gains sign(j) k pi more (a hyperbolic interval never turns
-    through pi). exp(Omega) maps z = u + i v to alpha z + beta conj(z).
+    row's bits do not depend on its batch. With q = z^2 + x^2 - j^2 = -det
+    Omega and s = sqrt(|q|), exp(Omega) = C + (S / s) Omega. Where |q| <= 1,
+    S / s = sum q^k / (2k + 1)! (_SINC, by Horner) and C = sqrt(1 + q (S /
+    s)^2) > 0 for either sign of q, so no trig runs. Elements with |q| > 1,
+    picked by integer index so each one's bits depend on its own q alone,
+    take (C, S) = (cosh s, sinh s) where q > 1; where q < -1 the vector
+    turns in the sense of j, through pi each time s passes a multiple of pi:
+    with k = floor(s / pi), exp(Omega) is (-1)^k times that form at (C, S) =
+    (cos, sin)(s - k pi), and the phase gains sign(j) k pi more. exp(Omega)
+    maps z = u + i v to alpha z + beta conj(z), written in place.
 
     eta0 holds the sides * rows starting phases; record is False, True or a
     mask over the n + 1 nodes. Returns the phases at the end and, when
@@ -532,22 +538,27 @@ def _sweep(tabs, lams, domega, eta0, record):
         np.matmul(coef, mono, out=om.swapaxes(1, 2))  # lands in row order, no copy
         z, j, x = np.moveaxis(om.reshape(i1 - i0, sides, 3, -1)[..., :rows], 2, 0)
         q = z * z + x * x - j * j
-        s = np.sqrt(np.abs(q))
-        rot, hyp = q < 0.0, q >= 0.0
-        cs, sn, turns = np.empty_like(s), np.empty_like(s), np.zeros_like(s)
-        cs[hyp], sn[hyp] = np.cosh(s[hyp]), np.sinh(s[hyp])
-        half = np.floor(s[rot] / math.pi) * math.pi
-        cs[rot], sn[rot] = np.cos(s[rot] - half), np.sin(s[rot] - half)
-        turns[rot] = np.copysign(half, j[rot])
-        sn = np.divide(sn, s, out=np.ones_like(s), where=s > 0.0)
-        alpha, beta = np.empty((2, i1 - i0, sides * rows), dtype=complex)
-        alpha.real, alpha.imag = cs.reshape(i1 - i0, -1), (sn * j).reshape(i1 - i0, -1)
-        beta.real, beta.imag = (sn * z).reshape(i1 - i0, -1), (sn * x).reshape(i1 - i0, -1)
+        ab = np.empty((2,) + q.shape, dtype=complex)
+        cs, sn = ab[0].real, np.full_like(q, _SINC[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # |q| > 1 is overwritten below
+            for coef in _SINC[-2::-1]:
+                np.add(np.multiply(sn, q, out=sn), coef, out=sn)
+            np.sqrt(1.0 + q * sn * sn, out=cs)
+        hyp, rot = np.flatnonzero(q > 1.0), np.flatnonzero(q < -1.0)
+        s = np.sqrt(q.flat[hyp])
+        cs.flat[hyp], sn.flat[hyp] = np.cosh(s), np.sinh(s) / s
+        s = np.sqrt(-q.flat[rot])
+        half = np.floor(s / math.pi) * math.pi
+        cs.flat[rot], sn.flat[rot] = np.cos(s - half), np.sin(s - half) / s
+        for part, v in ((ab[0].imag, j), (ab[1].real, z), (ab[1].imag, x)):
+            np.multiply(sn, v, out=part)
+        alpha, beta = ab.reshape(2, i1 - i0, -1)
         g = np.empty_like(alpha)
         for i in range(i1 - i0):
             gi = np.add(alpha[i], np.multiply(beta[i], w, out=g[i]), out=g[i])
             w = w * np.conj(gi) / gi  # not in place: in place, numpy rounds one element apart
-        gain = np.angle(g) + turns.reshape(i1 - i0, -1)
+        gain = np.angle(g)
+        gain.flat[rot] += np.copysign(half, j.flat[rot])
         steps = np.cumsum(np.concatenate([eta[None], gain]), axis=0)[1:]
         eta = steps[-1]
         if record is not False:
@@ -674,17 +685,8 @@ def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None, n=None):
     """Matching defect eta_left(c) - eta_right(c) per row, on n Magnus
     intervals per side (scalar or per row; by default each row's own
     mesh_intervals)."""
-    left, right, _ = _shoot_batch(
-        p,
-        ctx,
-        lams,
-        c=c,
-        eps=eps,
-        beta_left=beta_left,
-        beta_right=beta_right,
-        domega=domega,
-        n=n,
-    )
+    left, right, _ = _shoot_batch(p, ctx, lams, c=c, eps=eps, beta_left=beta_left,
+                                  beta_right=beta_right, domega=domega, n=n)
     return left - right
 
 
@@ -719,10 +721,11 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
     default pole offset.
 
     Each item gets the Magnus mesh of its own bracket and offset, is solved
-    by illinois_batched to a bracket narrower than tol / 2, and is checked
-    against n/2 at its root (slope from its bracket ends); an item whose
-    estimated eigenvalue error exceeds tol is solved again from its bracket
-    on the doubled mesh. So every root depends on its own item alone.
+    by chandrupatla_batched to a bracket narrower than tol / 2 (one defect
+    call per step for all live items), and is checked against n/2 at its
+    root (slope from its bracket ends); an item whose estimated eigenvalue
+    error exceeds tol is solved again from its bracket on the doubled mesh.
+    So every root depends on its own item alone.
     Returns (roots, |residuals|)."""
     tpi = np.asarray(targets, dtype=float) * math.pi
     lo, hi, dw = (np.asarray(v, dtype=float) for v in (lo, hi, domega))
@@ -740,7 +743,7 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
         k = np.arange(todo.size)
         ends = f(np.concatenate([lo[todo], hi[todo]]), np.concatenate([k, k]))
         flo, fhi = ends[: todo.size], ends[todo.size:]
-        x, fx = illinois_batched(f, lo[todo], hi[todo], flo, fhi, 0.5 * tol)
+        x, fx = chandrupatla_batched(f, lo[todo], hi[todo], flo, fhi, 0.5 * tol)
         slope = (fhi - flo) / (hi[todo] - lo[todo])
         ok = np.abs(f(x, k, halve=2) - fx) <= tol * slope
         roots[todo[ok]], resid[todo[ok]] = x[ok], fx[ok]

@@ -33,7 +33,7 @@ from .geometry import (
     find_horizons,
     komar,
 )
-from .operators import ModeContext, tortoise_map
+from .operators import ModeContext, ParameterOverflow, tortoise_map
 
 
 class ConfigError(ValueError):
@@ -446,7 +446,7 @@ def main(argv=None):
         return 2
     try:
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as ex:
+    except (ConfigError, ParameterOverflow) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
     except (*_SOLVER_ERRORS, ValueError) as ex:

@@ -25,6 +25,10 @@ class DomainError(ValueError):
     function (e.g. theta at an endpoint)."""
 
 
+class ParameterOverflow(ValueError):
+    """A parameter so large that a coefficient overflows; names the parameter."""
+
+
 @dataclass(frozen=True)
 class ModeContext:
     """One partial wave: field mass mu, field charge e, half-integer wave
@@ -97,8 +101,13 @@ def angular_matrix(p, ctx, theta):
 
 
 def _p_function(p, ctx, r):
-    """P(r) = a xi k + e (q_e r + b q_m a); enters the radial diagonal."""
-    return p.a * p.xi * ctx.k + ctx.e * (p.q_e * r + ctx.gauge_b * p.q_m * p.a)
+    """P(r) = a xi k + e (q_e r + b q_m a); enters the radial diagonal.
+    Raises ParameterOverflow, naming e, where P is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = p.a * p.xi * ctx.k + ctx.e * (p.q_e * r + ctx.gauge_b * p.q_m * p.a)
+    if not np.all(np.isfinite(out)):
+        raise ParameterOverflow(f"e = {ctx.e:g} overflows P(r) = a xi k + e (q_e r + b q_m a)")
+    return out
 
 
 def phi_plus(p, ctx):

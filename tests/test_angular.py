@@ -14,8 +14,8 @@ from knads.angular import (
     WindowTooWide,
     amplitude_weight,
     angular_eigenvalues,
+    chandrupatla_batched,
     eigenvalues_by_label,
-    illinois_batched,
     mesh_intervals,
     prufer_rhs,
     shoot_angular,
@@ -210,7 +210,7 @@ def test_amplitude_weight_identities():
         amplitude_weight(ROTATING, ctx, math.pi)
 
 
-def test_illinois_batched_cubics_stop_per_item():
+def test_chandrupatla_batched_cubics_stop_per_item():
     # the bisect_batched cubics: f(x) = (x - s)^3 + (x - s), root at s
     shifts = np.array([-1.7, 0.0, 0.3, 2.9])
 
@@ -219,15 +219,34 @@ def test_illinois_batched_cubics_stop_per_item():
         return d**3 + d
 
     lo, hi = shifts - 2.0, shifts + 3.0
-    roots, res = illinois_batched(fun, lo, hi, fun(lo, np.arange(4)), fun(hi, np.arange(4)), 1e-12)
+    roots, res = chandrupatla_batched(fun, lo, hi, fun(lo, np.arange(4)), fun(hi, np.arange(4)), 1e-12)
     assert np.max(np.abs(roots - shifts)) < 1e-12
     assert np.array_equal(res, fun(roots, np.arange(4)))
     # each item is frozen on its own bracket: alone it gives the same bits
     for i in range(4):
         k = np.array([i])
-        one = illinois_batched(lambda x, idx: fun(x, k[idx]), lo[k], hi[k],
-                               fun(lo[k], k), fun(hi[k], k), 1e-12)
+        one = chandrupatla_batched(lambda x, idx: fun(x, k[idx]), lo[k], hi[k],
+                                   fun(lo[k], k), fun(hi[k], k), 1e-12)
         assert one[0][0] == roots[i] and one[1][0] == res[i]
+
+
+def test_root_finder_steps_are_bounded_where_regula_falsi_stalls():
+    # exp(40 x) - 1 on [-1, 1]: regula falsi keeps the end at x = 1 and
+    # creeps in from the left. The stale-bracket bisection bounds the steps
+    # by _STALE_STEPS + 1 per halving of the bracket; here they stay within
+    # the count of plain bisection.
+    tol, calls = 1e-12, []
+
+    def fun(x, idx):
+        calls.append(x.size)
+        return np.expm1(40.0 * x)
+
+    lo, hi = np.array([-1.0]), np.array([1.0])
+    root, res = chandrupatla_batched(fun, lo, hi, fun(lo, 0), fun(hi, 0), tol)
+    steps = len(calls) - 2
+    assert abs(root[0]) < tol and res[0] == np.expm1(40.0 * root[0])
+    assert steps <= (angular_mod._STALE_STEPS + 1) * math.ceil(math.log2(2.0 / tol))
+    assert steps <= math.ceil(math.log2(2.0 / tol))
 
 
 def test_defect_rows_do_not_depend_on_their_batch():
@@ -462,6 +481,65 @@ def test_sweep_counts_the_half_turns_of_a_long_elliptic_interval(z, j, x):
         want += math.atan2(v[0] * w[1] - v[1] * w[0], v @ w)
         v = w
     assert gain == pytest.approx(want, abs=1e-11)
+
+
+def _mixed_omega(q, rng):
+    """(z, j, x), all nonzero and of the scale sqrt(|q|), for which _sweep's
+    q = z z + x x - j j is exactly q in floating point."""
+    for _ in range(1000):
+        z, x = math.sqrt(abs(q)) * rng.uniform(*((0.8, 1.2) if q > 0 else (0.5, 0.7)), 2)
+        j0 = math.sqrt(z * z + x * x - q)
+        for j in j0 + np.spacing(j0) * np.arange(-8, 9):
+            if z * z + x * x - j * j == q:
+                return z, float(j), x
+    raise AssertionError(f"no (z, j, x) gives q = {q!r}")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "size", [1e-300, 1e-8, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, 50.0]
+)
+def test_sweep_exponential_matches_expm(sign, size):
+    # |q| <= 1 takes the series for sinh(s)/s, |q| > 1 the cosh/sinh or
+    # half-turn cos/sin fallback: on both sides of the switch one interval's
+    # phase gain and log amplitude match scipy's expm.
+    z, j, x = _mixed_omega(sign * size, np.random.default_rng(int(1e3 * size)))
+    eta0 = 0.3
+    end, (_, logs) = angular_mod._sweep(np.array([z, j, x]).reshape(1, 1, 3, 1), np.zeros(1),
+                                        0.0, np.array([eta0]), True)
+    # reference: expm of Omega / 8, applied 8 times, each turn below pi
+    # (expm of Omega itself is off by 4e-13 in the log amplitude at q = 50)
+    step = expm((z * _SIGMA_Z + j * _J + x * _SIGMA_X) / 8.0)
+    v, gain = np.array([math.cos(eta0), math.sin(eta0)]), 0.0
+    for _ in range(8):
+        v, prev = step @ v, v
+        gain += math.atan2(prev[0] * v[1] - prev[1] * v[0], prev @ v)
+    assert end[0] - eta0 == pytest.approx(gain, rel=1e-15, abs=1e-15)
+    assert logs[-1, 0] == pytest.approx(math.log(math.hypot(*v)), rel=1e-15, abs=1e-15)
+
+
+def test_sweep_exponential_of_a_mixed_batch_is_row_exact():
+    # One block in which every interval holds rows on both sides of |q| = 1
+    # and of both signs: each row swept alone gives the same bits.
+    # Omega = (j0 + 2 + u lambda) sigma_z + (j0 + u lambda) J + x0 sigma_x has
+    # q = 2 (2 j0 + 2 + 2 u lambda) + x0^2, linear in lambda.
+    rng = np.random.default_rng(16)
+    n, rows = 8, 48
+    j0, u = rng.uniform(-1.2, -0.8, n), rng.uniform(0.8, 1.2, n)
+    tabs = np.zeros((1, n, 3, 2))
+    tabs[0, :, :, 0] = np.stack([j0 + 2.0, j0, rng.uniform(-0.5, 0.5, n)], axis=1)
+    tabs[0, :, :2, 1] = u[:, None]
+    lams = np.linspace(-4.0, 4.0, rows)
+    om = tabs[0, :, :, :1] + tabs[0, :, :, 1:] * lams  # (n, 3, rows)
+    q = om[:, 0] ** 2 + om[:, 2] ** 2 - om[:, 1] ** 2
+    assert np.all(np.any(np.abs(q) <= 1.0, axis=1)) and np.all(np.any(q > 1.0, axis=1))
+    assert np.all(np.any(q < -math.pi**2, axis=1))  # past a half turn
+    eta0 = rng.uniform(-math.pi, math.pi, rows)
+    end, (etas, logs) = angular_mod._sweep(tabs, lams, 0.0, eta0, True)
+    for i in range(rows):
+        one, (etas1, logs1) = angular_mod._sweep(tabs, lams[i:i + 1], 0.0, eta0[i:i + 1], True)
+        assert one[0] == end[i] and np.array_equal(etas1[:, 0], etas[:, i])
+        assert np.array_equal(logs1[:, 0], logs[:, i])
 
 
 def test_sweep_records_only_the_masked_nodes():

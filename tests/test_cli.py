@@ -546,6 +546,12 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
     command="classify",
     cfg=dict(BASE, a=0.0, q_e=0.5, mu=0.0, e=3e155, k=-5.5),
 )
+@example(
+    # P(r) = a xi k + e (q_e r + b q_m a) overflowed at the horizon
+    # (RuntimeWarning, exit 0 with a non-finite horizon bound)
+    command="classify",
+    cfg=dict(BASE, m=2403036285557493, a=0.0, q_e=1.0, mu=0.0, e=1.07e303, k=-5.5),
+)
 @example(command="radial", cfg=dict(BASE, r0=0.5))  # inside r_plus: was exit 3
 @example(command="horizons", cfg=dict(BASE, m=10**4400))  # json.loads' ValueError: was exit 1
 def test_cli_config_fuzz_ends_in_an_exit_code(tmp_path_factory, command, cfg):
@@ -561,6 +567,15 @@ def test_cli_config_fuzz_ends_in_an_exit_code(tmp_path_factory, command, cfg):
     assert "Traceback" not in err.getvalue()
     if rc:
         assert "error:" in err.getvalue() and "NaN" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["classify", "scan"])
+def test_overflowing_charge_coupling_is_a_config_error_naming_e(tmp_path, capsys, command):
+    # e q_e r_plus past the float range: classify printed RuntimeWarnings and
+    # exited 0 with a non-finite horizon bound
+    cfg = write_config(tmp_path, m=2403036285557493, a=0.0, q_e=1.0, mu=0.0, e=1.07e303, k=-5.5)
+    rc, _, err = run(capsys, [command, "--config", cfg])
+    assert rc == 2 and "config error: e = 1.07e+303 overflows P(r)" in err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import knads.angular as angular_mod
 from knads.geometry import BlackHoleParams, reparameterize
 from knads.angular import eigenvalues_by_label
 from knads.modescan import (
@@ -200,3 +201,18 @@ def test_coarse_curves_equal_the_fine_curves_exactly():
     fine = coupled_scan(P_BASE, CTX, -2.0 + 0.025 * np.arange(161), j_window=3)
     for j in coarse.lambda_curves:
         assert np.array_equal(coarse.lambda_curves[j], fine.lambda_curves[j][::2]), j
+
+
+def test_criterion_8_scan_needs_at_most_19_defect_calls(monkeypatch):
+    # Root-finder steps set the scan's cost: the Illinois finder took 21
+    # angular defect calls (4,617 rows), Chandrupatla's takes 19 (4,240).
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return defect(*args, **kwargs)
+
+    defect = angular_mod._defect
+    monkeypatch.setattr(angular_mod, "_defect", counted)
+    coupled_scan(P_BASE, CTX, GRID_81, j_window=3)
+    assert len(calls) <= 19
