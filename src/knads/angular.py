@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from .classify import angular_exponents, classify_angular
-from .geometry import delta_theta
+from .geometry import InputError, Refusal, delta_theta
 from .operators import _angular_entries, dirac_d
 # Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
 from .rk import integrate  # noqa: F401
@@ -102,12 +102,12 @@ _SINC = [1.0 / math.factorial(2 * k + 1) for k in range(9)]  # sinh(s)/s in q = 
 _GAUSS = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
 
 
-class NotLimitPoint(Exception):
+class NotLimitPoint(Refusal):
     """An angular endpoint is limit circle and no boundary parameter beta was
     supplied; shooting refuses rather than picking an extension silently."""
 
 
-class WindowTooWide(Exception):
+class WindowTooWide(Refusal):
     """More than 1e3 eigenvalues requested in a single window, a window
     wider than MAX_WINDOW_SEGMENTS grid segments, or a lambda range whose
     Magnus mesh would exceed MAX_MESH_INTERVALS."""
@@ -220,7 +220,7 @@ def solve_window(defect, lo, hi, tol, coarse):
     segment."""
     lo, hi = float(lo), float(hi)
     if not hi > lo:
-        raise ValueError("window must satisfy lam_lo < lam_hi")
+        raise InputError("window must satisfy lam_lo < lam_hi")
     if not hi - lo <= 0.5 * MAX_WINDOW_SEGMENTS:
         raise WindowTooWide(f"window [{lo}, {hi}] is wider than {0.5 * MAX_WINDOW_SEGMENTS}")
     nseg = max(2, int(math.ceil((hi - lo) / 0.5)))
@@ -781,10 +781,10 @@ def amplitude_weight(p, ctx, theta, c=DEFAULT_MATCHING_POINT):
     purely electric background (q_m = 0); satisfies E(c) = 1 and
     E_k = 1/E_{-k}."""
     if p.q_m != 0.0:
-        raise ValueError("closed-form weight requires q_m = 0")
+        raise InputError("closed-form weight requires q_m = 0")
     theta = np.asarray(theta, dtype=float)
     if np.any((theta <= 0.0) | (theta >= math.pi)):
-        raise ValueError("theta must lie in (0, pi)")
+        raise InputError("theta must lie in (0, pi)")
 
     def f_part(t):
         ct = np.cos(t)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import find_horizons
+from .geometry import InputError, find_horizons
 from .operators import decade_integrals, delta_r_vec, deviation_norm, dirac_d, tortoise_map
 
 LIMIT_POINT = "LimitPoint"
@@ -132,7 +132,7 @@ def classify_radial_infinity(mu, l):
     """Endpoint class at r=infinity: limit point iff mu*l >= 1/2 (boundary
     value included), with the decaying/growing solution exponents +-mu*l."""
     if mu <= 0.0 or l <= 0.0:
-        raise ValueError("mu and l must be positive")
+        raise InputError("mu and l must be positive")
     mul = mu * l
     return EndpointClass("r=infinity", mul, _verdict(mul), "thm3")
 

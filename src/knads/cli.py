@@ -7,9 +7,9 @@ optional fields tune windows and grids. Output is CSV (default) or JSON,
 floats printed with 17 significant digits, row order deterministic, so a
 rerun with the same config and flags is byte-identical.
 
-Exit codes: 0 success, 2 config/validation error, 3 solver failure. The
-KNADS_FIXTURES environment variable overrides the oracle fixtures path used
-by the test suite (see oracle.fixtures_path).
+Exit codes: 0 success, 2 on an InputError and 3 on a Refusal (geometry.py);
+any other exception is a bug and ends in a traceback. KNADS_FIXTURES
+overrides the oracle fixtures path (see oracle.fixtures_path).
 """
 
 import argparse
@@ -27,29 +27,19 @@ from . import oracle as oracle_mod
 from . import radial as radial_mod
 from .geometry import (
     BlackHoleParams,
-    NoHorizon,
-    OutsideExterior,
+    InputError,
+    Refusal,
     extremal_mass,
     find_horizons,
+    horizon_slope,
     komar,
 )
-from .operators import ModeContext, ParameterOverflow, tortoise_map
+from .operators import ModeContext, tortoise_map
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
-
-_SOLVER_ERRORS = (
-    NoHorizon,
-    OutsideExterior,
-    angular_mod.NotLimitPoint,
-    angular_mod.WindowTooWide,
-    radial_mod.NotConfining,
-    radial_mod.TooCloseToPhiPlus,
-    modescan_mod.ExtremalUnsupported,
-    oracle_mod.GridTooCoarse,
-)
 
 # Largest frequency grid a scan accepts; a finer grid is a config error.
 MAX_SCAN_POINTS = 10**5
@@ -179,15 +169,9 @@ def _emit(columns, rows, args, extra_json=None):
 
 
 def _validated(cfg, args):
-    """Construct the parameter and mode objects, with --gauge-b in place of
-    the config's gauge_b when given, mapping their validation errors to exit
-    code 2."""
-    try:
-        p = cfg.params()
-        ctx = cfg.mode_ctx(gauge_b=args.gauge_b)
-    except (ValueError, TypeError) as ex:
-        raise ConfigError(str(ex)) from ex
-    return p, ctx
+    """The parameter and mode objects, with --gauge-b in place of the
+    config's gauge_b when given; both constructors raise InputError."""
+    return cfg.params(), cfg.mode_ctx(gauge_b=args.gauge_b)
 
 
 def _exterior_r0(cfg, p):
@@ -212,7 +196,6 @@ def cmd_horizons(cfg, args):
     p, _ = _validated(cfg, args)
     hd = find_horizons(p)
     mk, jk, qe, qm = komar(p)
-    tm = tortoise_map(p)
     row = {
         "r_plus": hd.r_plus,
         "r_minus": hd.r_minus,
@@ -222,7 +205,7 @@ def cmd_horizons(cfg, args):
         "komar_angular_momentum": jk,
         "komar_charge_e": qe,
         "komar_charge_m": qm,
-        "horizon_slope": getattr(tm, "slope", math.inf),
+        "horizon_slope": math.inf if hd.extremal else horizon_slope(p),
     }
     _emit(list(row), [row], args)
     return 0
@@ -440,16 +423,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except ConfigError as ex:
+        return _COMMANDS[args.command](load_config(args.config), args)
+    except InputError as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ParameterOverflow) as ex:
-        print(f"config error: {ex}", file=sys.stderr)
-        return 2
-    except (*_SOLVER_ERRORS, ValueError) as ex:
+    except Refusal as ex:
         print(f"solver error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 3
 

@@ -13,26 +13,34 @@ from functools import lru_cache
 import math
 
 
-class NoHorizon(Exception):
+class InputError(ValueError):
+    """An input the caller must mend; the CLI exits 2 with a config error."""
+
+
+class Refusal(ValueError):
+    """Inputs the solver declines; the CLI exits 3 with a solver error."""
+
+
+class NoHorizon(Refusal):
     """Raised when Delta_r has no real root, i.e. m < m_ext, or when its
     outer root cannot be bracketed before Delta_r overflows."""
 
 
-class InvalidRoots(Exception):
+class InvalidRoots(InputError):
     """Raised when a root pair does not correspond to admissible parameters."""
 
 
-class OutsideExterior(Exception):
+class OutsideExterior(Refusal):
     """Raised when a radius below the outer horizon is passed to an
     exterior-only quantity."""
 
 
 def require_finite(obj):
-    """Raise ValueError naming the first non-finite field of a dataclass."""
+    """Raise InputError naming the first non-finite field of a dataclass."""
     for f in fields(obj):
         val = getattr(obj, f.name)
         if not math.isfinite(val):
-            raise ValueError(f"{f.name} must be finite, got {val}")
+            raise InputError(f"{f.name} must be finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,11 @@ class BlackHoleParams:
         }
         for name, sq in squares.items():
             if not math.isfinite(sq):
-                raise ValueError(f"{name} overflows; the parameters are too large")
+                raise InputError(f"{name} overflows; the parameters are too large")
         if not self.l > 0:
-            raise ValueError("AdS radius l must be positive")
+            raise InputError("AdS radius l must be positive")
         if not self.a**2 < self.l**2:
-            raise ValueError("need a**2 < l**2")
+            raise InputError("need a**2 < l**2")
 
     @property
     def xi(self):
@@ -114,11 +122,11 @@ def extremal_mass(a, z2, l):
         s = sqrt((1 + a^2/l^2)^2 + 12 (a^2 + z2)/l^2).
     """
     if not l > 0:
-        raise ValueError("l must be positive")
+        raise InputError("l must be positive")
     if not a * a < l * l:
-        raise ValueError("need a**2 < l**2")
+        raise InputError("need a**2 < l**2")
     if z2 < 0:
-        raise ValueError("z2 must be nonnegative")
+        raise InputError("z2 must be nonnegative")
     al2 = (a / l) ** 2
     s = math.sqrt((1.0 + al2) ** 2 + 12.0 * (a * a + z2) / l**2)
     # s - al2 - 1 >= 0 always (equality only when a = z2 = 0); clamp rounding.
@@ -177,7 +185,7 @@ def find_horizons(p):
     (Delta_r is decreasing on r <= 0 with Delta_r(0) = a**2 + z**2 >= 0).
     Bracketing on [0, r_max] with bisection to 1e-14 and a Newton polish.
     r_max starts from the smaller of the AdS scale l (1 + 2 sqrt(m l)) and
-    the mass scale 2 m, plus a + 1, and doubles until Delta_r > 0 and
+    the mass scale 2 m, plus |a| + 1, and doubles until Delta_r > 0 and
     Delta_r' > 0 there, which puts it above r_plus (Delta_r' increasing).
 
     Raises NoHorizon when the minimum is positive (m below the extremal mass).
@@ -186,7 +194,7 @@ def find_horizons(p):
     m = max(p.m, 0.0)
     if not math.isfinite(2.0 * m):  # the mass scale; Delta_r holds -2 m r
         raise NoHorizon(f"2 m overflows at m = {m:.3g}")
-    r_max = min(p.l * (1.0 + 2.0 * math.sqrt(m * p.l)), 2.0 * m) + p.a + 1.0
+    r_max = min(p.l * (1.0 + 2.0 * math.sqrt(m * p.l)), 2.0 * m) + abs(p.a) + 1.0
     try:
         while delta_r_prime(p, r_max) <= 0.0 or delta_r(p, r_max) <= 0.0:
             r_max *= 2.0
@@ -300,5 +308,5 @@ def horizon_slope(p):
     gravity."""
     hd = find_horizons(p)
     if hd.extremal:
-        raise ValueError("non-extremal horizon required")
+        raise Refusal("non-extremal horizon required")
     return (hd.r_plus**2 + p.a**2) / delta_r_prime(p, hd.r_plus)

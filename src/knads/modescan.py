@@ -27,7 +27,7 @@ import numpy as np
 from . import angular
 from .angular import DEFAULT_EPSILON, DEFAULT_MATCHING_POINT, eigenvalues_by_label
 from .classify import sa_report
-from .geometry import find_horizons
+from .geometry import InputError, Refusal, find_horizons
 from .operators import phi_plus
 from .radial import horizon_continuation_evidence, levinson_phi_plus
 # Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
@@ -38,7 +38,7 @@ _TRACK_MARGIN = 0.02
 _ITEM_TOL = 1e-10
 
 
-class ExtremalUnsupported(Exception):
+class ExtremalUnsupported(Refusal):
     """The empty-point-spectrum scan is a non-extremal statement; the
     extremal horizon changes the asymptotics and is out of scope."""
 
@@ -109,13 +109,13 @@ def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT
         raise ExtremalUnsupported("scan requires a non-extremal horizon")
     rep = sa_report(p, ctx_base)
     if not rep.essentially_self_adjoint:
-        raise ValueError(
+        raise Refusal(
             "scan precondition failed: operator not essentially self-adjoint "
             f"(codes {rep.rationale_codes})"
         )
     omegas = np.asarray(list(omega_grid), dtype=float)
     if omegas.size < 2 or np.any(np.diff(omegas) <= 0):
-        raise ValueError("omega_grid must be strictly increasing with >= 2 points")
+        raise InputError("omega_grid must be strictly increasing with >= 2 points")
     if isinstance(j_window, int):
         labels = tuple(range(-j_window, 0)) + tuple(range(1, j_window + 1))
     else:
@@ -219,7 +219,7 @@ def periodicity_verdict(scan, period):
     (NoBoundStateFound) or flags a PeriodicCandidate. If no candidate
     frequency lies in the range the scan says nothing about this period."""
     if period <= 0:
-        raise ValueError("period must be positive")
+        raise InputError("period must be positive")
     omegas = np.asarray(scan.omega_grid)
     lo, hi = omegas[0], omegas[-1]
     step = np.max(np.diff(omegas)) if omegas.size > 1 else 0.0

@@ -17,15 +17,15 @@ import math
 
 import numpy as np
 
-from .geometry import OutsideExterior, find_horizons, horizon_slope, require_finite
+from .geometry import InputError, OutsideExterior, Refusal, find_horizons, horizon_slope, require_finite
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """Raised when a coordinate sits outside the open domain of a coefficient
     function (e.g. theta at an endpoint)."""
 
 
-class ParameterOverflow(ValueError):
+class ParameterOverflow(InputError):
     """A parameter so large that a coefficient overflows; names the parameter."""
 
 
@@ -47,7 +47,7 @@ class ModeContext:
         require_finite(self)
         two_k = 2.0 * self.k
         if abs(two_k - round(two_k)) > 1e-12 or round(two_k) % 2 == 0:
-            raise ValueError("2k must be an odd integer")
+            raise InputError("2k must be an odd integer")
 
     @property
     def n(self):
@@ -136,7 +136,7 @@ def sqrt_delta_r_from_u(p, u):
     u = np.asarray(u, dtype=float)
     u_max = min(1e75, 1e150 / math.sqrt(c0))
     if np.any(u > u_max):
-        raise ValueError(f"r - r_plus = {np.max(u):.3g} is past {u_max:.3g}, where Delta_r overflows")
+        raise Refusal(f"r - r_plus = {np.max(u):.3g} is past {u_max:.3g}, where Delta_r overflows")
     r = rp + u
     q2 = (r + c1) * r + c0
     return np.sqrt(u * (u + (rp - rm)) * q2) / p.l
@@ -144,13 +144,16 @@ def sqrt_delta_r_from_u(p, u):
 
 def _radial_terms(p, ctx, lam, u):
     """(diag, conf, off) at r = r_plus + u, vectorized: V11 = diag + conf,
-    V22 = diag - conf, V12 = off."""
+    V22 = diag - conf, V12 = off; ParameterOverflow names an e or mu too large."""
     rp = find_horizons(p).r_plus
     u = np.asarray(u, dtype=float)
     r = rp + u
     r2a2 = r * r + p.a**2
     sq = sqrt_delta_r_from_u(p, u)
-    return _p_function(p, ctx, r) / r2a2, ctx.mu * r * sq / r2a2, lam * sq / r2a2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(conf := ctx.mu * r * sq / r2a2)):
+            raise ParameterOverflow(f"mu = {ctx.mu:g} overflows mu r sqrt(Delta_r)")
+    return _p_function(p, ctx, r) / r2a2, conf, lam * sq / r2a2
 
 
 def radial_potential_from_u(p, ctx, lam, u):
@@ -292,6 +295,10 @@ class TortoiseMap:
         self._rm, self._c1, self._c0 = rm, c1, c0
 
         self.r_big = 50.0 * max(self.r_plus, p.l)
+        # dy/ds squares r up to r_big; r_plus < 1e103 (find_horizons), so l sets it.
+        if not math.isfinite((self.r_big + c1) * self.r_big + c0):
+            raise InputError(f"l = {p.l:.4g} is too large: Delta_r overflows at the tortoise "
+                             f"map's far radius 50 l = {self.r_big:.4g}")
         s_hi = math.log(self.r_big - self.r_plus)
         if self.extremal:
             # Stop the bulk at a moderate u and hand over to v = 1/u, where
@@ -406,9 +413,9 @@ class TortoiseMap:
         1e-14 max(1, |s|), so a result does not depend on the batch."""
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0.0):
-            raise ValueError("y must be positive")
+            raise InputError("y must be positive")
         if np.any(y < self._y_min):
-            raise ValueError(f"y = {np.min(y):.3g} maps past r - r_plus = 1e+150, where dy/ds overflows")
+            raise Refusal(f"y = {np.min(y):.3g} maps past r - r_plus = 1e+150, where dy/ds overflows")
         yf = y.ravel()
         logy = np.log(yf)
         s = np.interp(logy, self._logy_table, self._s_table)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .geometry import find_horizons
+from .geometry import Refusal, find_horizons
 from .operators import (
     _angular_entries,
     _p_function,
@@ -38,7 +38,7 @@ from .operators import (
 )
 
 
-class GridTooCoarse(Exception):
+class GridTooCoarse(Refusal):
     """Fewer grid cells than the scheme needs for trustworthy cross-checks."""
 
 
@@ -163,12 +163,12 @@ def discretize_radial_confined(p, ctx, lam, r0, N, delta=1e-3):
     if N < 200:
         raise GridTooCoarse("radial oracle needs N >= 200")
     if ctx.mu * p.l < 0.5:
-        raise ValueError("confined oracle requires mu*l >= 1/2")
+        raise Refusal("confined oracle requires mu*l >= 1/2")
     hd = find_horizons(p)
     tm = tortoise_map(p)
     x0 = tm.x(r0)
     if not x0 < -delta:
-        raise ValueError("r0 maps inside the infinity cutoff")
+        raise Refusal("r0 maps inside the infinity cutoff")
     h = 1.0 / N
     x_of, dx_of = _cluster_map(x0, -delta)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .angular import (NotLimitPoint, _GAUSS, _GRADE, _PHASE_CAP, _PHASE_STEP, _magnus_terms,
                       _mesh_size, _omega_table, _refined_window, _sweep)
-from .geometry import find_horizons
+from .geometry import Refusal, find_horizons
 from .operators import (
     _radial_terms,
     decade_integrals,
@@ -53,12 +53,12 @@ _N_DECADES = 4  # confinement certificate: decades from r0
 _GROWTH_DECADES = 3  # growth exponents: decades from default_r0
 
 
-class NotConfining(Exception):
+class NotConfining(Refusal):
     """The discrete-spectrum mechanism needs mu > 0; without the mass term
     the operator is not confining toward infinity."""
 
 
-class TooCloseToPhiPlus(Exception):
+class TooCloseToPhiPlus(Refusal):
     """The oscillation certificate is ill-conditioned for omega within 1e-6
     of phi_plus; the Levinson certificate covers that point."""
 
@@ -92,6 +92,17 @@ def _infinity_init(p, ctx, lam, omegas, delta):
 
 def default_r0(p):
     return find_horizons(p).r_plus + p.l
+
+
+def _matching_point(p, r0, delta):
+    """(r0, y(r0)), r0 = default_r0 when None, for a sweep from the infinity
+    cutoff y = delta; refused when y(r0) <= 20 delta leaves too short a leg."""
+    named = "r0" if r0 is not None else "the default r0 = r_plus + l"
+    r0 = default_r0(p) if r0 is None else r0
+    if not (y0 := tortoise_map(p).y(r0)) > 20.0 * delta:
+        raise Refusal(f"{named} = {r0:.7g} has y(r0) = {y0:.3g}, not above 20 times the "
+                      f"infinity cutoff y = {delta:g}")
+    return r0, y0
 
 
 # (component, monomial omega^i lambda^j) of the signed rows (h0, g1, -g2, g4).
@@ -206,13 +217,9 @@ def hinf_eigenvalues(p, ctx, lam, r0=None, window=(-5.0, 5.0), beta_infinity=Non
         raise NotLimitPoint(
             "r=infinity is limit circle for mu*l < 1/2; supply beta_infinity"
         )
-    if r0 is None:
-        r0 = default_r0(p)
+    r0, y0 = _matching_point(p, r0, delta)
     tm = tortoise_map(p)
-    yc = 0.5 * tm.y(r0)
-    if not yc > 10.0 * delta:
-        raise ValueError("r0 too close to the infinity cutoff")
-    s0, sc, sd = math.log(r0 - tm.r_plus), float(tm.log_u_of_y(yc)), float(tm.log_u_of_y(delta))
+    s0, sc, sd = math.log(r0 - tm.r_plus), float(tm.log_u_of_y(0.5 * y0)), float(tm.log_u_of_y(delta))
     legs = (("exp", s0, sc), ("exp", sd, sc))
     bound = max(abs(float(window[0])), abs(float(window[1])))
     n = max(int(_leg_intervals(p, ctx, leg, [bound], [lam])[0]) for leg in legs)
@@ -296,7 +303,7 @@ def levinson_phi_plus(p, ctx, lam):
     every checkpoint is a mesh node."""
     hd = find_horizons(p)
     if hd.extremal:
-        raise ValueError("Levinson certificate applies to the non-extremal case")
+        raise Refusal("Levinson certificate applies to the non-extremal case")
     ph = phi_plus(p, ctx)
     tm = tortoise_map(p)
     checkpoints = tm.log_u_of_y(np.array([_Y_START, _Y_MAX / 8, _Y_MAX / 4, _Y_MAX / 2, _Y_MAX]))
@@ -336,7 +343,7 @@ def horizon_oscillation(p, ctx, lam, omega):
     phi_plus in the x convention, and the Prüfer radius stays bounded."""
     hd = find_horizons(p)
     if hd.extremal:
-        raise ValueError("oscillation certificate applies to the non-extremal case")
+        raise Refusal("oscillation certificate applies to the non-extremal case")
     ph = phi_plus(p, ctx)
     if abs(omega - ph) < 1e-6:
         raise TooCloseToPhiPlus(
@@ -440,10 +447,8 @@ def horizon_continuation_evidence(p, ctx, lams, omegas, r0=None):
     Returns arrays (slope, amplitude_ratio, decay_exponent, phi_plus)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if r0 is None:
-        r0 = default_r0(p)
+    r0, y0 = _matching_point(p, r0, DEFAULT_DELTA)
     tm = tortoise_map(p)
-    y0 = tm.y(r0)
     s0 = math.log(r0 - tm.r_plus)
     sd, s_far = tm.log_u_of_y(np.array([DEFAULT_DELTA, _Y_FAR]))
     ph = phi_plus(p, ctx)

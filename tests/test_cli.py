@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -13,11 +14,12 @@ import numpy as np
 import pytest
 
 import knads
+import knads.cli as cli_mod
 import knads.radial as radial_mod
 import knads.rk as rk_mod
 from knads.angular import eigenvalues_by_label
 from knads.cli import RunConfig, main, parse_config
-from knads.geometry import BlackHoleParams, extremal_mass, find_horizons
+from knads.geometry import BlackHoleParams, InputError, Refusal, extremal_mass, find_horizons, horizon_slope
 from knads.operators import ModeContext, phi_plus
 
 BASE = {
@@ -488,6 +490,70 @@ def test_mesh_refusal_names_mu_a(tmp_path, capsys):
     assert "lambda" not in err
 
 
+def test_every_knads_exception_declares_its_exit_code():
+    # the CLI maps InputError to exit 2 and Refusal to exit 3, and lists no
+    # exception class of its own
+    package = os.path.dirname(knads.__file__)
+    names = sorted(f[:-3] for f in os.listdir(package) if f.endswith(".py") and f not in ("__init__.py", "rk.py"))
+    classes = [obj for name in names for obj in vars(importlib.import_module(f"knads.{name}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == f"knads.{name}"]
+    assert {"ConfigError", "ParameterOverflow", "NoHorizon", "GridTooCoarse"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        assert issubclass(cls, InputError) != issubclass(cls, Refusal), cls
+
+
+def test_a_bare_value_error_is_a_bug_not_a_refusal(tmp_path, monkeypatch):
+    # every ValueError once ended in exit 3 as "solver error"
+    def buggy(cfg, args):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "horizons", buggy)
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(["horizons", "--config", write_config(tmp_path)])
+
+
+def test_negative_a_without_a_mass_ends_without_a_horizon(tmp_path):
+    # the horizon bracket started at r = a + 1 = 0 and doubled it forever
+    cfg = write_config(tmp_path, m=0.0, a=-1.0, q_e=0.0, l=1.2)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(knads.__file__)))
+    out = subprocess.run([sys.executable, "-m", "knads.cli", "horizons", "--config", cfg], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    assert out.stderr == "solver error: NoHorizon: Delta_r has no positive root for these parameters\n"
+
+
+# hypothesis seed 40 of the fuzz test: Delta_r overflows at 50 l, the tortoise
+# map's far radius
+HUGE_L = dict(BASE, m=1.0, a=0.0, q_e=0.0, l=2.681025434511607e152, mu=0.0, e=0.0, k=-5.5)
+
+
+def test_horizon_slope_needs_no_tortoise_map(tmp_path, capsys):
+    # horizons built the map for its slope, whose dy/ds overflowed at the far
+    # radius (RuntimeWarning, exit 0 or exit 1 under -W error)
+    rc, out, err = run(capsys, ["horizons", "--config", write_config(tmp_path, **HUGE_L)])
+    assert rc == 0 and err == ""
+    p = BlackHoleParams(**{key: HUGE_L[key] for key in ("m", "a", "q_e", "q_m", "l")})
+    assert float(parse_csv(out)[1][0]["horizon_slope"]) == horizon_slope(p)
+
+
+@pytest.mark.parametrize("command", ["tortoise", "classify"])
+def test_tortoise_map_refuses_an_overflowing_far_radius(tmp_path, capsys, command):
+    rc, _, err = run(capsys, [command, "--config", write_config(tmp_path, **HUGE_L)])
+    assert rc == 2 and "config error: l = 2.681e+152 is too large" in err
+
+
+@pytest.mark.parametrize("command", ["radial", "scan"])
+def test_default_r0_too_close_to_the_infinity_cutoff_is_refused(tmp_path, capsys, command):
+    # radial exited 3 with "ValueError: r0 too close to the infinity cutoff",
+    # naming an r0 the config never set; scan exited 0 with decay exponents
+    # of 0.295 against mu l = 1
+    cfg = write_config(tmp_path, m=2403036285557493, a=0.0, q_e=1.0, k=-5.5)
+    rc, out, err = run(capsys, [command, "--config", cfg])
+    assert rc == 3 and out == ""
+    assert err == ("solver error: Refusal: the default r0 = r_plus + l = 168758.6 has y(r0) = 2.67e-05, "
+                   "not above 20 times the infinity cutoff y = 1e-05\n")
+
+
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 
@@ -518,7 +584,7 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
 
 @settings(max_examples=40, deadline=None)
 @given(
-    command=st.sampled_from(["horizons", "classify", "tortoise", "angular", "radial"]),
+    command=st.sampled_from(["horizons", "classify", "tortoise", "angular", "radial", "scan"]),
     cfg=_FUZZ_CONFIGS,
 )
 @example(
@@ -554,10 +620,15 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
 )
 @example(command="radial", cfg=dict(BASE, r0=0.5))  # inside r_plus: was exit 3
 @example(command="horizons", cfg=dict(BASE, m=10**4400))  # json.loads' ValueError: was exit 1
+@example(command="horizons", cfg=dict(BASE, m=0.0, a=-1.0, q_e=0.0, l=1.2))  # hung
+@example(command="horizons", cfg=HUGE_L)  # RuntimeWarning: was exit 1 here
+@example(command="classify", cfg=dict(BASE, a=0.0, q_e=0.0, mu=1.5780240058386693e308, e=0.0, k=-5.5))  # same
 def test_cli_config_fuzz_ends_in_an_exit_code(tmp_path_factory, command, cfg):
-    # Drawn configs, windows at most 2 wide: every run ends in exit 0, 2
-    # (config error) or 3 (solver refusal) with a message, never in a
-    # traceback.
+    # Drawn configs, windows at most 2 wide and scans of 5 frequencies and
+    # two labels: every run ends in exit 0, 2 (config error) or 3 (solver
+    # refusal) with a message, never in a traceback.
+    if command == "scan":
+        cfg = dict(cfg, omega_step=1.0, j_window=1)
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(dumps(cfg))
     out, err = io.StringIO(), io.StringIO()
@@ -576,6 +647,15 @@ def test_overflowing_charge_coupling_is_a_config_error_naming_e(tmp_path, capsys
     cfg = write_config(tmp_path, m=2403036285557493, a=0.0, q_e=1.0, mu=0.0, e=1.07e303, k=-5.5)
     rc, _, err = run(capsys, [command, "--config", cfg])
     assert rc == 2 and "config error: e = 1.07e+303 overflows P(r)" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "radial", "scan"])
+def test_overflowing_mass_coupling_is_a_config_error_naming_mu(tmp_path, capsys, command):
+    # mu r sqrt(Delta_r) past the float range: classify printed a
+    # RuntimeWarning and exited 0 (hypothesis seed 5 of the fuzz test)
+    cfg = write_config(tmp_path, a=0.0, q_e=0.0, mu=1.5780240058386693e308, e=0.0, k=-5.5)
+    rc, _, err = run(capsys, [command, "--config", cfg])
+    assert rc == 2 and "config error: mu = 1.57802e+308 overflows mu r sqrt(Delta_r)" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import math
 
@@ -55,6 +56,14 @@ def test_roots_match_companion_matrix_oracle(rng):
         # residual at the polished root is at machine scale
         scale = max(abs(c) for c in quartic_coeffs(p)) * max(1.0, hd.r_plus) ** 4
         assert abs(delta_r(p, hd.r_plus)) < 1e-12 * scale
+
+
+def test_horizons_do_not_depend_on_the_sign_of_a(rng):
+    # the bracket once started at a + 1, so -a bisected another interval:
+    # r_plus at m = 3, a = +-1.9, l = 2 was 1.4440322190307076 vs ...073
+    cases = [BlackHoleParams(m=3.0, a=1.9, l=2.0)] + [draw_nonextremal(rng) for _ in range(200)]
+    for p in cases:
+        assert find_horizons(dataclasses.replace(p, a=-p.a)) == find_horizons(p)
 
 
 def test_exterior_positivity(rng):

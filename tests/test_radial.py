@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 import knads.radial as radial_mod
 from knads.angular import NotLimitPoint, WindowTooWide
-from knads.geometry import BlackHoleParams, find_horizons, reparameterize
+from knads.geometry import BlackHoleParams, Refusal, find_horizons, reparameterize
 from knads.modescan import coupled_scan
 from knads.oracle import discretize_radial_confined
 from knads.operators import (
@@ -115,6 +115,27 @@ def test_refusals():
     assert sw.count > 0
     with pytest.raises(ValueError):
         hinf_eigenvalues(P0, CTX, LAM, r0=1e8)
+
+
+@pytest.mark.parametrize(
+    "p, r0, named",
+    [
+        (P0, 1e8, "r0 = 1e+08 has y(r0) = "),
+        # r_plus is about 1.7e5 l here, so r_plus + l sits at y ~ 2.7 delta
+        (BlackHoleParams(m=2403036285557493.0, a=0.0, q_e=1.0, l=1.0), None,
+         "the default r0 = r_plus + l = 168758.6 has y(r0) = 2.67e-05"),
+    ],
+    ids=["config_r0", "default_r0"],
+)
+def test_confined_solve_and_evidence_share_one_r0_guard(p, r0, named):
+    # both sweep the infinity leg from y = DEFAULT_DELTA to r0
+    with pytest.raises(Refusal) as solve:
+        hinf_eigenvalues(p, CTX, LAM, r0=r0)
+    with pytest.raises(Refusal) as evidence:
+        horizon_continuation_evidence(p, CTX, [LAM], [0.0], r0=r0)
+    assert str(solve.value) == str(evidence.value)
+    assert str(solve.value).startswith(named)
+    assert str(solve.value).endswith("not above 20 times the infinity cutoff y = 1e-05")
 
 
 def test_horizon_ac_certificate_nonextremal():
