@@ -18,8 +18,9 @@ interval, and serve every trial eigenvalue, as in MATSLISE (Ledoux, Van
 Daele & Vanden Berghe, ACM TOMS 31, 2005). The sixth-order Magnus method of
 Blanes, Casas & Ros (BIT 40, 2000) advances psi across an interval by the
 exponential C + (S/s) Omega of a traceless 2x2 matrix Omega, S/s a power
-series in q = -det Omega where |q| <= 1 and cosh/sinh or cos/sin beyond, and
-the Prüfer phase eta is the sum of the per-interval rotation angles.
+series in q = -det Omega where |q| <= 1 and cos/sin beyond, or for q > 1
+the exponential over cosh s, I + (tanh s / s) Omega; the Prüfer phase eta
+is the sum of the per-interval rotation angles.
 Omega is a polynomial in (lambda, domega) on each interval, so the tables
 hold its coefficients and a defect call evaluates it by stacked matrix
 products of one shape per table. Interval propagators are built in blocks of
@@ -29,13 +30,13 @@ recessive (power-law bounded) solution is selected by the Frobenius phase at
 theta = eps.
 
 mesh_intervals fixes n, a power of two, from (p, ctx, c, eps) and a bound
-on |lambda| and |domega| alone, by two bounds per interval: the lambda and
-domega part of the phase rate moves the phase by at most _PHASE_STEP (the
-accuracy budget), the whole rate by at most _PHASE_CAP < pi/2 (so the
-rotation angles unwrap the phase). A mesh above MAX_MESH_INTERVALS is
-refused with WindowTooWide before anything is sampled. Each solve checks its
-mesh once, at the converged roots, against n/2, and doubles n while the
-estimated eigenvalue error |D_n - D_{n/2}| / D' exceeds tol.
+on |lambda| and |domega| alone, by one accuracy bound per interval: the
+lambda and domega part of the phase rate moves the phase by at most
+_PHASE_STEP. The hyperbolic k / sin(theta) part needs none. A mesh above
+MAX_MESH_INTERVALS is refused with WindowTooWide before anything is
+sampled. Each solve checks its mesh once, at the converged roots, against
+n/2, and doubles n while the estimated eigenvalue error |D_n - D_{n/2}| /
+D' exceeds tol.
 
 Eigenvalues are the roots of the matching defect D = eta_left(c) -
 eta_right(c) at multiples m*pi; D is strictly increasing in lambda and the
@@ -79,13 +80,12 @@ DEFAULT_EPSILON = 1e-6 * math.pi
 DEFAULT_MATCHING_POINT = math.pi / 2
 
 # Magnus mesh: intervals per side are a power of two in [MIN, MAX]; the
-# phase bounds per interval set n for large |lambda| or |k|, the floor for
-# small. _PHASE_STEP bounds the lambda and domega part of an interval's phase
-# move, _PHASE_CAP the whole move.
+# phase bound per interval sets n for large |lambda|, the floor for small.
+# _PHASE_STEP bounds the lambda and domega part of an interval's phase move.
 MIN_MESH_INTERVALS = 256
 MAX_MESH_INTERVALS = 2**16
 _PHASE_STEP = 0.1
-_PHASE_CAP = 1.0
+_SIGMA_MAX = 1e30  # sigma^10 stays finite: Omega multiplies up to 5 samples of A, q squares it
 # Mesh grading: interval lengths in t scale as e^(-t / _GRADE).
 _GRADE = 3.0
 # Largest propagator block built at once, in rows x intervals. Each Omega
@@ -217,7 +217,8 @@ def solve_window(defect, lo, hi, tol, coarse):
 
     coarse is the same defect on a coarser mesh; mesh_error is the largest
     |coarse - defect| at a root over the secant slope of the root's
-    segment."""
+    segment, and inf, with no roots, where the defect on the grid is not
+    finite and strictly increasing."""
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise InputError("window must satisfy lam_lo < lam_hi")
@@ -227,6 +228,8 @@ def solve_window(defect, lo, hi, tol, coarse):
     grid = np.linspace(lo, hi, nseg + 1)
     dvals = defect(np.concatenate([grid, [0.0]]))
     dgrid, d0 = dvals[:-1], dvals[-1]
+    if not np.all(np.diff(dgrid) > 0.0):  # D rises strictly: the mesh does not resolve it
+        return SpectrumWindow(lo, hi, (), (), (), 0, mesh_error=math.inf)
     if (dgrid[-1] - dgrid[0]) / math.pi > 1e3:
         raise WindowTooWide("window holds more than 1e3 eigenvalues")
 
@@ -300,58 +303,43 @@ def mesh_intervals(
 ):
     """Magnus intervals per side for |lambda| <= lam_bound and |domega| <=
     domega_bound (scalars, or arrays giving each item its own mesh): the
-    smallest power of two, at least MIN_MESH_INTERVALS, that meets both
-    per-interval phase bounds.
+    smallest power of two, at least MIN_MESH_INTERVALS, that keeps the
+    lambda and domega part of every interval's phase move within
+    _PHASE_STEP, the accuracy budget.
 
-    At distance r = e^t from the pole, Delta_theta >= xi bounds |d eta/dt| by
+    At distance r = e^t from the pole, Delta_theta >= xi bounds that part of
+    |d eta/dt| by r L,
 
-        r L + sigma r / sin(r),
-        L = (|lambda| + |mu a|) / sqrt(xi) + |a| (|omega| + |domega|) / xi,
-        sigma = |d| (1 + |b|) + |k|.
+        L = (|lambda| + |mu a|) / sqrt(xi) + |a| (|omega| + |domega|) / xi.
 
     On a side reaching distance x, the mesh graded with beta = _GRADE gives
     the interval starting at t a length of at most h(t) = S e^{-t/beta} / n,
-    S = beta (x^{1/beta} - eps^{1/beta}), so n h(t) times the rate does not
-    depend on n. Its supremum over the side is bounded in closed form,
-    splitting at r = 1/2 (r / sin r increasing, e^{-t/beta} decreasing):
+    S = beta (x^{1/beta} - eps^{1/beta}), so sup n h r L = S x^{1 - 1/beta} L
+    does not depend on n; it sits at c, where the coefficients vary.
 
-        sup n h r L     = S x^{1 - 1/beta} L,
-        sup n h sigma r / sin r
-                        <= S sigma max(g(1/2) eps^{-1/beta}, g(x) 2^{1/beta}),
-
-    g(r) = r / sin r. The lambda and domega part stays within _PHASE_STEP
-    per interval: it grows toward c, where the coefficients vary, and sets
-    the accuracy. The whole rate stays within _PHASE_CAP per interval, below
-    pi/2, so the per-interval rotation angles unwrap the phase (up to the
-    rate's change across one interval); the sigma part peaks at the pole,
-    where A is nearly constant and the Magnus step nearly exact, so it needs
-    no accuracy budget. n is known before anything is sampled. Raises
+    The rest of the rate, at most sigma r / sin r with sigma = |d| (1 + |b|)
+    + |k|, is hyperbolic and needs no bound: it peaks at the pole, where A is
+    nearly constant, so the Magnus step is nearly exact, and the swept
+    solution is the dominant one in its direction of travel. Raises
     WindowTooWide when n would exceed MAX_MESH_INTERVALS, naming the term
-    that dominates: |lambda|, |mu a|, |a| (|omega| + |domega|) or sigma."""
+    that dominates: |lambda|, |mu a| or |a| (|omega| + |domega|), and
+    Refusal for sigma above _SIGMA_MAX, where Omega could overflow."""
+    sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
+    if not sigma <= _SIGMA_MAX:
+        raise Refusal(f"sigma = |d| (1 + |b|) + |k| = {sigma:g} is above {_SIGMA_MAX:g}, "
+                      "where the Magnus Omega of a pole interval could overflow")
     lam_bound = np.asarray(lam_bound, dtype=float)
     domega_bound = np.asarray(domega_bound, dtype=float)
-    sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
     mu_a, a_omega = abs(ctx.mu * p.a), abs(p.a) * (abs(ctx.omega) + domega_bound)
+    e0 = eps ** (1.0 / _GRADE)
+    span = max(_GRADE * (x ** (1.0 / _GRADE) - e0) * x ** (1.0 - 1.0 / _GRADE) for *_, x in _sides(c))
     with np.errstate(over="ignore"):  # a rate past the float range is +inf, refused below
-        lam_rate = (lam_bound + mu_a) / math.sqrt(p.xi) + a_omega / p.xi
-        need, lam_w, sigma_w = np.zeros(lam_rate.shape), 0.0, 0.0
-        e0 = eps ** (1.0 / _GRADE)
-        for _, _, _, x in _sides(c):
-            span = _GRADE * (x ** (1.0 / _GRADE) - e0)
-            lam_part = span * x ** (1.0 - 1.0 / _GRADE) * lam_rate
-            sigma_part = span * sigma * max(
-                0.5 / math.sin(0.5) / e0, x / math.sin(x) * 2.0 ** (1.0 / _GRADE)
-            )
-            need = np.maximum(
-                need, np.maximum(lam_part / _PHASE_STEP, (lam_part + sigma_part) / _PHASE_CAP)
-            )
-            lam_w = max(lam_w, span * x ** (1.0 - 1.0 / _GRADE) / _PHASE_STEP)
-            sigma_w = max(sigma_w, sigma_part / _PHASE_CAP)
+        need = span * ((lam_bound + mu_a) / math.sqrt(p.xi) + a_omega / p.xi) / _PHASE_STEP
+    w = span / _PHASE_STEP
     return _mesh_size(need, (
-        ("|lambda| <= {:g}", lam_bound, lam_w * lam_bound / math.sqrt(p.xi)),
-        ("|mu a| = {:g}", mu_a, lam_w * mu_a / math.sqrt(p.xi)),
-        ("|a| (|omega| + |domega|) <= {:g}", a_omega, lam_w * a_omega / p.xi),
-        ("sigma = |d| (1 + |b|) + |k| = {:g}", sigma, sigma_w),
+        ("|lambda| <= {:g}", lam_bound, w * lam_bound / math.sqrt(p.xi)),
+        ("|mu a| = {:g}", mu_a, w * mu_a / math.sqrt(p.xi)),
+        ("|a| (|omega| + |domega|) <= {:g}", a_omega, w * a_omega / p.xi),
     ))
 
 
@@ -510,11 +498,14 @@ def _sweep(tabs, lams, domega, eta0, record):
     S / s = sum q^k / (2k + 1)! (_SINC, by Horner) and C = sqrt(1 + q (S /
     s)^2) > 0 for either sign of q, so no trig runs. Elements with |q| > 1,
     picked by integer index so each one's bits depend on its own q alone,
-    take (C, S) = (cosh s, sinh s) where q > 1; where q < -1 the vector
-    turns in the sense of j, through pi each time s passes a multiple of pi:
-    with k = floor(s / pi), exp(Omega) is (-1)^k times that form at (C, S) =
-    (cos, sin)(s - k pi), and the phase gains sign(j) k pi more. exp(Omega)
-    maps z = u + i v to alpha z + beta conj(z), written in place.
+    take exp(Omega) / cosh s = I + (tanh s / s) Omega where q > 1, and the
+    log amplitude gains log cosh s = s + log1p(e^{-2s}) - log 2: a positive
+    factor leaves the phase, which turns by less than pi between Omega's
+    eigen-directions, so no s overflows or needs a bound. Where q < -1 the
+    vector turns in the sense of j, through pi each time s passes a multiple
+    of pi: with k = floor(s / pi), exp(Omega) is (-1)^k times C + (S / s)
+    Omega at (C, S) = (cos, sin)(s - k pi), and the phase gains sign(j) k pi
+    more. exp(Omega) maps z = u + i v to alpha z + beta conj(z), in place.
 
     eta0 holds the sides * rows starting phases; record is False, True or a
     mask over the n + 1 nodes. Returns the phases at the end and, when
@@ -546,7 +537,8 @@ def _sweep(tabs, lams, domega, eta0, record):
             np.sqrt(1.0 + q * sn * sn, out=cs)
         hyp, rot = np.flatnonzero(q > 1.0), np.flatnonzero(q < -1.0)
         s = np.sqrt(q.flat[hyp])
-        cs.flat[hyp], sn.flat[hyp] = np.cosh(s), np.sinh(s) / s
+        cs.flat[hyp], sn.flat[hyp] = 1.0, np.tanh(s) / s  # exp(Omega) / cosh s
+        log_cosh = s + np.log1p(np.exp(-2.0 * s)) - math.log(2.0)
         s = np.sqrt(-q.flat[rot])
         half = np.floor(s / math.pi) * math.pi
         cs.flat[rot], sn.flat[rot] = np.cos(s - half), np.sin(s - half) / s
@@ -562,7 +554,9 @@ def _sweep(tabs, lams, domega, eta0, record):
         steps = np.cumsum(np.concatenate([eta[None], gain]), axis=0)[1:]
         eta = steps[-1]
         if record is not False:
-            growth = np.cumsum(np.concatenate([logr[None], np.log(np.abs(g))]), axis=0)[1:]
+            grow = np.log(np.abs(g))
+            grow.flat[hyp] += log_cosh
+            growth = np.cumsum(np.concatenate([logr[None], grow]), axis=0)[1:]
             logr = growth[-1]
             etas.append(steps[keep[i0 + 1:i1 + 1]])
             logs.append(growth[keep[i0 + 1:i1 + 1]])

@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .angular import (NotLimitPoint, _GAUSS, _GRADE, _PHASE_CAP, _PHASE_STEP, _magnus_terms,
-                      _mesh_size, _omega_table, _refined_window, _sweep)
+from .angular import (NotLimitPoint, _GAUSS, _GRADE, _PHASE_STEP, _magnus_terms, _mesh_size,
+                      _omega_table, _refined_window, _sweep)
 from .geometry import Refusal, find_horizons
 from .operators import (
     _radial_terms,
@@ -51,6 +51,7 @@ _Y_START, _Y_MAX = 1.0, 1e4  # horizon certificates: the stretch in y
 _Y_FAR = 1e3  # continuation evidence: end of the horizon leg in y
 _N_DECADES = 4  # confinement certificate: decades from r0
 _GROWTH_DECADES = 3  # growth exponents: decades from default_r0
+_PHASE_CAP = 1.0  # recorded legs: the rotation's phase move per interval where the potential mixes
 
 
 class NotConfining(Refusal):
@@ -149,11 +150,14 @@ def _radial_tables(p, ctx, legs, n):
 
 def _leg_intervals(p, ctx, leg, omegas, lams):
     """Magnus intervals per piece of leg for each row (omega, lambda), from
-    the leading-order n h(s) of the leg's grading at n = 1024: the change
-    of A across an interval, h^2 |A'|, stays within _PHASE_STEP, and the
-    whole rate moves it by at most _PHASE_CAP wherever the sigma_z and
-    sigma_x parts still move it by _PHASE_STEP / n or more. Beyond, A is a
-    rotation settling to its limit, whose half-turns _sweep counts."""
+    the leading-order n h(s) of the leg's grading at n = 1024, by accuracy
+    bounds alone: the change of A across an interval, h^2 |A'|, stays within
+    _PHASE_STEP, and where the sigma_z and sigma_x parts (the potential)
+    still move the phase by _PHASE_STEP / n or more, the rotation omega g1 +
+    g4 that they mix moves it by at most _PHASE_CAP. Beyond, A is a rotation
+    settling to its limit, whose half-turns _sweep counts. The hyperbolic
+    sigma_z and sigma_x parts need no cap: they peak where A is nearly
+    constant, and the swept solution is dominant in its direction of travel."""
     ts = _leg_nodes((leg,), 1024)[0]
     nh = 1024.0 * np.abs(np.diff(ts))
     g = _system_rows(p, ctx, ts)
@@ -163,10 +167,10 @@ def _leg_intervals(p, ctx, leg, omegas, lams):
     cap = np.empty(om.shape)
     for i in range(0, om.size, 64):  # in row blocks, so the (rows, samples) arrays stay small
         mix = lam[i:i + 64, None] * h0 + g2
-        cap[i:i + 64] = np.max(np.where(mix >= _PHASE_STEP, om[i:i + 64, None] * g1 + g4 + mix, 0.0), axis=1)
+        cap[i:i + 64] = np.max(np.where(mix >= _PHASE_STEP, om[i:i + 64, None] * g1 + g4, 0.0), axis=1)
     acc = [np.sqrt(v / _PHASE_STEP) for v in (om * vary[1], lam * vary[0], vary[2] + vary[3])]
     causes = (("|omega| = {:g}", om, np.maximum(acc[0], om * np.max(g1) / _PHASE_CAP)),
-              ("|lambda| = {:g}", lam, np.maximum(acc[1], lam * np.max(h0) / _PHASE_CAP)),
+              ("|lambda| = {:g}", lam, acc[1]),
               ("the radial potential at lambda = {:g}", lam, acc[2]))
     return _mesh_size(np.maximum(np.sqrt(sum(a * a for a in acc)), cap / _PHASE_CAP), causes)
 

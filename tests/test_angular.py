@@ -21,7 +21,7 @@ from knads.angular import (
     shoot_angular,
 )
 from knads.angular import _defect
-from knads.geometry import BlackHoleParams
+from knads.geometry import BlackHoleParams, Refusal
 from knads.operators import ModeContext, angular_matrix, dirac_d, tortoise_map
 from knads.oracle import load_fixtures
 from knads.radial import _RADIAL_LAYOUT, DEFAULT_DELTA, _radial_tables, default_r0
@@ -46,6 +46,14 @@ def test_sphere_higher_wave_number():
     ctx = ModeContext(mu=0.0, e=0.0, k=1.5)
     sw = angular_eigenvalues(SPHERE, ctx, (-3.5, 3.5))
     assert np.max(np.abs(np.abs(sw.eigenvalues) - [3.0, 2.0, 2.0, 3.0])) < 1e-8
+    # The k / sin(theta) rate is hyperbolic and sets no mesh, so large |k|
+    # solves on the mesh its window needs.
+    sw = angular_eigenvalues(SPHERE, ModeContext(mu=0.0, e=0.0, k=300.5), (300.75, 303.75))
+    assert np.max(np.abs(np.array(sw.eigenvalues) - [301.0, 302.0, 303.0])) < 1e-8
+    # No eigenvalue below |k| + 1/2. The pole intervals reach s of about 805,
+    # past the overflow of cosh s near 710; the suite turns RuntimeWarnings
+    # into errors.
+    assert angular_eigenvalues(SPHERE, ModeContext(mu=0.0, e=0.0, k=1000.5), (-4.5, 4.5)).count == 0
 
 
 def test_sphere_omega_independent():
@@ -250,36 +258,41 @@ def test_root_finder_steps_are_bounded_where_regula_falsi_stalls():
 
 
 def test_defect_rows_do_not_depend_on_their_batch():
-    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.4)
-    lams = np.array([-3.1, -0.2, 0.9, 2.6])
-    offs = np.array([0.3, -0.1, 0.0, 0.45])
-    dv = _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6,
-                 None, None, domega=offs)
-    for i in range(lams.size):
-        one = _defect(ROTATING, ctx, lams[i:i + 1], DEFAULT_MATCHING_POINT,
-                      math.pi * 1e-6, None, None, domega=offs[i:i + 1])
-        assert one[0] == dv[i]
-    # Every Omega product has one shape per table: a row's bits depend only
-    # on its own values, whether it sweeps alone, in a pair or in a wide batch.
-    rng = np.random.default_rng(11)
-    lams, offs = rng.uniform(-4.0, 4.0, 480), rng.uniform(-0.5, 0.5, 480)
-    args = (DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None)
-    wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
-    for start in (0, 7, 250, 477):
-        for size in (1, 2, 3):
-            rows = slice(start, start + size)
-            got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
-            assert np.array_equal(got, wide[rows]), (start, size)
-    # Rows are padded to a multiple of 8 columns, so no row falls in a
-    # narrower tail product: check the rows past 480 of a 487-row batch,
-    # alone and in pairs.
-    lams, offs = rng.uniform(-4.0, 4.0, 487), rng.uniform(-0.5, 0.5, 487)
-    wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
-    for start in range(480, 487):
-        for size in (1, 2):
-            rows = slice(start, min(start + size, 487))
-            got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
-            assert np.array_equal(got, wide[rows]), (start, size)
+    # k = 30.5 and 1000.5 put most pole intervals on the hyperbolic branch,
+    # the latter at s up to about 805.
+    for k in (0.5, 30.5, 1000.5):
+        ctx = ModeContext(mu=1.0, e=0.1, k=k, omega=0.4)
+        lams = np.array([-3.1, -0.2, 0.9, 2.6])
+        offs = np.array([0.3, -0.1, 0.0, 0.45])
+        dv = _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6,
+                     None, None, domega=offs)
+        for i in range(lams.size):
+            one = _defect(ROTATING, ctx, lams[i:i + 1], DEFAULT_MATCHING_POINT,
+                          math.pi * 1e-6, None, None, domega=offs[i:i + 1])
+            assert one[0] == dv[i], k
+        # Every Omega product has one shape per table: a row's bits depend
+        # only on its own values, whether it sweeps alone, in a pair or in a
+        # wide batch.
+        rng = np.random.default_rng(11)
+        lams, offs = rng.uniform(-4.0, 4.0, 480), rng.uniform(-0.5, 0.5, 480)
+        args = (DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None)
+        wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
+        assert np.all(np.isfinite(wide)), k
+        for start in (0, 7, 250, 477):
+            for size in (1, 2, 3):
+                rows = slice(start, start + size)
+                got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
+                assert np.array_equal(got, wide[rows]), (k, start, size)
+        # Rows are padded to a multiple of 8 columns, so no row falls in a
+        # narrower tail product: check the rows past 480 of a 487-row batch,
+        # alone and in pairs.
+        lams, offs = rng.uniform(-4.0, 4.0, 487), rng.uniform(-0.5, 0.5, 487)
+        wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
+        for start in range(480, 487):
+            for size in (1, 2):
+                rows = slice(start, min(start + size, 487))
+                got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
+                assert np.array_equal(got, wide[rows]), (k, start, size)
 
 
 @pytest.mark.parametrize("table", ["angular", "radial leg"])
@@ -370,6 +383,19 @@ def test_mesh_bound_does_not_depend_on_the_sign_of_a():
         assert mesh_intervals(mirrored, ctx, lam, 0.5) == mesh_intervals(ROTATING, ctx, lam, 0.5)
 
 
+def test_a_defect_that_does_not_rise_on_the_grid_is_refined():
+    # The defect rises strictly in lambda. Where the grid says otherwise, or
+    # is not finite, the mesh does not resolve it: the window is solved again
+    # on a doubled mesh, up to the cap. Here a magnetic coupling d = 5e9 turns
+    # the pole intervals' Omega faster than any mesh below the cap resolves.
+    for bad in (lambda x: -x, lambda x: np.full(x.shape, np.nan)):
+        sw = angular_mod.solve_window(bad, -1.0, 1.0, 1e-10, coarse=bad)
+        assert sw.count == 0 and sw.mesh_error == math.inf
+    p = dataclasses.replace(SPHERE, q_m=0.5)
+    with pytest.raises(WindowTooWide, match=f"at {MAX_MESH_INTERVALS} intervals"):
+        angular_eigenvalues(p, ModeContext(mu=0.0, e=1e10, k=-5.5), (-4.5, 4.5))
+
+
 def test_mesh_cap_refuses_before_sampling():
     ctx = ModeContext(mu=1.0, e=0.1, k=0.5)
     before = angular_mod._magnus_tables.cache_info()
@@ -451,8 +477,12 @@ def test_mesh_refusal_names_the_dominant_term():
         mesh_intervals(ROTATING, dataclasses.replace(ctx, mu=1e7), 1.0)
     with pytest.raises(WindowTooWide, match=r"^\|a\| \(\|omega\| \+ \|domega\|\) <= 3\.5e\+06"):
         mesh_intervals(ROTATING, ctx.with_omega(1e7), 1.0)
-    with pytest.raises(WindowTooWide, match=r"^sigma = .* = 1e\+07 needs"):
-        mesh_intervals(ROTATING, dataclasses.replace(ctx, k=1e7 + 0.5), 1.0)
+    # sigma = |d| (1 + |b|) + |k| is a hyperbolic rate and enters no mesh
+    # rule; only past the float range of a pole interval's Omega is it refused
+    assert mesh_intervals(ROTATING, dataclasses.replace(ctx, k=1e7 + 0.5), 1.0) == mesh_intervals(
+        ROTATING, ctx, 1.0)
+    with pytest.raises(Refusal, match=r"^sigma = .* = 5\.20833e\+30 is above 1e\+30"):
+        mesh_intervals(PMAG, dataclasses.replace(ctx, e=1e31), 1.0)
     # per item: the message names the item that needs the most
     with pytest.raises(WindowTooWide, match=r"^\|lambda\| <= 2e\+06 needs"):
         mesh_intervals(ROTATING, ctx, np.array([1.0, 2e6, 3.0]), np.zeros(3))
@@ -495,27 +525,43 @@ def _mixed_omega(q, rng):
     raise AssertionError(f"no (z, j, x) gives q = {q!r}")
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
+_EXPM_SIZES = [1e-300, 1e-8, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, 50.0]
+
+
 @pytest.mark.parametrize(
-    "size", [1e-300, 1e-8, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, 50.0]
+    "size, sign", [(size, sign) for size in _EXPM_SIZES for sign in (1.0, -1.0)] + [(900.0, 1.0)]
 )
-def test_sweep_exponential_matches_expm(sign, size):
-    # |q| <= 1 takes the series for sinh(s)/s, |q| > 1 the cosh/sinh or
-    # half-turn cos/sin fallback: on both sides of the switch one interval's
-    # phase gain and log amplitude match scipy's expm.
+def test_sweep_exponential_matches_expm(size, sign):
+    # |q| <= 1 takes the series for sinh(s)/s, |q| > 1 the scaled hyperbolic
+    # form I + (tanh(s)/s) Omega or the half-turn cos/sin fallback: on both
+    # sides of the switch, and at hyperbolic s = 30, one interval's phase
+    # gain and log amplitude match scipy's expm.
     z, j, x = _mixed_omega(sign * size, np.random.default_rng(int(1e3 * size)))
     eta0 = 0.3
     end, (_, logs) = angular_mod._sweep(np.array([z, j, x]).reshape(1, 1, 3, 1), np.zeros(1),
                                         0.0, np.array([eta0]), True)
-    # reference: expm of Omega / 8, applied 8 times, each turn below pi
-    # (expm of Omega itself is off by 4e-13 in the log amplitude at q = 50)
-    step = expm((z * _SIGMA_Z + j * _J + x * _SIGMA_X) / 8.0)
+    # reference: expm of Omega / steps, applied steps times, each turn below
+    # pi and each s below 1 (expm of Omega itself is off by 4e-13 in the log
+    # amplitude at q = 50, and 8 steps by 2.5e-12 at q = 900)
+    steps = 8 * math.ceil(math.sqrt(size) / 8.0)
+    step = expm((z * _SIGMA_Z + j * _J + x * _SIGMA_X) / steps)
     v, gain = np.array([math.cos(eta0), math.sin(eta0)]), 0.0
-    for _ in range(8):
+    for _ in range(steps):
         v, prev = step @ v, v
         gain += math.atan2(prev[0] * v[1] - prev[1] * v[0], prev @ v)
     assert end[0] - eta0 == pytest.approx(gain, rel=1e-15, abs=1e-15)
     assert logs[-1, 0] == pytest.approx(math.log(math.hypot(*v)), rel=1e-15, abs=1e-15)
+
+
+def test_sweep_exponential_past_the_overflow_of_cosh():
+    # Omega = s sigma_x from eta = 0 maps (1, 0) to (cosh s, sinh s): eta =
+    # atan(tanh s) and log rho = log cosh(2 s) / 2 = s - log(2) / 2 + O(e^-4s).
+    # At s = 800 cosh s overflows; the sweep carries exp(Omega) / cosh s.
+    s = 800.0
+    end, (etas, logs) = angular_mod._sweep(np.array([0.0, 0.0, s]).reshape(1, 1, 3, 1),
+                                           np.zeros(1), 0.0, np.zeros(1), True)
+    assert end[0] == etas[-1, 0] == pytest.approx(math.atan(math.tanh(s)), rel=1e-15)
+    assert logs[-1, 0] == pytest.approx(s - 0.5 * math.log(2.0), rel=1e-15)
 
 
 def test_sweep_exponential_of_a_mixed_batch_is_row_exact():

@@ -623,6 +623,14 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
 @example(command="horizons", cfg=dict(BASE, m=0.0, a=-1.0, q_e=0.0, l=1.2))  # hung
 @example(command="horizons", cfg=HUGE_L)  # RuntimeWarning: was exit 1 here
 @example(command="classify", cfg=dict(BASE, a=0.0, q_e=0.0, mu=1.5780240058386693e308, e=0.0, k=-5.5))  # same
+@example(command="angular", cfg=dict(BASE, k=1000.5))  # pole intervals reach s of about 805, past cosh overflow
+@example(command="angular", cfg=dict(BASE, a=0.0, q_m=0.5, e=1.1088856436091546e54, k=-5.5))  # Omega overflows
+@example(
+    # the defect fell across the window on every mesh, and solve_window asked
+    # np.arange for ~1e66 labels (ValueError, exit 1)
+    command="angular",
+    cfg=dict(BASE, a=0.5, q_m=0.4, e=4e29, k=-5.5, gauge_b=1.9, window=[500.0, 501.0]),
+)
 def test_cli_config_fuzz_ends_in_an_exit_code(tmp_path_factory, command, cfg):
     # Drawn configs, windows at most 2 wide and scans of 5 frequencies and
     # two labels: every run ends in exit 0, 2 (config error) or 3 (solver

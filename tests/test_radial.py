@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import knads.radial as radial_mod
-from knads.angular import NotLimitPoint, WindowTooWide
+from knads.angular import NotLimitPoint, WindowTooWide, solve_window
 from knads.geometry import BlackHoleParams, Refusal, find_horizons, reparameterize
 from knads.modescan import coupled_scan
 from knads.oracle import discretize_radial_confined
@@ -334,12 +334,12 @@ def test_tortoise_inverse_is_off_the_radial_hot_path(inverse_calls):
         assert a == b and a["u_of_y"] == 1 and a["log_u_of_y"] <= 2
 
 
-def _legs(p):
-    """The two legs of hinf_eigenvalues' default shooting setup, from r0 and
-    from y = DEFAULT_DELTA to y(r0) / 2."""
+def _legs(p, delta=DEFAULT_DELTA):
+    """The two legs of hinf_eigenvalues' shooting setup with the default r0,
+    from r0 and from y = delta to y(r0) / 2."""
     tm, r0 = tortoise_map(p), default_r0(p)
     sc = float(tm.log_u_of_y(0.5 * tm.y(r0)))
-    return ("exp", math.log(r0 - tm.r_plus), sc), ("exp", float(tm.log_u_of_y(DEFAULT_DELTA)), sc)
+    return ("exp", math.log(r0 - tm.r_plus), sc), ("exp", float(tm.log_u_of_y(delta)), sc)
 
 
 def test_defect_rows_do_not_depend_on_their_batch():
@@ -359,6 +359,25 @@ def test_defect_rows_do_not_depend_on_their_batch():
         for size in (1, 2, 3):
             rows = slice(start, start + size)
             assert np.array_equal(_defect_hinf(P0, CTX, LAM, omegas[rows], legs, *rest), wide[rows])
+
+
+def test_confining_term_sets_no_mesh_on_the_infinity_leg():
+    # The confining sigma_x term grows toward infinity, but it is hyperbolic
+    # where A is nearly constant: at mu = 6 and delta = 1e-6 both legs keep
+    # the floor of 256 intervals, and the eigenvalue matches a forced n =
+    # 4,096 solve.
+    p = BlackHoleParams(m=1.0, a=0.2, q_e=0.1, q_m=0.0, l=1.0)
+    ctx, delta = ModeContext(mu=6.0, e=0.1, k=0.5), 1e-6
+    legs = _legs(p, delta)
+    assert [int(radial_mod._leg_intervals(p, ctx, leg, [5.0], [LAM])[0]) for leg in legs] == [256, 256]
+    sw = hinf_eigenvalues(p, ctx, LAM, delta=delta)
+
+    def defect(n):
+        return lambda omegas: _defect_hinf(p, ctx, LAM, omegas, legs, delta, None, n)
+
+    ref = solve_window(defect(4096), -5.0, 5.0, 1e-10, coarse=defect(2048))
+    assert sw.count == ref.count >= 1
+    assert np.max(np.abs(np.array(sw.eigenvalues) - ref.eigenvalues)) < 1e-12
 
 
 def test_mesh_refusal_names_omega_or_the_potential():
@@ -477,10 +496,25 @@ def test_recorded_legs_converge_when_the_mesh_doubles(leg_mesh):
     assert max(moves(lambda: infinity_growth_exponents(P0, CTX, 1.0, 0.3))) < 5e-4
 
 
+def test_recorded_legs_match_a_fine_mesh_across_the_family(leg_mesh):
+    # Recorded legs have no n/2 check. On each row's own mesh the
+    # continuation evidence matches n = 8,192 intervals per piece: the
+    # amplitude ratio to 1e-6 relative, the phase slope to 1e-12.
+    p = BlackHoleParams(m=1.0, a=0.2, q_e=0.1, q_m=0.0, l=1.0)
+    lams, omegas = np.repeat([1.0, 10.0, 30.0], 2), np.tile([0.5, 5.0], 3)
+    ctxs = [ModeContext(mu=mu, e=0.1, k=k) for mu, k in ((1.0, 0.5), (3.0, 4.5), (6.0, 0.5))]
+    own = [horizon_continuation_evidence(p, ctx, lams, omegas) for ctx in ctxs]
+    fine = leg_mesh(8192, lambda: [horizon_continuation_evidence(p, ctx, lams, omegas) for ctx in ctxs])
+    for ctx, (slope, amp, _, _), (ref_slope, ref_amp, _, _) in zip(ctxs, own, fine):
+        assert np.max(np.abs(amp / ref_amp - 1.0)) < 1e-6, ctx
+        assert np.max(np.abs(slope - ref_slope)) < 1e-12, ctx
+
+
 def test_leg_mesh_grows_with_the_rotation_where_the_potential_mixes():
     # The horizon leg's long intervals are safe only once the sigma_z and
-    # sigma_x parts have died away; before that the whole rate is capped, so
-    # n grows with |omega|. Far beyond the cap the refusal names omega.
+    # sigma_x parts have died away; before that the rotation's rate is
+    # capped, so n grows with |omega|. Far beyond the cap the refusal names
+    # omega.
     leg = (3, 0.0, -3000.0)
     n = radial_mod._leg_intervals(P0, CTX, leg, np.array([0.5, 10.0, 50.0]), np.ones(3))
     assert n[0] == 256 and n[0] < n[1] < n[2]
