@@ -61,7 +61,6 @@ from .operators import _angular_entries, dirac_d
 from .rk import integrate  # noqa: F401
 
 __all__ = [
-    "PruferTrace",
     "SpectrumWindow",
     "solve_window",
     "solve_items",
@@ -70,7 +69,6 @@ __all__ = [
     "NotLimitPoint",
     "WindowTooWide",
     "prufer_rhs",
-    "shoot_angular",
     "angular_eigenvalues",
     "eigenvalues_by_label",
     "amplitude_weight",
@@ -116,26 +114,6 @@ class WindowTooWide(Refusal):
 # Largest grid solve_window shoots, in segments of width 0.5: a wider window
 # is refused before the first defect call, which would shoot the whole grid.
 MAX_WINDOW_SEGMENTS = 2000
-
-
-@dataclass(frozen=True)
-class PruferTrace:
-    """One shooting trace: theta at the mesh nodes, phase, log amplitude,
-    plus the endpoint initialization actually used. tol_achieved is the
-    a-posteriori estimate |eta_n(c) - eta_{n/2}(c)| of the phase error at
-    the matching point."""
-
-    thetas: np.ndarray
-    etas: np.ndarray
-    log_rhos: np.ndarray
-    winding: int
-    frobenius_eta0: float
-    epsilon: float
-    tol_achieved: float
-    side: str
-
-    def max_jump(self):
-        return float(np.max(np.abs(np.diff(self.etas)))) if len(self.etas) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -294,8 +272,8 @@ def _frobenius_init(exponent, lam, mu_a, xi, eps):
 
 
 def _sides(c):
-    """(side, pole, sign, distance from the pole to c) for both sides."""
-    return (("left", 0.0, 1.0, c), ("right", math.pi, -1.0, math.pi - c))
+    """(pole, sign, distance from the pole to c) for both sides."""
+    return ((0.0, 1.0, c), (math.pi, -1.0, math.pi - c))
 
 
 def mesh_intervals(
@@ -324,9 +302,9 @@ def mesh_intervals(
     WindowTooWide when n would exceed MAX_MESH_INTERVALS, naming the term
     that dominates: |lambda|, |mu a| or |a| (|omega| + |domega|), and
     Refusal for sigma above _SIGMA_MAX, where Omega could overflow."""
-    sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
+    sigma, named = _sigma(p, ctx)
     if not sigma <= _SIGMA_MAX:
-        raise Refusal(f"sigma = |d| (1 + |b|) + |k| = {sigma:g} is above {_SIGMA_MAX:g}, "
+        raise Refusal(f"{named} is above {_SIGMA_MAX:g}, "
                       "where the Magnus Omega of a pole interval could overflow")
     lam_bound = np.asarray(lam_bound, dtype=float)
     domega_bound = np.asarray(domega_bound, dtype=float)
@@ -341,6 +319,13 @@ def mesh_intervals(
         ("|mu a| = {:g}", mu_a, w * mu_a / math.sqrt(p.xi)),
         ("|a| (|omega| + |domega|) <= {:g}", a_omega, w * a_omega / p.xi),
     ))
+
+
+def _sigma(p, ctx):
+    """sigma = |d| (1 + |b|) + |k|, the hyperbolic part of the phase rate,
+    and the text that names it in a refusal."""
+    sigma = abs(dirac_d(p, ctx)) * (1.0 + abs(ctx.gauge_b)) + abs(ctx.k)
+    return sigma, f"sigma = |d| (1 + |b|) + |k| = {sigma:g}"
 
 
 def _mesh_size(need, causes):
@@ -362,36 +347,37 @@ def _mesh_size(need, causes):
     return int(n) if n.ndim == 0 else n
 
 
-def _refined(n, bound, name="lambda"):
-    """The doubled mesh size, or WindowTooWide above the cap."""
+def _refined(n, cause):
+    """The doubled mesh size, or WindowTooWide naming cause above the cap."""
     if 2 * n > MAX_MESH_INTERVALS:
         raise WindowTooWide(
-            f"the Magnus mesh error at |{name}| <= {bound:g} stays above "
+            f"the Magnus mesh error at {cause} stays above "
             f"tol at {n} intervals per side, the cap is {MAX_MESH_INTERVALS}"
         )
     return 2 * n
 
 
-def _refined_window(defect, window, tol, n, bound, name="lambda"):
+def _refined_window(defect, window, tol, n, cause):
     """solve_window on defect(x, n), checked against defect(x, n // 2), with
     n doubled while the check estimates an eigenvalue error above tol."""
     while True:
         sw = solve_window(lambda x: defect(x, n), *window, tol, coarse=lambda x: defect(x, n // 2))
         if sw.mesh_error <= tol:
             return sw
-        n = _refined(n, bound, name)
+        n = _refined(n, cause)
 
 
 @lru_cache(maxsize=8)
 def _magnus_tables(p, ctx, c, eps, n):
     """Omega coefficients of both sides on the graded mesh of n intervals.
 
-    Returns (tabs, ts). With A = g0 sigma_z + lambda g1 J - (g2 + domega g3)
-    sigma_x (_ANGULAR_LAYOUT), J = [[0, -1], [1, 0]], tabs[side, i, comp, m] is the coefficient
-    of monomial _MONOMIALS[m] in the (sigma_z, J, sigma_x) component comp of
-    the sixth-order Magnus Omega over interval i (_omega_table); ts[side] are
-    the n + 1 node times t, uniform in e^{t/_GRADE} from log(eps) to log(x)."""
-    _, pole, sign, x = (np.array(v)[:, None] for v in zip(*_sides(c)))
+    With A = g0 sigma_z + lambda g1 J - (g2 + domega g3) sigma_x
+    (_ANGULAR_LAYOUT), J = [[0, -1], [1, 0]], tabs[side, i, comp, m] is the
+    coefficient of monomial _MONOMIALS[m] in the (sigma_z, J, sigma_x)
+    component comp of the sixth-order Magnus Omega over interval i
+    (_omega_table). The n + 1 node times t of a side are uniform in
+    e^{t/_GRADE} from log(eps) to log(x)."""
+    pole, sign, x = (np.array(v)[:, None] for v in zip(*_sides(c)))
     e0 = eps ** (1.0 / _GRADE)
     ts = _GRADE * np.log(e0 + (x ** (1.0 / _GRADE) - e0) * np.linspace(0.0, 1.0, n + 1))
     ts[:, 0], ts[:, -1] = math.log(eps), np.log(x[:, 0])
@@ -402,8 +388,7 @@ def _magnus_tables(p, ctx, c, eps, n):
     sq = np.sqrt(1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2)
     f = sign[..., None] * e / sq
     g = np.stack([f * m12, f, -f * m11, -f * p.a * np.sin(theta) / sq])
-    ts.flags.writeable = False
-    return _omega_table(_magnus_terms(h, g), _ANGULAR_LAYOUT), ts
+    return _omega_table(_magnus_terms(h, g), _ANGULAR_LAYOUT)
 
 
 def _magnus_terms(h, g):
@@ -563,30 +548,28 @@ def _sweep(tabs, lams, domega, eta0, record):
     return eta, None if record is False else (np.concatenate(etas), np.concatenate(logs))
 
 
-def _shoot_batch(
-    p,
-    ctx,
-    lams,
-    c=DEFAULT_MATCHING_POINT,
-    eps=DEFAULT_EPSILON,
-    record=False,
-    beta_left=None,
-    beta_right=None,
-    domega=None,
-    n=None,
-):
-    """Shoot both sides for a whole array of lambda values at once, from
-    theta = eps and theta = pi - eps to the matching point c.
+def _require_limit_point(p, ctx, beta_left, beta_right):
+    at0, atpi = classify_angular(p, ctx)
+    if not at0.limit_point and beta_left is None:
+        raise NotLimitPoint(
+            f"theta=0 is limit circle (nu={at0.exponent}); supply beta_left"
+        )
+    if not atpi.limit_point and beta_right is None:
+        raise NotLimitPoint(
+            f"theta=pi is limit circle (rho0={atpi.exponent}); supply beta_right"
+        )
+
+
+def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None, n=None):
+    """Matching defect eta_left(c) - eta_right(c) per row, both sides shot
+    for a whole array of lambda values at once, from theta = eps and theta =
+    pi - eps to the matching point c.
 
     n gives the Magnus intervals per side (a scalar or one per row); by
     default each row gets mesh_intervals of its own |lambda| and |domega|.
     domega gives optional per-row frequency offsets (the recessive
     initialization is frequency independent since the omega term vanishes
-    to first order at the fixed points).
-
-    Returns the phases eta_left(c) and eta_right(c), plus the two
-    PruferTraces when record is set (None otherwise). Recording shoots a
-    single lambda and also sweeps n/2 for each trace's tol_achieved."""
+    to first order at the fixed points)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     dw = np.zeros(lams.shape) if domega is None else np.broadcast_to(
         np.asarray(domega, dtype=float), lams.shape
@@ -608,80 +591,9 @@ def _shoot_batch(
     for nn in np.unique(n):
         rows = np.flatnonzero(n == nn)
         both = np.concatenate([rows, lams.size + rows])
-        tabs, ts = _magnus_tables(p, ctx, c, eps, int(nn))
-        ends[both], nodes = _sweep(tabs, lams[rows], dw[rows], eta0[both], record)
-    left, right = ends[: lams.size], ends[lams.size:]
-    if not record:
-        return left, right, None
-
-    coarse, _ = _sweep(_magnus_tables(p, ctx, c, eps, int(nn) // 2)[0], lams, dw, eta0, False)
-    etas, log_rhos = nodes
-    traces = tuple(
-        PruferTrace(
-            thetas=pole + sign * np.exp(ts[s]),
-            etas=etas[:, s],
-            log_rhos=log_rhos[:, s],
-            winding=int(math.floor((etas[-1, s] - etas[0, s]) / math.pi)),
-            frobenius_eta0=sign * math.copysign(math.pi / 4, exponent) if beta is None else beta,
-            epsilon=eps,
-            tol_achieved=float(abs(ends[s] - coarse[s])),
-            side=side,
-        )
-        for s, ((side, pole, sign, _), exponent, beta) in enumerate(
-            zip(_sides(c), (nu, rho0), (beta_left, beta_right))
-        )
-    )
-    return left, right, traces
-
-
-def _require_limit_point(p, ctx, beta_left, beta_right):
-    at0, atpi = classify_angular(p, ctx)
-    if not at0.limit_point and beta_left is None:
-        raise NotLimitPoint(
-            f"theta=0 is limit circle (nu={at0.exponent}); supply beta_left"
-        )
-    if not atpi.limit_point and beta_right is None:
-        raise NotLimitPoint(
-            f"theta=pi is limit circle (rho0={atpi.exponent}); supply beta_right"
-        )
-
-
-def shoot_angular(
-    p,
-    ctx,
-    lam,
-    c=DEFAULT_MATCHING_POINT,
-    eps=DEFAULT_EPSILON,
-    beta_left=None,
-    beta_right=None,
-):
-    """Shoot from both poles to the matching point c for one lambda.
-
-    Returns (eta_left(c), eta_right(c), (left_trace, right_trace)). The
-    recessive initialization is applied at theta = eps and theta = pi - eps,
-    with the phase measured in the theta picture on both sides; the traces
-    hold the mesh nodes."""
-    _require_limit_point(p, ctx, beta_left, beta_right)
-    left, right, traces = _shoot_batch(
-        p,
-        ctx,
-        [lam],
-        c=c,
-        eps=eps,
-        record=True,
-        beta_left=beta_left,
-        beta_right=beta_right,
-    )
-    return float(left[0]), float(right[0]), traces
-
-
-def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None, n=None):
-    """Matching defect eta_left(c) - eta_right(c) per row, on n Magnus
-    intervals per side (scalar or per row; by default each row's own
-    mesh_intervals)."""
-    left, right, _ = _shoot_batch(p, ctx, lams, c=c, eps=eps, beta_left=beta_left,
-                                  beta_right=beta_right, domega=domega, n=n)
-    return left - right
+        ends[both], _ = _sweep(_magnus_tables(p, ctx, c, eps, int(nn)), lams[rows], dw[rows],
+                               eta0[both], False)
+    return ends[: lams.size] - ends[lams.size:]
 
 
 def angular_eigenvalues(
@@ -705,7 +617,8 @@ def angular_eigenvalues(
     def defect(lams, n):
         return _defect(p, ctx, lams, c, eps, beta_left, beta_right, n=n)
 
-    return _refined_window(defect, window, tol, mesh_intervals(p, ctx, bound, 0.0, c, eps), bound)
+    return _refined_window(defect, window, tol, mesh_intervals(p, ctx, bound, 0.0, c, eps),
+                           f"|lambda| <= {bound:g} and {_sigma(p, ctx)[1]}")
 
 
 def solve_items(p, ctx, targets, lo, hi, domega, tol):
@@ -743,7 +656,7 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
         roots[todo[ok]], resid[todo[ok]] = x[ok], fx[ok]
         todo = todo[~ok]
         for i in todo:
-            n[i] = _refined(int(n[i]), float(bound[i]))
+            n[i] = _refined(int(n[i]), f"|lambda| <= {bound[i]:g} and {_sigma(p, ctx)[1]}")
     return roots, np.abs(resid)
 
 

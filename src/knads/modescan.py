@@ -222,7 +222,6 @@ def periodicity_verdict(scan, period):
         raise InputError("period must be positive")
     omegas = np.asarray(scan.omega_grid)
     lo, hi = omegas[0], omegas[-1]
-    step = np.max(np.diff(omegas)) if omegas.size > 1 else 0.0
     base = 2.0 * math.pi / period
     n_lo = math.ceil(lo / base)
     n_hi = math.floor(hi / base)
@@ -242,9 +241,6 @@ def periodicity_verdict(scan, period):
         target = n * base
         gi = int(np.argmin(np.abs(omegas - target)))
         om = float(omegas[gi])
-        if abs(om - target) > 0.5 * step + 1e-12:
-            checked.append((n, float(target), None, "off-grid"))
-            continue
         rows = by_omega.get(om, [])
         collapsed = [r for r in rows if r["verdict_code"] == "amp_collapse"]
         status = "rejected" if not collapsed else "candidate"

@@ -21,7 +21,7 @@ the window's |omega| bound, checked there at n/2.
 
 Certificate evidence is numeric and reproducible: decade-resolved integrals
 with Cauchy-tail ratios, linear fits of Prüfer phase slopes, and growth
-exponents fitted from direct integrations of the first-order system.
+exponents fitted on the continuation evidence's infinity leg (_infinity_leg).
 """
 
 from dataclasses import dataclass
@@ -50,7 +50,6 @@ _TOL = 1e-10  # confined solve: eigenvalue bracket and n/2 mesh check
 _Y_START, _Y_MAX = 1.0, 1e4  # horizon certificates: the stretch in y
 _Y_FAR = 1e3  # continuation evidence: end of the horizon leg in y
 _N_DECADES = 4  # confinement certificate: decades from r0
-_GROWTH_DECADES = 3  # growth exponents: decades from default_r0
 _PHASE_CAP = 1.0  # recorded legs: the rotation's phase move per interval where the potential mixes
 
 
@@ -228,7 +227,7 @@ def hinf_eigenvalues(p, ctx, lam, r0=None, window=(-5.0, 5.0), beta_infinity=Non
     bound = max(abs(float(window[0])), abs(float(window[1])))
     n = max(int(_leg_intervals(p, ctx, leg, [bound], [lam])[0]) for leg in legs)
     return _refined_window(lambda omegas, n: _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n),
-                           window, _TOL, n, bound, "omega")
+                           window, _TOL, n, f"|omega| <= {bound:g}")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -407,24 +406,35 @@ def confinement_certificate(p, ctx, r0=None):
 
 
 def infinity_growth_exponents(p, ctx, lam, omega):
-    """Fitted growth exponents of the radial system toward infinity.
+    """Fitted growth exponents of the radial system toward infinity, in r.
 
-    Integrating outward from r1 = default_r0 to 1e3 r1, a generic solution is
-    dominated by the growing branch and log||X|| vs log r fits +mu*l over
-    the last decade; integrating inward from the far end, the
-    backward-dominant branch is the decaying one and the fit over the
-    small-r decade gives -mu*l. The legs are uniform in s, so each fitted
-    decade is densely and evenly noded."""
-    r1 = default_r0(p)
+    Both come from the infinity leg of the continuation evidence
+    (_infinity_leg), fitted in log y ~ -log r: a generic solution swept
+    outward from default_r0 is dominated by the growing branch and gives
+    +mu*l, and the recessive solution swept inward from the cutoff gives
+    -mu*l, the evidence's decay exponent."""
+    _, _, grow = _infinity_leg(p, ctx, None, [omega], [lam], math.atan2(0.7, 1.0), inward=False)
+    _, _, decay = _infinity_leg(p, ctx, None, [omega], [lam],
+                                _infinity_init(p, ctx, lam, omega, DEFAULT_DELTA), inward=True)
+    return -float(grow[0]), -float(decay[0])
+
+
+def _infinity_leg(p, ctx, r0, omegas, lams, eta0, inward):
+    """Sweeps of the rows (omegas, lams) from the phases eta0 along the
+    "exp" leg between r0 (through _matching_point) and the infinity cutoff
+    y = DEFAULT_DELTA, graded like the confined solve's infinity side:
+    inward from the cutoff, or outward from r0. Returns log(r0 - r_plus)
+    and per row the phase at the leg's end and the slope of log rho against
+    log y over the half of log y nearest infinity."""
+    r0, y0 = _matching_point(p, r0, DEFAULT_DELTA)
     tm = tortoise_map(p)
-    r2 = r1 * 10.0**_GROWTH_DECADES
-    s1, s2 = math.log(r1 - tm.r_plus), math.log(r2 - tm.r_plus)
-    y1, y2 = tm.y(10.0 * r1), tm.y(0.1 * r2)  # the decade each leg ends on
-    slopes = []
-    for leg, keep in (((1, s1, s2), lambda y: y <= y2), ((1, s2, s1), lambda y: y >= y1)):
-        (_, _, ss, _, _, logs), = _leg(p, ctx, leg, omega, lam, math.atan2(0.7, 1.0), keep)
-        slopes.append(float(_slopes(np.log(tm.r_plus + np.exp(ss)), logs)[0]))
-    return slopes[0], slopes[1]
+    s0, sd = math.log(r0 - tm.r_plus), float(tm.log_u_of_y(DEFAULT_DELTA))
+    mid = math.log(DEFAULT_DELTA) + 0.5 * (math.log(y0) - math.log(DEFAULT_DELTA))
+    end, slope = np.empty(len(lams)), np.empty(len(lams))
+    for rows, e, _, ys, _, logs in _leg(p, ctx, ("exp", sd, s0) if inward else ("exp", s0, sd),
+                                        omegas, lams, eta0, lambda y: np.log(y) <= mid):
+        end[rows], slope[rows] = e, _slopes(np.log(ys), logs)
+    return s0, end, slope
 
 
 def _slopes(x, y):
@@ -451,21 +461,12 @@ def horizon_continuation_evidence(p, ctx, lams, omegas, r0=None):
     Returns arrays (slope, amplitude_ratio, decay_exponent, phi_plus)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    r0, y0 = _matching_point(p, r0, DEFAULT_DELTA)
-    tm = tortoise_map(p)
-    s0 = math.log(r0 - tm.r_plus)
-    sd, s_far = tm.log_u_of_y(np.array([DEFAULT_DELTA, _Y_FAR]))
-    ph = phi_plus(p, ctx)
-    at_r0, decay, slopes, amp = (np.empty(lams.size) for _ in range(4))
-    # infinity-side decay exponent: log rho vs log y on the early decades,
-    # on a leg graded like the confined solve's infinity side
-    mid = math.log(DEFAULT_DELTA) + 0.5 * (math.log(y0) - math.log(DEFAULT_DELTA))
     inf0 = _infinity_init(p, ctx, lams, omegas, DEFAULT_DELTA)
-    for rows, end, _, ys, _, logs in _leg(p, ctx, ("exp", sd, s0), omegas, lams, inf0,
-                                          lambda y: np.log(y) <= mid):
-        at_r0[rows], decay[rows] = end, _slopes(np.log(ys), logs)
+    s0, at_r0, decay = _infinity_leg(p, ctx, r0, omegas, lams, inf0, inward=True)
+    s_far = float(tortoise_map(p).log_u_of_y(_Y_FAR))
+    slopes, amp = np.empty(lams.size), np.empty(lams.size)
     # the horizon leg, short intervals near r0 where A varies
     for rows, _, _, ys, etas, logs in _leg(p, ctx, (3, s0, s_far), omegas, lams, at_r0,
                                            lambda y: y >= 0.1 * _Y_FAR):
         slopes[rows], amp[rows] = -_slopes(ys, etas), np.exp(logs.min(axis=1))
-    return slopes, amp, decay, ph
+    return slopes, amp, decay, phi_plus(p, ctx)

@@ -18,9 +18,9 @@ from knads.angular import (
     eigenvalues_by_label,
     mesh_intervals,
     prufer_rhs,
-    shoot_angular,
 )
 from knads.angular import _defect
+from knads.classify import angular_exponents
 from knads.geometry import BlackHoleParams, Refusal
 from knads.operators import ModeContext, angular_matrix, dirac_d, tortoise_map
 from knads.oracle import load_fixtures
@@ -131,14 +131,23 @@ def test_frobenius_exponent_recovered_from_trace():
     d = dirac_d(PMAG, ctx)
     assert d == pytest.approx(1.0, abs=1e-14)
     lam = eigenvalues_by_label(PMAG, ctx, (1,))[1]
-    _, _, (lt, rt) = shoot_angular(PMAG, ctx, lam)
-    sel = lt.thetas < 3e-3
-    slope, _ = np.polyfit(np.log(lt.thetas[sel]), lt.log_rhos[sel], 1)
-    assert slope == pytest.approx(abs(ctx.k - d), abs=1e-3)
-    alphas = math.pi - rt.thetas
-    sel = alphas < 3e-3
-    slope, _ = np.polyfit(np.log(alphas[sel]), rt.log_rhos[sel], 1)
-    assert slope == pytest.approx(abs(ctx.k + d), abs=1e-3)
+    # both sides recorded on the eigenvalue's own mesh, from the recessive
+    # phases at theta = eps and pi - eps
+    c, eps = DEFAULT_MATCHING_POINT, angular_mod.DEFAULT_EPSILON
+    n = mesh_intervals(PMAG, ctx, abs(lam))
+    tabs = angular_mod._magnus_tables(PMAG, ctx, c, eps, n)
+    exponents = angular_exponents(ctx.k, d, ctx.gauge_b)
+    eta0 = np.array([sign * angular_mod._frobenius_init(x, lam, ctx.mu * PMAG.a, PMAG.xi, eps)
+                     for sign, x in zip((1.0, -1.0), exponents)])
+    _, (etas, log_rhos) = angular_mod._sweep(tabs, np.array([lam]), 0.0, eta0, True)
+    assert np.max(np.abs(np.diff(etas, axis=0))) < math.pi / 2  # per interval
+    grade, e0 = angular_mod._GRADE, eps ** (1.0 / angular_mod._GRADE)
+    for side, ((_, _, x), want) in enumerate(zip(angular_mod._sides(c), (ctx.k - d, ctx.k + d))):
+        # distance to the pole at the nodes, uniform in its (1 / _GRADE)th power
+        dist = (e0 + (x ** (1.0 / grade) - e0) * np.linspace(0.0, 1.0, n + 1)) ** grade
+        sel = dist < 3e-3
+        slope, _ = np.polyfit(np.log(dist[sel]), log_rhos[sel, side], 1)
+        assert slope == pytest.approx(abs(want), abs=1e-3)
 
 
 def test_defect_monotone_and_pi_anchored():
@@ -303,8 +312,7 @@ def test_sweep_rows_do_not_depend_on_their_batch(table):
     pool = 600
     if table == "angular":
         ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.4)
-        tabs, _ = angular_mod._magnus_tables(ROTATING, ctx, DEFAULT_MATCHING_POINT,
-                                             math.pi * 1e-6, 256)
+        tabs = angular_mod._magnus_tables(ROTATING, ctx, DEFAULT_MATCHING_POINT, math.pi * 1e-6, 256)
         values = rng.uniform(-4.0, 4.0, pool), rng.uniform(-0.5, 0.5, pool)
     else:
         tm = tortoise_map(ROTATING)
@@ -338,20 +346,6 @@ def test_magnus_mesh_converges_at_sixth_order():
     d128, d256, d512 = d(128), d(256), d(512)
     ratio = np.max(np.abs(d256 - d128)) / np.max(np.abs(d512 - d256))
     assert 40.0 < ratio < 100.0  # 2^6 = 64 per halving of the interval
-
-
-def test_trace_nodes_and_mesh_estimate():
-    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.2)
-    lam = eigenvalues_by_label(ROTATING, ctx, (1,))[1]
-    left, right, traces = shoot_angular(ROTATING, ctx, lam)
-    n = mesh_intervals(ROTATING, ctx, abs(lam))
-    for tr, end in zip(traces, (left, right)):
-        assert tr.thetas.size == tr.etas.size == tr.log_rhos.size == n + 1
-        assert tr.etas[-1] == end
-        assert tr.thetas[-1] == pytest.approx(DEFAULT_MATCHING_POINT, rel=1e-14)
-        assert tr.max_jump() < math.pi / 2
-        assert 0.0 <= tr.tol_achieved < 1e-8
-    assert (left - right) / math.pi == pytest.approx(round((left - right) / math.pi), abs=1e-9)
 
 
 def test_graded_mesh_never_needs_more_intervals_than_the_uniform_one():
@@ -393,6 +387,14 @@ def test_a_defect_that_does_not_rise_on_the_grid_is_refined():
         assert sw.count == 0 and sw.mesh_error == math.inf
     p = dataclasses.replace(SPHERE, q_m=0.5)
     with pytest.raises(WindowTooWide, match=f"at {MAX_MESH_INTERVALS} intervals"):
+        angular_eigenvalues(p, ModeContext(mu=0.0, e=1e10, k=-5.5), (-4.5, 4.5))
+
+
+def test_refused_refinement_names_sigma():
+    # sigma = |d| (1 + |b|) + |k| sets no a-priori mesh; when the doubling
+    # reaches the cap, the refusal names it beside the lambda bound.
+    p = dataclasses.replace(SPHERE, q_m=0.5)
+    with pytest.raises(WindowTooWide, match=r"\|lambda\| <= 4\.5 and sigma = .* = 5e\+09 stays"):
         angular_eigenvalues(p, ModeContext(mu=0.0, e=1e10, k=-5.5), (-4.5, 4.5))
 
 
@@ -590,7 +592,7 @@ def test_sweep_exponential_of_a_mixed_batch_is_row_exact():
 
 def test_sweep_records_only_the_masked_nodes():
     ctx = ModeContext(mu=1.0, e=0.1, k=0.5)
-    tabs, _ = angular_mod._magnus_tables(ROTATING, ctx, DEFAULT_MATCHING_POINT, 1e-6 * math.pi, 256)
+    tabs = angular_mod._magnus_tables(ROTATING, ctx, DEFAULT_MATCHING_POINT, 1e-6 * math.pi, 256)
     lams, eta0 = np.array([0.7, -2.0]), np.array([0.1, 0.2, -0.3, 0.4])
     end, (etas, logs) = angular_mod._sweep(tabs, lams, 0.0, eta0, True)
     mask = np.zeros(257, bool)
