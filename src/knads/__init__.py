@@ -5,6 +5,7 @@ Submodules:
   geometry   -- structure functions, horizons, extremality, Komar charges
   operators  -- separated angular/radial coefficient functions, tortoise maps
   classify   -- endpoint limit point / limit circle classification
+  magnus     -- Magnus sweep, mesh sizing and window root finder of both solvers
   angular    -- angular eigenvalues by phase-function shooting
   radial     -- radial spectral certificates and confined-operator eigenvalues
   oracle     -- independent staggered finite-difference cross-checks

@@ -117,14 +117,15 @@ def phi_plus(p, ctx):
 
 
 def _factored_quartic_terms(p):
-    """(r_plus, r_minus, q2 coefficients) with Delta_r =
-    (r-r_plus)(r-r_minus) q2(r) / l^2 and q2(r) = r^2 + c1 r + c0."""
+    """(r_plus, r_minus, q2 coefficients, u_max) with Delta_r =
+    (r-r_plus)(r-r_minus) q2(r) / l^2 and q2(r) = r^2 + c1 r + c0, and the
+    u = r - r_plus past which sqrt_delta_r_from_u refuses."""
     hd = find_horizons(p)
     rp = hd.r_plus
     rm = hd.r_minus if hd.r_minus is not None else 0.0
     c1 = rp + rm
     c0 = rp * rp + rm * rm + rp * rm + p.a**2 + p.l**2
-    return rp, rm, c1, c0
+    return rp, rm, c1, c0, min(1e75, 1e150 / math.sqrt(c0))
 
 
 def sqrt_delta_r_from_u(p, u):
@@ -132,9 +133,8 @@ def sqrt_delta_r_from_u(p, u):
     u = 0 and stable for tiny u, vectorized. Refuses u past min(1e75, 1e150
     / sqrt(c0)), where u^2 q2(r) could overflow (q2 <= r^2 + 3 r sqrt(c0) +
     c0)."""
-    rp, rm, c1, c0 = _factored_quartic_terms(p)
+    rp, rm, c1, c0, u_max = _factored_quartic_terms(p)
     u = np.asarray(u, dtype=float)
-    u_max = min(1e75, 1e150 / math.sqrt(c0))
     if np.any(u > u_max):
         raise Refusal(f"r - r_plus = {np.max(u):.3g} is past {u_max:.3g}, where Delta_r overflows")
     r = rp + u
@@ -204,7 +204,7 @@ def confinement_density(p, ctx, r):
 def delta_r_vec(p, r):
     """Vectorized Delta_r through the factored form (positive on the
     exterior)."""
-    rp, rm, c1, c0 = _factored_quartic_terms(p)
+    rp, rm, c1, c0, _ = _factored_quartic_terms(p)
     r = np.asarray(r, dtype=float)
     return (r - rp) * (r - rm) * ((r + c1) * r + c0) / p.l**2
 
@@ -291,7 +291,7 @@ class TortoiseMap:
         self.p = p
         self.r_plus = hd.r_plus
         self.extremal = hd.extremal
-        _, rm, c1, c0 = _factored_quartic_terms(p)
+        _, rm, c1, c0, self._u_max = _factored_quartic_terms(p)
         self._rm, self._c1, self._c0 = rm, c1, c0
 
         self.r_big = 50.0 * max(self.r_plus, p.l)
@@ -415,7 +415,8 @@ class TortoiseMap:
         if np.any(y <= 0.0):
             raise InputError("y must be positive")
         if np.any(y < self._y_min):
-            raise Refusal(f"y = {np.min(y):.3g} maps past r - r_plus = 1e+150, where dy/ds overflows")
+            raise InputError(f"l = {self.p.l:.4g} is too large: y = {np.min(y):.3g} maps past "
+                             "r - r_plus = 1e+150, where dy/ds overflows")
         yf = y.ravel()
         logy = np.log(yf)
         s = np.interp(logy, self._logy_table, self._s_table)
@@ -436,9 +437,14 @@ class TortoiseMap:
     def u_of_y(self, y):
         """r - r_plus as a function of y; underflows gracefully to 0 deep in
         the non-extremal horizon region (where the potential is exactly at
-        its limit to machine precision)."""
+        its limit to machine precision). A y that maps past the u where
+        Delta_r overflows (sqrt_delta_r_from_u) is refused as an l too large."""
         with np.errstate(under="ignore"):
-            return np.exp(self.log_u_of_y(y))
+            u = np.exp(self.log_u_of_y(y))
+        if np.any(u > self._u_max):
+            raise InputError(f"l = {self.p.l:.4g} is too large: y = {np.min(y):.3g} maps to r - r_plus = "
+                             f"{np.max(u):.3g}, past {self._u_max:.3g}, where Delta_r overflows")
+        return u
 
 
 @lru_cache(maxsize=64)

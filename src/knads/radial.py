@@ -12,7 +12,7 @@ to y once per leg (TortoiseMap.y_of_s), so fits and selections stay defined
 in y. Only the AC and Levinson deviation integrals stay in y: their Gauss
 nodes go through the inverse in one vectorized call.
 
-Every integration runs angular._sweep on the Magnus Omega tabulated once per
+Every integration runs magnus.sweep on the Magnus Omega tabulated once per
 mesh as a polynomial in (omega, lambda) (_radial_tables): the confined solve
 on two sides, the certificates and the continuation evidence on recorded
 legs (_leg). One rule, _leg_intervals, sizes every mesh a priori: per row of
@@ -30,9 +30,9 @@ import math
 
 import numpy as np
 
-from .angular import (NotLimitPoint, _GAUSS, _GRADE, _PHASE_STEP, _magnus_terms, _mesh_size,
-                      _omega_table, _refined_window, _sweep)
+from .angular import NotLimitPoint
 from .geometry import Refusal, find_horizons
+from .magnus import GAUSS, GRADE, PHASE_STEP, magnus_terms, mesh_size, omega_table, solve_window, sweep
 from .operators import (
     _radial_terms,
     decade_integrals,
@@ -120,15 +120,15 @@ def _system_rows(p, ctx, s):
 
 def _leg_nodes(legs, n):
     """Node times (legs, pieces * n + 1) of legs (grade, s_0, ..., s_k), n
-    intervals on each piece [s_i, s_i+1]: uniform in e^{-s/_GRADE} for grade
+    intervals on each piece [s_i, s_i+1]: uniform in e^{-s/GRADE} for grade
     "exp" (short toward s_i+1 when s_i > s_i+1), else at s_i + (s_i+1 -
     s_i) u^grade, u uniform (short toward s_i for grade 3)."""
     out, u = [], np.linspace(0.0, 1.0, n + 1)
     for grade, *ends in legs:
         a, b = np.array(ends[:-1])[:, None], np.array(ends[1:])[:, None]
         if grade == "exp":
-            v = np.exp(-a / _GRADE)
-            ts = -_GRADE * np.log(v + (np.exp(-b / _GRADE) - v) * u)
+            v = np.exp(-a / GRADE)
+            ts = -GRADE * np.log(v + (np.exp(-b / GRADE) - v) * u)
         else:
             ts = a + (b - a) * u**grade
         ts[:, 0], ts[:, -1] = a[:, 0], b[:, 0]
@@ -138,23 +138,23 @@ def _leg_nodes(legs, n):
 
 @lru_cache(maxsize=8)
 def _radial_tables(p, ctx, legs, n):
-    """Omega coefficients of the legs (_leg_nodes) in angular._magnus_tables'
-    layout, all 15 monomials omega^i lambda^j: one table serves every
-    (omega, lambda) row."""
+    """Omega coefficients of the legs (_leg_nodes), as magnus.omega_table
+    lays them out for the rows _RADIAL_LAYOUT, all 15 monomials omega^i
+    lambda^j: one table serves every (omega, lambda) row."""
     ts = _leg_nodes(legs, n)
     h = np.diff(ts)
-    g = _system_rows(p, ctx, ts[:, :-1, None] + h[..., None] * _GAUSS)
-    return _omega_table(_magnus_terms(h, g), _RADIAL_LAYOUT)
+    g = _system_rows(p, ctx, ts[:, :-1, None] + h[..., None] * GAUSS)
+    return omega_table(magnus_terms(h, g), _RADIAL_LAYOUT)
 
 
 def _leg_intervals(p, ctx, leg, omegas, lams):
     """Magnus intervals per piece of leg for each row (omega, lambda), from
     the leading-order n h(s) of the leg's grading at n = 1024, by accuracy
     bounds alone: the change of A across an interval, h^2 |A'|, stays within
-    _PHASE_STEP, and where the sigma_z and sigma_x parts (the potential)
-    still move the phase by _PHASE_STEP / n or more, the rotation omega g1 +
+    PHASE_STEP, and where the sigma_z and sigma_x parts (the potential)
+    still move the phase by PHASE_STEP / n or more, the rotation omega g1 +
     g4 that they mix moves it by at most _PHASE_CAP. Beyond, A is a rotation
-    settling to its limit, whose half-turns _sweep counts. The hyperbolic
+    settling to its limit, whose half-turns magnus.sweep counts. The hyperbolic
     sigma_z and sigma_x parts need no cap: they peak where A is nearly
     constant, and the swept solution is dominant in its direction of travel."""
     ts = _leg_nodes((leg,), 1024)[0]
@@ -166,12 +166,12 @@ def _leg_intervals(p, ctx, leg, omegas, lams):
     cap = np.empty(om.shape)
     for i in range(0, om.size, 64):  # in row blocks, so the (rows, samples) arrays stay small
         mix = lam[i:i + 64, None] * h0 + g2
-        cap[i:i + 64] = np.max(np.where(mix >= _PHASE_STEP, om[i:i + 64, None] * g1 + g4, 0.0), axis=1)
-    acc = [np.sqrt(v / _PHASE_STEP) for v in (om * vary[1], lam * vary[0], vary[2] + vary[3])]
+        cap[i:i + 64] = np.max(np.where(mix >= PHASE_STEP, om[i:i + 64, None] * g1 + g4, 0.0), axis=1)
+    acc = [np.sqrt(v / PHASE_STEP) for v in (om * vary[1], lam * vary[0], vary[2] + vary[3])]
     causes = (("|omega| = {:g}", om, np.maximum(acc[0], om * np.max(g1) / _PHASE_CAP)),
               ("|lambda| = {:g}", lam, acc[1]),
               ("the radial potential at lambda = {:g}", lam, acc[2]))
-    return _mesh_size(np.maximum(np.sqrt(sum(a * a for a in acc)), cap / _PHASE_CAP), causes)
+    return mesh_size(np.maximum(np.sqrt(sum(a * a for a in acc)), cap / _PHASE_CAP), causes)
 
 
 def _leg(p, ctx, leg, omegas, lams, eta0, keep):
@@ -189,7 +189,7 @@ def _leg(p, ctx, leg, omegas, lams, eta0, keep):
         ys = tortoise_map(p).y_of_s(ts)
         sel = keep(ys)
         tabs = _radial_tables(p, ctx, (leg,), int(nn))
-        end, (etas, logs) = _sweep(tabs, omegas[rows], lams[rows], eta0[rows], sel)
+        end, (etas, logs) = sweep(tabs, omegas[rows], lams[rows], eta0[rows], sel)
         yield rows, end, ts[sel], ys[sel], etas.T.copy(), logs.T.copy()
 
 
@@ -199,7 +199,7 @@ def _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     inf0 = _infinity_init(p, ctx, lam, omegas, delta) if beta_infinity is None else beta_infinity
     eta0 = np.concatenate([np.full(omegas.shape, _BETA), np.broadcast_to(inf0, omegas.shape)])
-    phases, _ = _sweep(_radial_tables(p, ctx, legs, n), omegas, float(lam), eta0, False)
+    phases, _ = sweep(_radial_tables(p, ctx, legs, n), omegas, float(lam), eta0, False)
     return phases[: omegas.size] - phases[omegas.size:]
 
 
@@ -226,8 +226,8 @@ def hinf_eigenvalues(p, ctx, lam, r0=None, window=(-5.0, 5.0), beta_infinity=Non
     legs = (("exp", s0, sc), ("exp", sd, sc))
     bound = max(abs(float(window[0])), abs(float(window[1])))
     n = max(int(_leg_intervals(p, ctx, leg, [bound], [lam])[0]) for leg in legs)
-    return _refined_window(lambda omegas, n: _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n),
-                           window, _TOL, n, f"|omega| <= {bound:g}")
+    return solve_window(lambda omegas, n: _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n),
+                        *window, _TOL, n, f"|omega| <= {bound:g}")
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)

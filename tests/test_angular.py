@@ -7,14 +7,12 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import knads.angular as angular_mod
+import knads.magnus as magnus
 from knads.angular import (
     DEFAULT_MATCHING_POINT,
-    MAX_MESH_INTERVALS,
     NotLimitPoint,
-    WindowTooWide,
     amplitude_weight,
     angular_eigenvalues,
-    chandrupatla_batched,
     eigenvalues_by_label,
     mesh_intervals,
     prufer_rhs,
@@ -22,6 +20,7 @@ from knads.angular import (
 from knads.angular import _defect
 from knads.classify import angular_exponents
 from knads.geometry import BlackHoleParams, Refusal
+from knads.magnus import MAX_MESH_INTERVALS, MIN_MESH_INTERVALS, WindowTooWide, solve_window
 from knads.operators import ModeContext, angular_matrix, dirac_d, tortoise_map
 from knads.oracle import load_fixtures
 from knads.radial import _RADIAL_LAYOUT, DEFAULT_DELTA, _radial_tables, default_r0
@@ -139,11 +138,11 @@ def test_frobenius_exponent_recovered_from_trace():
     exponents = angular_exponents(ctx.k, d, ctx.gauge_b)
     eta0 = np.array([sign * angular_mod._frobenius_init(x, lam, ctx.mu * PMAG.a, PMAG.xi, eps)
                      for sign, x in zip((1.0, -1.0), exponents)])
-    _, (etas, log_rhos) = angular_mod._sweep(tabs, np.array([lam]), 0.0, eta0, True)
+    _, (etas, log_rhos) = magnus.sweep(tabs, np.array([lam]), 0.0, eta0, True)
     assert np.max(np.abs(np.diff(etas, axis=0))) < math.pi / 2  # per interval
-    grade, e0 = angular_mod._GRADE, eps ** (1.0 / angular_mod._GRADE)
+    grade, e0 = magnus.GRADE, eps ** (1.0 / magnus.GRADE)
     for side, ((_, _, x), want) in enumerate(zip(angular_mod._sides(c), (ctx.k - d, ctx.k + d))):
-        # distance to the pole at the nodes, uniform in its (1 / _GRADE)th power
+        # distance to the pole at the nodes, uniform in its (1 / GRADE)th power
         dist = (e0 + (x ** (1.0 / grade) - e0) * np.linspace(0.0, 1.0, n + 1)) ** grade
         sel = dist < 3e-3
         slope, _ = np.polyfit(np.log(dist[sel]), log_rhos[sel, side], 1)
@@ -227,45 +226,6 @@ def test_amplitude_weight_identities():
         amplitude_weight(ROTATING, ctx, math.pi)
 
 
-def test_chandrupatla_batched_cubics_stop_per_item():
-    # the bisect_batched cubics: f(x) = (x - s)^3 + (x - s), root at s
-    shifts = np.array([-1.7, 0.0, 0.3, 2.9])
-
-    def fun(x, idx):
-        d = x - shifts[idx]
-        return d**3 + d
-
-    lo, hi = shifts - 2.0, shifts + 3.0
-    roots, res = chandrupatla_batched(fun, lo, hi, fun(lo, np.arange(4)), fun(hi, np.arange(4)), 1e-12)
-    assert np.max(np.abs(roots - shifts)) < 1e-12
-    assert np.array_equal(res, fun(roots, np.arange(4)))
-    # each item is frozen on its own bracket: alone it gives the same bits
-    for i in range(4):
-        k = np.array([i])
-        one = chandrupatla_batched(lambda x, idx: fun(x, k[idx]), lo[k], hi[k],
-                                   fun(lo[k], k), fun(hi[k], k), 1e-12)
-        assert one[0][0] == roots[i] and one[1][0] == res[i]
-
-
-def test_root_finder_steps_are_bounded_where_regula_falsi_stalls():
-    # exp(40 x) - 1 on [-1, 1]: regula falsi keeps the end at x = 1 and
-    # creeps in from the left. The stale-bracket bisection bounds the steps
-    # by _STALE_STEPS + 1 per halving of the bracket; here they stay within
-    # the count of plain bisection.
-    tol, calls = 1e-12, []
-
-    def fun(x, idx):
-        calls.append(x.size)
-        return np.expm1(40.0 * x)
-
-    lo, hi = np.array([-1.0]), np.array([1.0])
-    root, res = chandrupatla_batched(fun, lo, hi, fun(lo, 0), fun(hi, 0), tol)
-    steps = len(calls) - 2
-    assert abs(root[0]) < tol and res[0] == np.expm1(40.0 * root[0])
-    assert steps <= (angular_mod._STALE_STEPS + 1) * math.ceil(math.log2(2.0 / tol))
-    assert steps <= math.ceil(math.log2(2.0 / tol))
-
-
 def test_defect_rows_do_not_depend_on_their_batch():
     # k = 30.5 and 1000.5 put most pole intervals on the hyperbolic branch,
     # the latter at s up to about 805.
@@ -324,7 +284,7 @@ def test_sweep_rows_do_not_depend_on_their_batch(table):
     eta0 = rng.uniform(-math.pi, math.pi, (sides, pool))
 
     def sweep(k):
-        end, (etas, logs) = angular_mod._sweep(tabs, values[0][k], values[1][k],
+        end, (etas, logs) = magnus.sweep(tabs, values[0][k], values[1][k],
                                                eta0[:, k].ravel(), True)
         return [v.reshape(v.shape[:-1] + (sides, k.size)) for v in (end, etas, logs)]
 
@@ -382,9 +342,12 @@ def test_a_defect_that_does_not_rise_on_the_grid_is_refined():
     # is not finite, the mesh does not resolve it: the window is solved again
     # on a doubled mesh, up to the cap. Here a magnetic coupling d = 5e9 turns
     # the pole intervals' Omega faster than any mesh below the cap resolves.
-    for bad in (lambda x: -x, lambda x: np.full(x.shape, np.nan)):
-        sw = angular_mod.solve_window(bad, -1.0, 1.0, 1e-10, coarse=bad)
-        assert sw.count == 0 and sw.mesh_error == math.inf
+    for bad in (lambda x, n: -x, lambda x, n: np.full(x.shape, np.nan)):
+        meshes = []
+        with pytest.raises(WindowTooWide, match=f"at the test defect stays above tol at {MAX_MESH_INTERVALS}"):
+            solve_window(lambda x, n: meshes.append(n) or bad(x, n), -1.0, 1.0, 1e-10, MIN_MESH_INTERVALS,
+                         "the test defect")
+        assert meshes == [2**k for k in range(8, 17)]
     p = dataclasses.replace(SPHERE, q_m=0.5)
     with pytest.raises(WindowTooWide, match=f"at {MAX_MESH_INTERVALS} intervals"):
         angular_eigenvalues(p, ModeContext(mu=0.0, e=1e10, k=-5.5), (-4.5, 4.5))
@@ -434,11 +397,11 @@ def _reference_omega(tab, lam, dw, layout):
 
 
 def _check_omega_table(tab, layout, monomials, rng, zero_dw=False):
-    coef = angular_mod._omega_table(tab, layout)
+    coef = magnus.omega_table(tab, layout)
     assert coef.shape == (2, 64, 3, monomials)
     for lam, dw in zip(rng.uniform(-50.0, 50.0, 12), rng.uniform(-4.0, 4.0, 12)):
         dw = 0.0 if zero_dw else dw
-        mono = angular_mod._monomials(np.array([lam]), dw, monomials)[:, 0]
+        mono = magnus._monomials(np.array([lam]), dw, monomials)[:, 0]
         got = np.moveaxis(coef @ mono, -1, 0)
         want = _reference_omega(tab, lam, dw, layout)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (lam, dw)
@@ -502,7 +465,7 @@ def test_sweep_counts_the_half_turns_of_a_long_elliptic_interval(z, j, x):
     assert z * z + x * x - j * j < 0.0
     tabs = np.array([z, j, x]).reshape(1, 1, 3, 1)
     eta0 = np.array([0.3])
-    gain = angular_mod._sweep(tabs, np.zeros(1), 0.0, eta0, False)[0][0] - eta0[0]
+    gain = magnus.sweep(tabs, np.zeros(1), 0.0, eta0, False)[0][0] - eta0[0]
     if z == x == 0.0:
         assert gain == j
     # reference: the same exponential in 4,000 steps, each far below pi
@@ -540,7 +503,7 @@ def test_sweep_exponential_matches_expm(size, sign):
     # gain and log amplitude match scipy's expm.
     z, j, x = _mixed_omega(sign * size, np.random.default_rng(int(1e3 * size)))
     eta0 = 0.3
-    end, (_, logs) = angular_mod._sweep(np.array([z, j, x]).reshape(1, 1, 3, 1), np.zeros(1),
+    end, (_, logs) = magnus.sweep(np.array([z, j, x]).reshape(1, 1, 3, 1), np.zeros(1),
                                         0.0, np.array([eta0]), True)
     # reference: expm of Omega / steps, applied steps times, each turn below
     # pi and each s below 1 (expm of Omega itself is off by 4e-13 in the log
@@ -560,7 +523,7 @@ def test_sweep_exponential_past_the_overflow_of_cosh():
     # atan(tanh s) and log rho = log cosh(2 s) / 2 = s - log(2) / 2 + O(e^-4s).
     # At s = 800 cosh s overflows; the sweep carries exp(Omega) / cosh s.
     s = 800.0
-    end, (etas, logs) = angular_mod._sweep(np.array([0.0, 0.0, s]).reshape(1, 1, 3, 1),
+    end, (etas, logs) = magnus.sweep(np.array([0.0, 0.0, s]).reshape(1, 1, 3, 1),
                                            np.zeros(1), 0.0, np.zeros(1), True)
     assert end[0] == etas[-1, 0] == pytest.approx(math.atan(math.tanh(s)), rel=1e-15)
     assert logs[-1, 0] == pytest.approx(s - 0.5 * math.log(2.0), rel=1e-15)
@@ -583,9 +546,9 @@ def test_sweep_exponential_of_a_mixed_batch_is_row_exact():
     assert np.all(np.any(np.abs(q) <= 1.0, axis=1)) and np.all(np.any(q > 1.0, axis=1))
     assert np.all(np.any(q < -math.pi**2, axis=1))  # past a half turn
     eta0 = rng.uniform(-math.pi, math.pi, rows)
-    end, (etas, logs) = angular_mod._sweep(tabs, lams, 0.0, eta0, True)
+    end, (etas, logs) = magnus.sweep(tabs, lams, 0.0, eta0, True)
     for i in range(rows):
-        one, (etas1, logs1) = angular_mod._sweep(tabs, lams[i:i + 1], 0.0, eta0[i:i + 1], True)
+        one, (etas1, logs1) = magnus.sweep(tabs, lams[i:i + 1], 0.0, eta0[i:i + 1], True)
         assert one[0] == end[i] and np.array_equal(etas1[:, 0], etas[:, i])
         assert np.array_equal(logs1[:, 0], logs[:, i])
 
@@ -594,9 +557,9 @@ def test_sweep_records_only_the_masked_nodes():
     ctx = ModeContext(mu=1.0, e=0.1, k=0.5)
     tabs = angular_mod._magnus_tables(ROTATING, ctx, DEFAULT_MATCHING_POINT, 1e-6 * math.pi, 256)
     lams, eta0 = np.array([0.7, -2.0]), np.array([0.1, 0.2, -0.3, 0.4])
-    end, (etas, logs) = angular_mod._sweep(tabs, lams, 0.0, eta0, True)
+    end, (etas, logs) = magnus.sweep(tabs, lams, 0.0, eta0, True)
     mask = np.zeros(257, bool)
     mask[[0, 5, 100, 256]] = True
-    end_m, (etas_m, logs_m) = angular_mod._sweep(tabs, lams, 0.0, eta0, mask)
+    end_m, (etas_m, logs_m) = magnus.sweep(tabs, lams, 0.0, eta0, mask)
     assert np.array_equal(end_m, end) and np.array_equal(etas_m, etas[mask])
     assert np.array_equal(logs_m, logs[mask])

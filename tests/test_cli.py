@@ -542,6 +542,19 @@ def test_tortoise_map_refuses_an_overflowing_far_radius(tmp_path, capsys, comman
     assert rc == 2 and "config error: l = 2.681e+152 is too large" in err
 
 
+@pytest.mark.parametrize("l", [1e39, 1e60, 2.681e152, 2.7e152])
+def test_an_l_whose_radii_overflow_is_a_config_error(tmp_path, capsys, l):
+    # classify maps y = 1 to r - r_plus ~ l^2, past where Delta_r overflows
+    # from l of about 3e37 and past where dy/ds does from about 1e75: it
+    # exited 3 there, and 2 only from l = 2.7e152, where the tortoise build
+    # refuses. The forward map alone still serves tortoise and horizons.
+    cfg = write_config(tmp_path, m=1.0, a=0.0, q_e=0.0, l=l)
+    rc, out, err = run(capsys, ["classify", "--config", cfg])
+    assert rc == 2 and out == "" and err.startswith(f"config error: l = {l:.4g} is too large: ")
+    if l < 1e75:
+        assert [run(capsys, [c, "--config", cfg])[0] for c in ("tortoise", "horizons")] == [0, 0]
+
+
 @pytest.mark.parametrize("command", ["radial", "scan"])
 def test_default_r0_too_close_to_the_infinity_cutoff_is_refused(tmp_path, capsys, command):
     # radial exited 3 with "ValueError: r0 too close to the infinity cutoff",

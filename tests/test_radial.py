@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import knads.radial as radial_mod
-from knads.angular import NotLimitPoint, WindowTooWide, solve_window
+from knads.angular import NotLimitPoint
 from knads.geometry import BlackHoleParams, Refusal, find_horizons, reparameterize
+from knads.magnus import WindowTooWide, solve_window
 from knads.modescan import coupled_scan
 from knads.oracle import discretize_radial_confined
 from knads.operators import (
@@ -388,10 +389,10 @@ def test_confining_term_sets_no_mesh_on_the_infinity_leg():
     assert [int(radial_mod._leg_intervals(p, ctx, leg, [5.0], [LAM])[0]) for leg in legs] == [256, 256]
     sw = hinf_eigenvalues(p, ctx, LAM, delta=delta)
 
-    def defect(n):
-        return lambda omegas: _defect_hinf(p, ctx, LAM, omegas, legs, delta, None, n)
+    def defect(omegas, n):
+        return _defect_hinf(p, ctx, LAM, omegas, legs, delta, None, n)
 
-    ref = solve_window(defect(4096), -5.0, 5.0, 1e-10, coarse=defect(2048))
+    ref = solve_window(defect, -5.0, 5.0, 1e-10, 4096, "the reference")
     assert sw.count == ref.count >= 1
     assert np.max(np.abs(np.array(sw.eigenvalues) - ref.eigenvalues)) < 1e-12
 
