@@ -53,6 +53,9 @@ __all__ = [
 DEFAULT_EPSILON = 1e-6 * math.pi
 DEFAULT_MATCHING_POINT = math.pi / 2
 _SIGMA_MAX = 1e30  # sigma^10 stays finite: Omega multiplies up to 5 samples of A, q squares it
+# solve_items predicts each root on n // _COARSE intervals, to a bracket of _COARSE_TOL.
+_COARSE = 8
+_COARSE_TOL = 1e-6
 
 
 class NotLimitPoint(Refusal):
@@ -254,13 +257,17 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
     domega from ctx.omega, shooting to the default matching point from the
     default pole offset.
 
-    Each item gets the Magnus mesh of its own bracket and offset, is solved
-    by chandrupatla_batched to a bracket narrower than tol / 2 (one defect
-    call per step for all live items), and is checked against n/2 at its
-    root (slope from its bracket ends); an item whose estimated eigenvalue
-    error exceeds tol is solved again from its bracket on the doubled mesh.
-    So every root depends on its own item alone.
-    Returns (roots, |residuals|)."""
+    Each item gets the Magnus mesh of its own bracket and offset and is
+    solved on two meshes (two-grid, Xu & Zhou, Math. Comp. 70, 2001): on
+    n // _COARSE intervals by chandrupatla_batched from its bracket to a
+    bracket narrower than _COARSE_TOL, then by one Newton step x1 on the
+    full mesh, with the coarse bracket's secant slope. Where the full-mesh
+    defect at x1 -+ tol / 8 straddles the target, that enclosure is the
+    item's bracket, elsewhere its own bracket is; one chandrupatla_batched
+    call narrows every bracket below tol / 2. Each root is checked against
+    n/2, with the coarse slope; an item whose estimated eigenvalue error
+    exceeds tol is solved again on the doubled mesh. So every root depends
+    on its own item alone. Returns (roots, |residuals|)."""
     tpi = np.asarray(targets, dtype=float) * math.pi
     lo, hi, dw = (np.asarray(v, dtype=float) for v in (lo, hi, domega))
     bound = np.maximum(np.abs(lo), np.abs(hi))
@@ -270,16 +277,26 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
     todo = np.arange(tpi.size)
     while todo.size:
 
-        def f(xs, idx, todo=todo, halve=1):
+        def f(xs, idx, todo=todo, div=1):
             sel = todo[idx]
-            return _defect(p, ctx, xs, c, eps, None, None, dw[sel], n[sel] // halve) - tpi[sel]
+            return _defect(p, ctx, xs, c, eps, None, None, dw[sel], n[sel] // div) - tpi[sel]
 
-        k = np.arange(todo.size)
-        ends = f(np.concatenate([lo[todo], hi[todo]]), np.concatenate([k, k]))
-        flo, fhi = ends[: todo.size], ends[todo.size:]
-        x, fx = chandrupatla_batched(f, lo[todo], hi[todo], flo, fhi, 0.5 * tol)
-        slope = (fhi - flo) / (hi[todo] - lo[todo])
-        ok = np.abs(f(x, k, halve=2) - fx) <= tol * slope
+        def at_ends(a, b, idx, div=1):
+            ends = f(np.concatenate([a, b]), np.concatenate([idx, idx]), div=div)
+            return ends[: idx.size], ends[idx.size:]
+
+        k, a, b = np.arange(todo.size), lo[todo], hi[todo]
+        x, _, slope = chandrupatla_batched(lambda xs, idx: f(xs, idx, div=_COARSE), a, b,
+                                           *at_ends(a, b, k, _COARSE), _COARSE_TOL)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = np.fmin(np.fmax(x - f(x, k) / slope, a), b)  # a nan step lands on a
+        fa, fb = at_ends(x - tol / 8, x + tol / 8, k)
+        hit = fa * fb <= 0.0  # the enclosure straddles the target; nan never does
+        a, b = np.where(hit, (x - tol / 8, x + tol / 8), (a, b))
+        if (miss := np.flatnonzero(~hit)).size:
+            fa[miss], fb[miss] = at_ends(a[miss], b[miss], miss)
+        x, fx, _ = chandrupatla_batched(f, a, b, fa, fb, 0.5 * tol)
+        ok = np.abs(f(x, k, div=2) - fx) <= tol * slope
         roots[todo[ok]], resid[todo[ok]] = x[ok], fx[ok]
         todo = todo[~ok]
         for i in todo:

@@ -84,8 +84,9 @@ def chandrupatla_batched(fun, lo, hi, flo, fhi, tol):
     bisects next. An item stops once its bracket is narrower than tol and is
     then frozen, so its iterates never depend on the other items.
 
-    Returns (x, fx): per item the evaluated bracket end with the smaller
-    |residual|, and that residual."""
+    Returns (x, fx, slope): per item the evaluated bracket end with the
+    smaller |residual|, that residual, and the secant slope of the final
+    bracket."""
     # rows a (the newest bracket end), b (the other end), c (the point last
     # dropped), then their residuals
     st = np.array([lo, hi, hi, flo, fhi, fhi], dtype=float)
@@ -115,7 +116,7 @@ def chandrupatla_batched(fun, lo, hi, flo, fhi, tol):
         live[idx] = (width >= tol) & (fx != 0.0)
     a, b, _, fa, fb, _ = st
     use_a = np.abs(fa) <= np.abs(fb)
-    return np.where(use_a, a, b), np.where(use_a, fa, fb)
+    return np.where(use_a, a, b), np.where(use_a, fa, fb), (fb - fa) / (b - a)
 
 
 def solve_window(defect, lo, hi, tol, n, cause):
@@ -158,7 +159,7 @@ def solve_window(defect, lo, hi, tol, n, cause):
             seg = np.clip(np.searchsorted(dgrid, tpi) - 1, 0, nseg - 1)
             a, b = grid[seg], grid[seg + 1]
             fa, fb = dgrid[seg] - tpi, dgrid[seg + 1] - tpi
-            roots, resid = chandrupatla_batched(
+            roots, resid, _ = chandrupatla_batched(
                 lambda xs, idx: defect(xs, n) - tpi[idx], a, b, fa, fb, 0.5 * tol
             )
             slope = (fb - fa) / (b - a)

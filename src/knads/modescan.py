@@ -13,7 +13,10 @@ strictly increasing in lambda and moves by at most a * |omega - omega_0|
 (the Lipschitz bound from the frequency term), so each eigenvalue at each
 frequency is the unique defect root inside a bracket centered on the
 first-frequency value. That makes every (omega, j) item independent of the
-rest of the grid: no sequential hand-off, no branch-swap risk.
+rest of the grid: no sequential hand-off, no branch-swap risk. Each root is
+predicted on an eighth of the item's Magnus mesh and enclosed on the full
+mesh by one Newton step; an item whose enclosure misses is solved from its
+bracket on the full mesh (angular.solve_items).
 
 The scan is evidence, not proof: the amplitude threshold is conservative
 policy and every raw number is emitted for audit.
@@ -85,10 +88,10 @@ def _solve_items(p, ctx0, targets, lam_seed, half_width, domega):
     lam_seed +- half_width (angular.solve_items).
 
     All arrays are flat over (omega, j) items; ctx0 carries the seed
-    frequency and domega the per-item offsets. Each item has its own mesh
-    and stops on its own bracket width, so its root and residual do not
-    depend on which other items share the batch. Returns (roots,
-    |residuals|)."""
+    frequency and domega the per-item offsets. Each item has its own mesh,
+    its own coarse prediction and full-mesh enclosure, and stops on its own
+    bracket width, so its root and residual do not depend on which other
+    items share the batch. Returns (roots, |residuals|)."""
     return angular.solve_items(
         p, ctx0, targets, lam_seed - half_width, lam_seed + half_width, domega, _ITEM_TOL
     )

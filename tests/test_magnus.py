@@ -18,15 +18,17 @@ def test_chandrupatla_batched_cubics_stop_per_item():
         return d**3 + d
 
     lo, hi = shifts - 2.0, shifts + 3.0
-    roots, res = chandrupatla_batched(fun, lo, hi, fun(lo, np.arange(4)), fun(hi, np.arange(4)), 1e-12)
+    roots, res, slope = chandrupatla_batched(fun, lo, hi, fun(lo, np.arange(4)), fun(hi, np.arange(4)), 1e-12)
     assert np.max(np.abs(roots - shifts)) < 1e-12
     assert np.array_equal(res, fun(roots, np.arange(4)))
+    # the final bracket's secant slope is f'(root) = 1
+    assert np.max(np.abs(slope - 1.0)) < 1e-6
     # each item is frozen on its own bracket: alone it gives the same bits
     for i in range(4):
         k = np.array([i])
         one = chandrupatla_batched(lambda x, idx: fun(x, k[idx]), lo[k], hi[k],
                                    fun(lo[k], k), fun(hi[k], k), 1e-12)
-        assert one[0][0] == roots[i] and one[1][0] == res[i]
+        assert one[0][0] == roots[i] and one[1][0] == res[i] and one[2][0] == slope[i]
 
 
 def test_root_finder_steps_are_bounded_where_regula_falsi_stalls():
@@ -41,7 +43,7 @@ def test_root_finder_steps_are_bounded_where_regula_falsi_stalls():
         return np.expm1(40.0 * x)
 
     lo, hi = np.array([-1.0]), np.array([1.0])
-    root, res = chandrupatla_batched(fun, lo, hi, fun(lo, 0), fun(hi, 0), tol)
+    root, res, _ = chandrupatla_batched(fun, lo, hi, fun(lo, 0), fun(hi, 0), tol)
     steps = len(calls) - 2
     assert abs(root[0]) < tol and res[0] == np.expm1(40.0 * root[0])
     assert steps <= (magnus._STALE_STEPS + 1) * math.ceil(math.log2(2.0 / tol))

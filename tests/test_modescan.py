@@ -8,6 +8,7 @@ import knads.angular as angular_mod
 from knads.geometry import BlackHoleParams, reparameterize
 from knads.angular import eigenvalues_by_label
 from knads.modescan import (
+    _ITEM_TOL,
     _TRACK_MARGIN,
     ExtremalUnsupported,
     _defect_targets,
@@ -216,3 +217,84 @@ def test_criterion_8_scan_needs_at_most_19_defect_calls(monkeypatch):
     monkeypatch.setattr(angular_mod, "_defect", counted)
     coupled_scan(P_BASE, CTX, GRID_81, j_window=3)
     assert len(calls) <= 19
+
+
+def test_criterion_8_scan_work_is_bounded(monkeypatch):
+    # rows x mesh intervals over every sweep of angular._defect: each item's
+    # root is predicted on an eighth of its mesh and enclosed by one Newton
+    # step on the full mesh (579,744); solving every item on its full mesh
+    # took 1,046,016.
+    work = []
+
+    def counted(tabs, lams, *args):
+        work.append(lams.size * tabs.shape[1])
+        return sweep(tabs, lams, *args)
+
+    sweep = angular_mod.sweep
+    monkeypatch.setattr(angular_mod, "sweep", counted)
+    coupled_scan(P_BASE, CTX, GRID_81, j_window=3)
+    assert sum(work) <= 650_000
+
+
+def _tracking_items(every):
+    """coupled_scan's tracking items on criterion 8's grid, at every every-th
+    frequency after the seed."""
+    labels = (-3, -2, -1, 1, 2, 3)
+    ctx0 = CTX.with_omega(float(GRID_81[0]))
+    seed = eigenvalues_by_label(P_BASE, ctx0, labels)
+    lam0 = np.array([seed[j] for j in labels])
+    dom = np.repeat(GRID_81[1::every] - GRID_81[0], len(labels))
+    reps = dom.size // len(labels)
+    half = P_BASE.a * np.abs(dom) + _TRACK_MARGIN
+    return ctx0, (np.tile(_defect_targets(P_BASE, ctx0, lam0), reps), np.tile(lam0, reps), half, dom)
+
+
+def test_items_whose_enclosure_misses_fall_back_to_their_bracket(monkeypatch):
+    # With a coarse tolerance wider than every bracket the prediction is a
+    # bracket end, one Newton step from it misses its tol / 4 enclosure, and
+    # every item is solved from its own bracket on its full mesh.
+    ctx0, items = _tracking_items(every=8)
+    want, _ = _solve_items(P_BASE, ctx0, *items)
+    calls = []
+
+    def logged(p, ctx, lams, c, eps, bl, br, domega, n):
+        calls.append((np.array(lams), np.array(n)))
+        return defect(p, ctx, lams, c, eps, bl, br, domega, n)
+
+    defect = angular_mod._defect
+    monkeypatch.setattr(angular_mod, "_defect", logged)
+    monkeypatch.setattr(angular_mod, "_COARSE_TOL", 1.0)
+    roots, res = _solve_items(P_BASE, ctx0, *items)
+    assert np.max(np.abs(roots - want)) <= _ITEM_TOL
+    assert np.max(res) < 1e-8
+    # the brackets' ends went to the coarse mesh, then all of them to the full one
+    _, lam_seed, half, dom = items
+    ends = np.concatenate([lam_seed - half, lam_seed + half])
+    meshes = [n for lams, n in calls if np.array_equal(lams, ends)]
+    n0 = angular_mod.mesh_intervals(P_BASE, ctx0, np.abs(lam_seed) + half, np.abs(dom))
+    assert len(meshes) == 2 and np.array_equal(meshes[1], np.tile(n0, 2))
+    # and each item passed its n/2 check there: no mesh was doubled
+    assert max(np.max(n) for _, n in calls) <= np.max(n0)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_a_zero_or_nan_coarse_slope_costs_one_doubling(monkeypatch, bad):
+    # The Newton step divides by the coarse slope under np.errstate, since
+    # pytest turns a RuntimeWarning into an error. With a zero or nan slope
+    # every enclosure misses and every n/2 check fails, so each item is
+    # solved again on its doubled mesh, with a true slope.
+    ctx0, items = _tracking_items(every=40)
+    want, _ = _solve_items(P_BASE, ctx0, *items)
+    coarse = []
+
+    def spoil(fun, lo, hi, flo, fhi, tol):
+        x, fx, slope = finder(fun, lo, hi, flo, fhi, tol)
+        if tol == angular_mod._COARSE_TOL:
+            coarse.append(x.size)
+            slope = np.full_like(slope, bad) if len(coarse) == 1 else slope
+        return x, fx, slope
+
+    finder = angular_mod.chandrupatla_batched
+    monkeypatch.setattr(angular_mod, "chandrupatla_batched", spoil)
+    roots, _ = _solve_items(P_BASE, ctx0, *items)
+    assert coarse == [12, 12] and np.max(np.abs(roots - want)) <= _ITEM_TOL
