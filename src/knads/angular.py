@@ -36,7 +36,7 @@ from .classify import angular_exponents, classify_angular
 from .geometry import InputError, Refusal, delta_theta
 from .magnus import (GAUSS, GRADE, PHASE_STEP, WindowTooWide, chandrupatla_batched, magnus_terms,
                      mesh_size, omega_table, refined, solve_window, sweep)
-from .operators import _angular_entries, dirac_d
+from .operators import _angular_entries, dirac_d, sigma_function
 # Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
 from .rk import integrate  # noqa: F401
 
@@ -73,9 +73,8 @@ def prufer_rhs(p, ctx, theta, eta, lam):
     Exposed for direct evaluation and tests; shooting propagates the
     equivalent first-order system itself (the two phase equations coincide
     when a = 0)."""
-    d = dirac_d(p, ctx)
     sq = math.sqrt(delta_theta(p, theta))
-    sig = d * (math.cos(theta) - ctx.gauge_b) - ctx.k
+    sig = sigma_function(p, ctx, theta)
     s, c = math.sin(eta), math.cos(eta)
     return (
         lam / sq
@@ -172,7 +171,7 @@ def _magnus_tables(p, ctx, c, eps, n):
     e = np.exp(ts[:, :-1, None] + h[..., None] * GAUSS)
     theta = pole[..., None] + sign[..., None] * e
     m11, m12 = _angular_entries(p, ctx, theta)
-    sq = np.sqrt(1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2)
+    sq = np.sqrt(delta_theta(p, theta))
     f = sign[..., None] * e / sq
     g = np.stack([f * m12, f, -f * m11, -f * p.a * np.sin(theta) / sq])
     return omega_table(magnus_terms(h, g), _ANGULAR_LAYOUT)
@@ -322,8 +321,9 @@ def eigenvalues_by_label(p, ctx, labels):
     raise WindowTooWide("could not bracket all requested labels")
 
 
-def amplitude_weight(p, ctx, theta, c=DEFAULT_MATCHING_POINT):
-    """Closed-form amplitude weight E(theta) = exp(F(theta) - F(c)) with
+def amplitude_weight(p, ctx, theta):
+    """Closed-form amplitude weight E(theta) = exp(F(theta) - F(c)), c =
+    DEFAULT_MATCHING_POINT, with
 
         F(t) = -(k/2) [ (a/l) log((l + a cos t)/(l - a cos t))
                         - log((1 + cos t)/(1 - cos t)) ],
@@ -344,5 +344,5 @@ def amplitude_weight(p, ctx, theta, c=DEFAULT_MATCHING_POINT):
             - np.log((1.0 + ct) / (1.0 - ct))
         )
 
-    out = np.exp(f_part(theta) - f_part(c))
+    out = np.exp(f_part(theta) - f_part(DEFAULT_MATCHING_POINT))
     return float(out) if out.ndim == 0 else out

@@ -14,10 +14,11 @@ import math
 import numpy as np
 
 from .geometry import InputError, find_horizons
-from .operators import decade_integrals, delta_r_vec, deviation_norm, dirac_d, tortoise_map
+from .operators import decade_integrals, deviation_norm, dirac_d, sqrt_delta_r_from_u, tortoise_map
 
 LIMIT_POINT = "LimitPoint"
 LIMIT_CIRCLE = "LimitCircle"
+_TAIL_DECADES = 6  # l2_tail_test: decades integrated
 
 
 @dataclass(frozen=True)
@@ -148,13 +149,14 @@ def classify_radial_horizon(p, ctx, lam=0.0):
     )
 
 
-def sa_report(p, ctx, lam=0.0):
+def sa_report(p, ctx):
     """Aggregate the four endpoint verdicts for one partial-wave pair.
 
     The pair is essentially self-adjoint on smooth compactly supported
-    spinors iff every endpoint is limit point."""
+    spinors iff every endpoint is limit point. The horizon bound is taken at
+    lambda = 0 (the verdict does not depend on it)."""
     at0, atpi = classify_angular(p, ctx)
-    ath = classify_radial_horizon(p, ctx, lam)
+    ath = classify_radial_horizon(p, ctx)
     if ctx.mu > 0.0:
         atinf = classify_radial_infinity(ctx.mu, p.l)
     else:
@@ -176,19 +178,18 @@ def sa_report(p, ctx, lam=0.0):
     )
 
 
-def l2_tail_test(p, mu, r0=None, n_decades=6):
+def l2_tail_test(p, mu):
     """Numeric limit-point test at infinity: per-decade integrals of
-    r^(2 mu l) (r^2 + a^2) / Delta_r behave like R^(2 mu l - 1), so the
-    decade-to-decade ratio fits the exponent 2 mu l - 1. Returns
-    (fitted_exponent, verdict): limit point iff the integral diverges, i.e.
-    the exponent is >= 0 up to a small tolerance."""
-    hd = find_horizons(p)
-    if r0 is None:
-        r0 = hd.r_plus + max(p.l, hd.r_plus)
+    r^(2 mu l) (r^2 + a^2) / Delta_r over _TAIL_DECADES decades from r_plus +
+    max(l, r_plus) behave like R^(2 mu l - 1), so the decade-to-decade ratio
+    fits the exponent 2 mu l - 1. Returns (fitted_exponent, verdict): limit
+    point iff the integral diverges, i.e. the exponent is >= 0 up to a small
+    tolerance."""
+    rp = find_horizons(p).r_plus
     vals = decade_integrals(
-        lambda r: r ** (2.0 * mu * p.l) * (r * r + p.a**2) / delta_r_vec(p, r), r0, n_decades
+        lambda r: r ** (2.0 * mu * p.l) * (r * r + p.a**2) / sqrt_delta_r_from_u(p, r - rp) ** 2,
+        rp + max(p.l, rp), _TAIL_DECADES,
     )
-    ratios = np.array(vals[2:]) / np.array(vals[1:-1])
-    exponent = float(np.mean(np.log10(ratios)))
+    exponent = float(np.mean(np.log10(vals[2:] / vals[1:-1])))
     verdict = LIMIT_POINT if exponent >= -5e-3 else LIMIT_CIRCLE
     return exponent, verdict

@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 import math
 
+import numpy as np
+
 
 class InputError(ValueError):
     """An input the caller must mend; the CLI exits 2 with a config error."""
@@ -110,8 +112,9 @@ def delta_r_prime(p, r):
 
 
 def delta_theta(p, theta):
-    """Angular structure function 1 - (a**2/l**2) cos(theta)**2, in [xi, 1]."""
-    return 1.0 - (p.a / p.l) ** 2 * math.cos(theta) ** 2
+    """Angular structure function 1 - (a**2/l**2) cos(theta)**2, in [xi, 1];
+    vectorized over theta."""
+    return 1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2
 
 
 def extremal_mass(a, z2, l):

@@ -37,6 +37,7 @@ from .radial import horizon_continuation_evidence, levinson_phi_plus
 from .rk import bisect_batched  # noqa: F401
 
 DEFAULT_THRESHOLD = 1e-3
+_MAX_HARMONICS = 10**5  # periodicity_verdict: most frequencies 2 pi n / T it checks
 _TRACK_MARGIN = 0.02
 _ITEM_TOL = 1e-10
 
@@ -100,11 +101,11 @@ def _solve_items(p, ctx0, targets, lam_seed, half_width, domega):
 def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT_THRESHOLD):
     """Scan the frequency grid and certify the absence of normalizable modes.
 
-    For each omega the angular eigenvalues lambda_j(omega) for |j| <=
-    j_window are located by their integer winding targets inside Lipschitz
-    brackets around the first-frequency values. Each (omega, j) pair then
-    gets radial evidence from the recessive continuation; near omega =
-    phi_plus the oscillation slope is meaningless and the Levinson
+    For each omega the angular eigenvalues lambda_j(omega) for 1 <= |j| <=
+    j_window (an int) are located by their integer winding targets inside
+    Lipschitz brackets around the first-frequency values. Each (omega, j)
+    pair then gets radial evidence from the recessive continuation; near
+    omega = phi_plus the oscillation slope is meaningless and the Levinson
     certificate is consulted instead. Rerunning with the same inputs
     reproduces the output bit for bit."""
     hd = find_horizons(p)
@@ -119,10 +120,7 @@ def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT
     omegas = np.asarray(list(omega_grid), dtype=float)
     if omegas.size < 2 or np.any(np.diff(omegas) <= 0):
         raise InputError("omega_grid must be strictly increasing with >= 2 points")
-    if isinstance(j_window, int):
-        labels = tuple(range(-j_window, 0)) + tuple(range(1, j_window + 1))
-    else:
-        labels = tuple(int(j) for j in j_window)
+    labels = tuple(range(-j_window, 0)) + tuple(range(1, j_window + 1))
     nj = len(labels)
     lip = abs(p.a)
 
@@ -220,14 +218,18 @@ def periodicity_verdict(scan, period):
     such frequency inside the scanned range is matched to its nearest grid
     point; the mode evidence there either rejects normalizability
     (NoBoundStateFound) or flags a PeriodicCandidate. If no candidate
-    frequency lies in the range the scan says nothing about this period."""
-    if period <= 0:
-        raise InputError("period must be positive")
+    frequency lies in the range the scan says nothing about this period.
+    A period that is not finite and positive is an InputError; one that puts
+    more than _MAX_HARMONICS frequencies in the range is refused."""
+    if not (0.0 < period < math.inf and math.isfinite(base := 2.0 * math.pi / float(period))):
+        raise InputError(f"period must be finite and positive, with 2*pi/period finite, got {period}")
     omegas = np.asarray(scan.omega_grid)
     lo, hi = omegas[0], omegas[-1]
-    base = 2.0 * math.pi / period
     n_lo = math.ceil(lo / base)
     n_hi = math.floor(hi / base)
+    if n_hi - n_lo + 1 > _MAX_HARMONICS:
+        raise Refusal(f"period {period:g} puts {n_hi - n_lo + 1} frequencies 2*pi*n/T in "
+                      f"[{lo:g}, {hi:g}], more than {_MAX_HARMONICS}")
     if n_lo > n_hi:
         return PeriodicityReport(
             period=float(period),

@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .geometry import InputError, OutsideExterior, Refusal, find_horizons, horizon_slope, require_finite
+from .geometry import (InputError, OutsideExterior, Refusal, delta_theta, find_horizons, horizon_slope,
+                       require_finite)
 
 
 class DomainError(InputError):
@@ -74,8 +75,7 @@ def sigma_function(p, ctx, theta):
 def _angular_entries(p, ctx, theta):
     """(M11, M12) of the angular potential matrix, vectorized over theta."""
     theta = np.asarray(theta, dtype=float)
-    dth = 1.0 - (p.a / p.l) ** 2 * np.cos(theta) ** 2
-    sq = np.sqrt(dth)
+    sq = np.sqrt(delta_theta(p, theta))
     m11 = p.xi * sigma_function(p, ctx, theta) / (sq * np.sin(theta)) + (
         p.a * ctx.omega * np.sin(theta) / sq
     )
@@ -198,31 +198,28 @@ def confinement_density(p, ctx, r):
     spectrum of the confined radial operator. Its integral over [r0, R)
     diverges like mu l log R, and r * density -> mu l."""
     r = np.asarray(r, dtype=float)
-    return ctx.mu * r / np.sqrt(delta_r_vec(p, r))
+    return ctx.mu * r / sqrt_delta_r_from_u(p, r - find_horizons(p).r_plus)
 
 
-def delta_r_vec(p, r):
-    """Vectorized Delta_r through the factored form (positive on the
-    exterior)."""
-    rp, rm, c1, c0, _ = _factored_quartic_terms(p)
-    r = np.asarray(r, dtype=float)
-    return (r - rp) * (r - rm) * ((r + c1) * r + c0) / p.l**2
+_SEGMENT_NODES, _SEGMENT_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-_DECADE_NODES, _DECADE_WEIGHTS = np.polynomial.legendre.leggauss(64)
+def gauss_segments(f, breaks):
+    """Integral of f over consecutive [breaks_i, breaks_{i+1}] segments by
+    64-node Gauss-Legendre, every node in one call of f (vectorized over an
+    array of shape (segments, 64)); returns per-segment values."""
+    breaks = np.asarray(breaks, dtype=float)
+    mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    return half * (f(mid + half[:, None] * _SEGMENT_NODES) @ _SEGMENT_WEIGHTS)
 
 
 def decade_integrals(f, r0, n_decades):
     """Integrals of f(r) dr over the decades [r0 10^j, r0 10^(j+1)],
-    j < n_decades, each by 64-node Gauss-Legendre in log r (dr = r dlog r).
-    f is vectorized over r; returns a list of floats."""
-    vals = []
-    for j in range(n_decades):
-        lo = math.log(r0) + j * math.log(10.0)
-        t = 0.5 * math.log(10.0) * (_DECADE_NODES + 1.0) + lo
-        r = np.exp(t)
-        vals.append(0.5 * math.log(10.0) * float((f(r) * r) @ _DECADE_WEIGHTS))
-    return vals
+    j < n_decades, by gauss_segments in log r (dr = r dlog r). f is
+    vectorized over r; returns an array."""
+    breaks = math.log(r0) + math.log(10.0) * np.arange(n_decades + 1)
+    return gauss_segments(lambda t: f(r := np.exp(t)) * r, breaks)
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)

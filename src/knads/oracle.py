@@ -29,13 +29,11 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .geometry import Refusal, find_horizons
-from .operators import (
-    _angular_entries,
-    _p_function,
-    sqrt_delta_r_from_u,
-    tortoise_map,
-)
+from .geometry import Refusal, delta_theta
+from .operators import _angular_entries, _radial_terms, tortoise_map
+
+
+_EPSILON = 1e-8  # angular grid: truncation offset from each pole
 
 
 class GridTooCoarse(Refusal):
@@ -97,9 +95,9 @@ def _cluster_map(lo, hi):
     return x, dx
 
 
-def discretize_angular(p, ctx, N, epsilon=1e-8):
+def discretize_angular(p, ctx, N):
     """Staggered discretization of the angular operator on
-    [epsilon, pi - epsilon].
+    [_EPSILON, pi - _EPSILON].
 
     Component 1 lives at s = (i + 1/4)h, component 2 at s = (i + 3/4)h
     (i = 0..N-1, h = 1/N); zeroing the out-of-range neighbors imposes the
@@ -109,14 +107,12 @@ def discretize_angular(p, ctx, N, epsilon=1e-8):
     if N < 200:
         raise GridTooCoarse("angular oracle needs N >= 200")
     h = 1.0 / N
-    theta_of, dtheta_of = _cluster_map(epsilon, math.pi - epsilon)
+    theta_of, dtheta_of = _cluster_map(_EPSILON, math.pi - _EPSILON)
     s_a = (np.arange(N) + 0.25) * h
     s_b = (np.arange(N) + 0.75) * h
 
     def g_of(s):
-        th = theta_of(s)
-        dth = 1.0 - (p.a / p.l) ** 2 * np.cos(th) ** 2
-        return dtheta_of(s) / np.sqrt(dth)
+        return dtheta_of(s) / np.sqrt(delta_theta(p, theta_of(s)))
 
     g_a, g_b = g_of(s_a), g_of(s_b)
     m11_a, _ = _angular_entries(p, ctx, theta_of(s_a))
@@ -143,9 +139,9 @@ def discretize_angular(p, ctx, N, epsilon=1e-8):
         diag=diag,
         offdiag=off,
         weights=weights,
-        interval=(epsilon, math.pi - epsilon),
+        interval=(_EPSILON, math.pi - _EPSILON),
         n_cells=N,
-        offsets=(epsilon, epsilon),
+        offsets=(_EPSILON, _EPSILON),
         scheme="staggered-quarter-offset",
     )
 
@@ -164,7 +160,6 @@ def discretize_radial_confined(p, ctx, lam, r0, N, delta=1e-3):
         raise GridTooCoarse("radial oracle needs N >= 200")
     if ctx.mu * p.l < 0.5:
         raise Refusal("confined oracle requires mu*l >= 1/2")
-    hd = find_horizons(p)
     tm = tortoise_map(p)
     x0 = tm.x(r0)
     if not x0 < -delta:
@@ -173,16 +168,9 @@ def discretize_radial_confined(p, ctx, lam, r0, N, delta=1e-3):
     x_of, dx_of = _cluster_map(x0, -delta)
 
     def entries(s):
-        y = -x_of(s)
-        u = tm.u_of_y(y)
-        r = hd.r_plus + u
-        r2a2 = r * r + p.a**2
-        sq = sqrt_delta_r_from_u(p, u)
-        pr = _p_function(p, ctx, r)
-        v11 = (pr + lam * sq) / r2a2
-        v22 = (pr - lam * sq) / r2a2
-        v12 = -ctx.mu * r * sq / r2a2
-        return v11, v22, v12
+        """(V11, V22, V12) of the rotated potential: diag +- off on the diagonal, -conf off it."""
+        diag, conf, off = _radial_terms(p, ctx, lam, tm.u_of_y(-x_of(s)))
+        return diag + off, diag - off, -conf
 
     s_half = (np.arange(N) + 0.5) * h
     s_int = np.arange(1, N) * h

@@ -35,10 +35,11 @@ from .geometry import Refusal, find_horizons
 from .magnus import GAUSS, GRADE, PHASE_STEP, magnus_terms, mesh_size, omega_table, solve_window, sweep
 from .operators import (
     _radial_terms,
+    confinement_density,
     decade_integrals,
     deviation_norm,
+    gauss_segments,
     phi_plus,
-    sqrt_delta_r_from_u,
     tortoise_map,
 )
 # Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
@@ -65,20 +66,12 @@ class TooCloseToPhiPlus(Refusal):
 
 @dataclass(frozen=True)
 class RadialCertificate:
+    """One radial certificate: its kind (Hor_AC_L1, Extremal_Cesaro,
+    Levinson_phi_plus, Hor_oscillation or Hinf_discrete), the numeric
+    evidence it rests on, and whether that evidence passes."""
+
     kind: str
     evidence: dict
-    passed: bool
-
-
-@dataclass(frozen=True)
-class OscillationReport:
-    slope: float
-    expected: float
-    rel_err: float
-    radius_ratio: float
-    phi_plus: float
-    omega: float
-    y_max: float
     passed: bool
 
 
@@ -230,17 +223,11 @@ def hinf_eigenvalues(p, ctx, lam, r0=None, window=(-5.0, 5.0), beta_infinity=Non
                         *window, _TOL, n, f"|omega| <= {bound:g}")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _gauss_segments(f, breaks):
-    """Integral of f over consecutive [breaks_i, breaks_{i+1}] segments by
-    fixed Gauss quadrature, every node in one call of f; returns per-segment
-    values."""
-    breaks = np.asarray(breaks, dtype=float)
-    mid = 0.5 * (breaks[1:] + breaks[:-1])[:, None]
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    return half * (f(mid + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+def _deviation_segments(p, ctx, lam, breaks):
+    """Integrals of ||V - phi_plus I||_F dy over consecutive [breaks_i,
+    breaks_{i+1}] in y (gauss_segments), the nodes mapped to r in one call."""
+    tm = tortoise_map(p)
+    return gauss_segments(lambda y: deviation_norm(p, ctx, lam, tm.u_of_y(y)), breaks)
 
 
 def horizon_ac_certificate(p, ctx, lam):
@@ -252,46 +239,25 @@ def horizon_ac_certificate(p, ctx, lam):
     plain integral grows while the Cesàro mean (1/Y) * integral still tends
     to 0; both facts are recorded."""
     hd = find_horizons(p)
-    tm = tortoise_map(p)
-    f = lambda y: deviation_norm(p, ctx, lam, tm.u_of_y(y))
     breaks = np.concatenate(
         [np.geomspace(_Y_START, 1e2, 9), np.geomspace(1e2, 1e3, 9)[1:], np.geomspace(1e3, _Y_MAX, 9)[1:]]
     )
-    segs = _gauss_segments(f, breaks)
-    cum = np.cumsum(segs)
-    i100 = 8 - 1  # index of the segment ending at 1e2
-    i1k = 16 - 1
-    i10k = 24 - 1
-    total_100, total_1k, total_10k = cum[i100], cum[i1k], cum[i10k]
+    totals = np.cumsum(_deviation_segments(p, ctx, lam, breaks))[7::8]  # up to Y = 1e2, 1e3, 1e4
+    total_100, total_1k, total_10k = totals
+    integral_y = dict(zip((1e2, 1e3, 1e4), totals.tolist()))
     tail_1 = total_1k - total_100
     tail_2 = total_10k - total_1k
     if not hd.extremal:
         ratio = tail_2 / tail_1 if tail_1 > 0 else 0.0
-        passed = bool(ratio < 0.05) or (total_10k == 0.0)
-        return RadialCertificate(
-            kind="Hor_AC_L1",
-            evidence={
-                "integral_Y": {1e2: float(total_100), 1e3: float(total_1k), 1e4: float(total_10k)},
-                "tail_ratio": float(ratio),
-                "norm": "frobenius",
-            },
-            passed=passed,
-        )
-    cesaro = {1e2: total_100 / 1e2, 1e3: total_1k / 1e3, 1e4: total_10k / 1e4}
+        evidence = {"integral_Y": integral_y, "tail_ratio": float(ratio), "norm": "frobenius"}
+        return RadialCertificate("Hor_AC_L1", evidence, bool(ratio < 0.05) or (total_10k == 0.0))
+    cesaro = {y: v / y for y, v in integral_y.items()}
     rate = math.log(cesaro[1e4] / cesaro[1e2]) / math.log(1e4 / 1e2) if cesaro[1e2] > 0 else 0.0
     growing = total_10k > total_1k > total_100
     passed = bool(growing and cesaro[1e4] < cesaro[1e3] < cesaro[1e2] and cesaro[1e4] < 0.2 * cesaro[1e2])
-    return RadialCertificate(
-        kind="Extremal_Cesaro",
-        evidence={
-            "integral_Y": {1e2: float(total_100), 1e3: float(total_1k), 1e4: float(total_10k)},
-            "cesaro_Y": {k: float(v) for k, v in cesaro.items()},
-            "decay_rate": float(rate),
-            "l1_diverges": bool(growing),
-            "norm": "frobenius",
-        },
-        passed=passed,
-    )
+    evidence = {"integral_Y": integral_y, "cesaro_Y": cesaro, "decay_rate": float(rate),
+                "l1_diverges": bool(growing), "norm": "frobenius"}
+    return RadialCertificate("Extremal_Cesaro", evidence, passed)
 
 
 def levinson_phi_plus(p, ctx, lam):
@@ -304,8 +270,7 @@ def levinson_phi_plus(p, ctx, lam):
     at the unit vectors, (eta, log rho) = (0, 0) and (pi/2, 0), and are swept
     in s on a leg whose pieces end at the checkpoints (mapped to s once), so
     every checkpoint is a mesh node."""
-    hd = find_horizons(p)
-    if hd.extremal:
+    if find_horizons(p).extremal:
         raise Refusal("Levinson certificate applies to the non-extremal case")
     ph = phi_plus(p, ctx)
     tm = tortoise_map(p)
@@ -320,56 +285,33 @@ def levinson_phi_plus(p, ctx, lam):
         for v1, v2 in zip(vecs[-3:-1], vecs[-2:])
     ]
     # ||Rbar||_F is the deviation norm of V from phi_plus * I
-    integrable = _gauss_segments(
-        lambda y: deviation_norm(p, ctx, lam, tm.u_of_y(y)), np.geomspace(_Y_START, _Y_MAX, 17)
-    )
+    integrable = _deviation_segments(p, ctx, lam, np.geomspace(_Y_START, _Y_MAX, 17))
     cauchy = float(integrable[-4:].sum() / max(integrable.sum(), 1e-300))
     min_norm = math.exp(min_logr)
     passed = bool(max(rel_changes) < 1e-4 and min_norm > 0.5 and cauchy < 0.05)
-    return RadialCertificate(
-        kind="Levinson_phi_plus",
-        evidence={
-            "final_vectors": vecs[-1].tolist(),
-            "asymptotic_rel_change": rel_changes,
-            "min_norm_over_traces": min_norm,
-            "rbar_l1_segments": integrable.tolist(),
-            "rbar_l1_cauchy_tail": cauchy,
-            "phi_plus": float(ph),
-        },
-        passed=passed,
-    )
+    evidence = {"final_vectors": vecs[-1].tolist(), "asymptotic_rel_change": rel_changes,
+                "min_norm_over_traces": min_norm, "rbar_l1_segments": integrable.tolist(),
+                "rbar_l1_cauchy_tail": cauchy, "phi_plus": float(ph)}
+    return RadialCertificate("Levinson_phi_plus", evidence, passed)
 
 
 def horizon_oscillation(p, ctx, lam, omega):
     """Oscillatory (non-normalizable) behavior certificate at the horizon for
     omega != phi_plus: the Prüfer phase grows linearly with slope omega -
     phi_plus in the x convention, and the Prüfer radius stays bounded."""
-    hd = find_horizons(p)
-    if hd.extremal:
+    if find_horizons(p).extremal:
         raise Refusal("oscillation certificate applies to the non-extremal case")
     ph = phi_plus(p, ctx)
     if abs(omega - ph) < 1e-6:
-        raise TooCloseToPhiPlus(
-            f"|omega - phi_plus| = {abs(omega - ph):.2e} < 1e-6"
-        )
-
-    s_start, s_max = tortoise_map(p).log_u_of_y(np.array([_Y_START, _Y_MAX]))
-    (_, _, _, ys, etas, logs), = _leg(p, ctx, (3, s_start, s_max), omega, lam, 0.0,
-                                      lambda y: y >= 0.1 * _Y_MAX)
-    slope = -_slopes(ys, etas)[0]  # x-convention
+        raise TooCloseToPhiPlus(f"|omega - phi_plus| = {abs(omega - ph):.2e} < 1e-6")
+    s_start = float(tortoise_map(p).log_u_of_y(_Y_START))
+    (slope,), (lo,), (hi,) = _horizon_leg(p, ctx, s_start, _Y_MAX, omega, lam, 0.0)
     expected = omega - ph
     rel = abs(slope - expected) / abs(expected)
-    rr = float(np.exp(logs.max() - logs.min()))
-    return OscillationReport(
-        slope=float(slope),
-        expected=float(expected),
-        rel_err=float(rel),
-        radius_ratio=rr,
-        phi_plus=float(ph),
-        omega=float(omega),
-        y_max=_Y_MAX,
-        passed=bool(rel < 1e-3 and rr < 10.0),
-    )
+    rr = float(np.exp(hi - lo))
+    evidence = {"slope": float(slope), "expected": float(expected), "rel_err": float(rel), "radius_ratio": rr,
+                "phi_plus": float(ph), "omega": float(omega), "y_max": _Y_MAX}
+    return RadialCertificate("Hor_oscillation", evidence, bool(rel < 1e-3 and rr < 10.0))
 
 
 def confinement_certificate(p, ctx, r0=None):
@@ -378,31 +320,17 @@ def confinement_certificate(p, ctx, r0=None):
     mu*l*log R), and r * density tends to mu*l."""
     if ctx.mu == 0.0:
         raise NotConfining("mu = 0 has no confining term")
-    hd = find_horizons(p)
-    if r0 is None:
-        r0 = default_r0(p)
-
-    def q_times_r(r):
-        u = np.asarray(r, dtype=float) - hd.r_plus
-        return ctx.mu * np.asarray(r, float) / sqrt_delta_r_from_u(p, u)
-
-    vals = decade_integrals(q_times_r, r0, _N_DECADES)
+    r0 = default_r0(p) if r0 is None else r0
+    vals = decade_integrals(lambda r: confinement_density(p, ctx, r), r0, _N_DECADES)
     mul = ctx.mu * p.l
     target = mul * math.log(10.0)
     rel_last = abs(vals[-1] - target) / target
     tail_r = r0 * 10.0**_N_DECADES
-    limit_val = float(q_times_r(tail_r) * tail_r)
+    limit_val = float(confinement_density(p, ctx, tail_r) * tail_r)
     passed = bool(rel_last < 1e-2 and abs(limit_val - mul) / mul < 1e-2)
-    return RadialCertificate(
-        kind="Hinf_discrete",
-        evidence={
-            "per_decade_integrals": [float(v) for v in vals],
-            "per_decade_target": float(target),
-            "r_times_density_at_far": limit_val,
-            "mu_l": float(mul),
-        },
-        passed=passed,
-    )
+    evidence = {"per_decade_integrals": vals.tolist(), "per_decade_target": float(target),
+                "r_times_density_at_far": limit_val, "mu_l": float(mul)}
+    return RadialCertificate("Hinf_discrete", evidence, passed)
 
 
 def infinity_growth_exponents(p, ctx, lam, omega):
@@ -437,6 +365,19 @@ def _infinity_leg(p, ctx, r0, omegas, lams, eta0, inward):
     return s0, end, slope
 
 
+def _horizon_leg(p, ctx, s_start, y_end, omegas, lams, eta0):
+    """Sweeps of the rows (omegas, lams) from the phases eta0 along the grade
+    3 leg from s_start to y = y_end, short intervals near s_start, where A
+    varies. Returns per row the phase slope in the x convention and the min
+    and max of log rho, counted from s_start, over y >= y_end / 10."""
+    s_end = float(tortoise_map(p).log_u_of_y(y_end))
+    slope, lo, hi = np.empty((3, np.broadcast(np.atleast_1d(omegas), lams, eta0).size))
+    for rows, _, _, ys, etas, logs in _leg(p, ctx, (3, s_start, s_end), omegas, lams, eta0,
+                                           lambda y: y >= 0.1 * y_end):
+        slope[rows], lo[rows], hi[rows] = -_slopes(ys, etas), logs.min(axis=1), logs.max(axis=1)
+    return slope, lo, hi
+
+
 def _slopes(x, y):
     """Least-squares slopes of the rows of y against x, centred. Each row's
     sums run along its own contiguous row, so a row does not depend on how
@@ -463,10 +404,6 @@ def horizon_continuation_evidence(p, ctx, lams, omegas, r0=None):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     inf0 = _infinity_init(p, ctx, lams, omegas, DEFAULT_DELTA)
     s0, at_r0, decay = _infinity_leg(p, ctx, r0, omegas, lams, inf0, inward=True)
-    s_far = float(tortoise_map(p).log_u_of_y(_Y_FAR))
-    slopes, amp = np.empty(lams.size), np.empty(lams.size)
-    # the horizon leg, short intervals near r0 where A varies
-    for rows, _, _, ys, etas, logs in _leg(p, ctx, (3, s0, s_far), omegas, lams, at_r0,
-                                           lambda y: y >= 0.1 * _Y_FAR):
-        slopes[rows], amp[rows] = -_slopes(ys, etas), np.exp(logs.min(axis=1))
-    return slopes, amp, decay, phi_plus(p, ctx)
+    slopes, lo, _ = _horizon_leg(p, ctx, s0, _Y_FAR, omegas, lams, at_r0)
+    return slopes, np.exp(lo), decay, phi_plus(p, ctx)
+

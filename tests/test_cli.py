@@ -64,6 +64,22 @@ def parse_csv(text):
     return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+def test_csv_headers_match_the_schema(tmp_path, capsys):
+    # Every subcommand's CSV header is the column list csv_schema.json
+    # documents; without --oracle, angular drops the two oracle columns.
+    with open(os.path.join(os.path.dirname(knads.__file__), "data", "csv_schema.json")) as fh:
+        schema = json.load(fh)["commands"]
+    assert set(schema) == set(cli_mod._COMMANDS)
+    cfg = write_config(tmp_path, omega_min=-0.2, omega_max=0.2, omega_step=0.2, j_window=1, oracle_n=400)
+    for command, doc in schema.items():
+        for flags in ([], ["--oracle"]):
+            rc, out, _ = run(capsys, [command, "--config", cfg, *flags])
+            want = doc["columns"]
+            if command == "angular" and not flags:
+                want = [c for c in want if not c.startswith("oracle_")]
+            assert rc == 0 and out.split("\n", 1)[0].split(",") == want, (command, flags)
+
+
 def test_horizons_csv(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc, out, _ = run(capsys, ["horizons", "--config", cfg])

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
 import knads.angular as angular_mod
-from knads.geometry import BlackHoleParams, reparameterize
+from knads.geometry import BlackHoleParams, InputError, Refusal, reparameterize
 from knads.angular import eigenvalues_by_label
 from knads.modescan import (
     _ITEM_TOL,
@@ -165,6 +166,25 @@ def test_periodicity_flags_injected_candidate(scan):
 def test_periodicity_validation(scan):
     with pytest.raises(ValueError):
         periodicity_verdict(scan, 0.0)
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, -1.0, 5e-324])
+def test_periodicity_refuses_a_period_not_finite_and_positive(scan, period):
+    # nan and inf must not reach math.ceil, and a subnormal T gives 2 pi / T
+    # = inf; each is an input error.
+    with pytest.raises(InputError, match="finite and positive"):
+        periodicity_verdict(scan, period)
+
+
+def test_periodicity_refuses_too_many_harmonics(scan):
+    # T = 1e9 puts 6.4e8 harmonics in [-2, 2]; the refusal names the count
+    # and comes before any loop over them.
+    wide = dataclasses.replace(scan, omega_grid=(-2.0, 2.0))
+    count = 2 * math.floor(2.0 / (2.0 * math.pi / 1e9)) + 1
+    start = time.perf_counter()
+    with pytest.raises(Refusal, match=f"puts {count} frequencies"):
+        periodicity_verdict(wide, 1e9)
+    assert time.perf_counter() - start < 1.0
 
 
 # Criterion 8's background and default grid.

@@ -14,6 +14,7 @@ from knads.oracle import discretize_radial_confined
 from knads.operators import (
     ModeContext,
     TortoiseMap,
+    gauss_segments,
     phi_plus,
     radial_potential_from_u,
     tortoise_map,
@@ -23,7 +24,6 @@ from knads.radial import (
     NotConfining,
     TooCloseToPhiPlus,
     _defect_hinf,
-    _gauss_segments,
     _infinity_init,
     confinement_certificate,
     default_r0,
@@ -183,10 +183,10 @@ def test_oscillation_slopes_antisymmetric():
     dn = horizon_oscillation(P0, CTX, LAM, ph - 0.5)
     for rep, want in ((up, 0.5), (dn, -0.5)):
         assert rep.passed
-        assert rep.expected == pytest.approx(want, abs=1e-14)
-        assert rep.rel_err < 1e-6
-        assert rep.radius_ratio < 10.0
-    assert up.slope == pytest.approx(-dn.slope, rel=1e-6)
+        assert rep.evidence["expected"] == pytest.approx(want, abs=1e-14)
+        assert rep.evidence["rel_err"] < 1e-6
+        assert rep.evidence["radius_ratio"] < 10.0
+    assert up.evidence["slope"] == pytest.approx(-dn.evidence["slope"], rel=1e-6)
 
 
 def test_oscillation_guards():
@@ -436,7 +436,7 @@ def test_levinson_segments_resolve_the_confining_deviation():
 
     deep = (tm.u_of_y(breaks[:-1]) < 1e-20) & (segs > 0.0)
     assert deep.sum() >= 3
-    want = _gauss_segments(leading, breaks)
+    want = gauss_segments(leading, breaks)
     assert segs[deep] == pytest.approx(want[deep], rel=1e-12, abs=0.0)
 
 
@@ -450,7 +450,7 @@ def test_gauss_segments_match_a_per_segment_loop():
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         half = 0.5 * (hi - lo)
         want.append(half * float(f(0.5 * (lo + hi) + half * nodes) @ weights))
-    assert _gauss_segments(f, breaks) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert gauss_segments(f, breaks) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_evidence_rows_do_not_depend_on_their_batch():
@@ -505,7 +505,7 @@ def test_recorded_legs_converge_when_the_mesh_doubles(leg_mesh):
 
     def osc():
         rep = horizon_oscillation(P0, CTX, LAM, ph + 0.5)
-        return rep.slope, rep.radius_ratio
+        return rep.evidence["slope"], rep.evidence["radius_ratio"]
 
     assert max(moves(osc)) < 1e-13
     sixth_order(moves(lambda: levinson_phi_plus(P0, CTX, LAM).evidence["final_vectors"]), 1e-9)
