@@ -307,6 +307,8 @@ def eigenvalues_by_label(p, ctx, labels):
     """Eigenvalues for specific signed labels, expanding the search window
     until every requested label is present. Returns {label: eigenvalue}."""
     want = set(int(j) for j in labels)
+    if not want or 0 in want:
+        raise InputError(f"labels must be a nonempty set of nonzero integers, got {sorted(want)}")
     w = max(abs(j) for j in want) + 2.0 + abs(ctx.k) + abs(ctx.omega) * p.a
     lo, hi = -w, w
     for _ in range(12):
@@ -314,9 +316,9 @@ def eigenvalues_by_label(p, ctx, labels):
         found = dict(zip(sw.labels, sw.eigenvalues))
         if want <= set(found):
             return {j: found[j] for j in sorted(want)}
-        if min(want, default=0) < min(found, default=0) or not found:
+        if min(want) < min(found, default=0) or not found:
             lo -= max(2.0, 0.5 * (hi - lo))
-        if max(want, default=0) > max(found, default=0) or not found:
+        if max(want) > max(found, default=0) or not found:
             hi += max(2.0, 0.5 * (hi - lo))
     raise WindowTooWide("could not bracket all requested labels")
 

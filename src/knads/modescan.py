@@ -24,6 +24,7 @@ policy and every raw number is emitted for audit.
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -108,6 +109,8 @@ def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT
     omega = phi_plus the oscillation slope is meaningless and the Levinson
     certificate is consulted instead. Rerunning with the same inputs
     reproduces the output bit for bit."""
+    if not isinstance(j_window, numbers.Integral) or j_window < 1:
+        raise InputError(f"j_window must be an integer >= 1, got {j_window!r}")
     hd = find_horizons(p)
     if hd.extremal:
         raise ExtremalUnsupported("scan requires a non-extremal horizon")

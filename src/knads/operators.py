@@ -228,7 +228,8 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
 def _tail_integral(p, r):
     """y contribution of [r, infinity): substitute v = 1/t, giving the
     analytic integrand (1 + a^2 v^2) / W(v) with
-    W(v) = (1 + a^2 v^2)(1 + l^2 v^2)/l^2 - 2 m v^3 + z^2 v^4."""
+    W(v) = (1 + a^2 v^2)(1 + l^2 v^2)/l^2 - 2 m v^3 + z^2 v^4. Summed row by
+    row, not by a matrix product, so no value depends on its batch."""
     r = np.asarray(r, dtype=float)
     half = 0.5 / r
     v = half[..., None] * (_GAUSS_NODES + 1.0)
@@ -238,7 +239,7 @@ def _tail_integral(p, r):
         + p.z2 * v**4
     )
     g = (1.0 + (p.a * v) ** 2) / w
-    return (g @ _GAUSS_WEIGHTS) * half
+    return np.sum(g * _GAUSS_WEIGHTS, axis=-1) * half
 
 
 # Tortoise panels: at most _PANEL_WIDTH wide in sigma = -s, each a degree

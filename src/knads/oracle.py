@@ -1,12 +1,14 @@
 """Independent finite-difference oracle for the angular and confined radial
 eigenvalue problems.
 
-Both discretizations are staggered first-order-system schemes: the two
-spinor components live on interleaved grids so the centered difference of
-one component lands exactly on the nodes of the other. That kills the
-fermion-doubling artifact a single-grid central difference would produce,
-and after weighting by the discrete measure the matrix is exactly symmetric
-tridiagonal, solved with the dedicated LAPACK tridiagonal eigensolver.
+Both discretizations come from one staggered first-order-system assembly
+(_staggered): the two spinor components live on interleaved grids so the
+centered difference of one component lands exactly on the nodes of the
+other. That kills the fermion-doubling artifact a single-grid central
+difference would produce, and after weighting by the discrete measure the
+matrix is exactly symmetric tridiagonal, solved with the dedicated LAPACK
+tridiagonal eigensolver. Each discretization supplies only its interval,
+grid offset, size and the entries of its system.
 
 Grids are uniform in an auxiliary variable s with a smooth sin^2 map toward
 the endpoints: spacing shrinks quadratically near the singular ends (enough
@@ -50,10 +52,6 @@ class DiscretizedOperator:
     diag: np.ndarray
     offdiag: np.ndarray
     weights: np.ndarray
-    interval: tuple
-    n_cells: int
-    offsets: tuple
-    scheme: str
 
     def eigenvalues_in_window(self, lo, hi):
         """All eigenvalues in (lo, hi], ascending."""
@@ -81,18 +79,28 @@ class DiscretizedOperator:
         )
 
 
-def _cluster_map(lo, hi):
-    """Smooth endpoint-clustering map [0,1] -> [lo,hi] with quadratically
-    shrinking spacing at both ends; returns (x(s), x'(s)) callables."""
+def _staggered(lo, hi, N, first, dof, entries):
+    """Staggered assembly of dof interleaved unknowns on [lo, hi], h = 1/N.
+
+    Unknown k sits at s = (first + k/2) h, component 1 on even k, and the
+    pair (k, k+1) is coupled at its midpoint; the out-of-range neighbors are
+    zero. The map x(s) = lo + (hi - lo) sin^2(pi s / 2) clusters both ends.
+    entries(x, dx/ds) returns (g, v11, v22, v12), the measure density and the
+    symmetric potential entries, called once on the nodes and once on the
+    midpoints."""
+    h = 1.0 / N
     span = hi - lo
 
-    def x(s):
-        return lo + span * np.sin(0.5 * math.pi * s) ** 2
+    def at(s):
+        return entries(lo + span * np.sin(0.5 * math.pi * s) ** 2,
+                       span * (0.5 * math.pi) * np.sin(math.pi * s))
 
-    def dx(s):
-        return span * (0.5 * math.pi) * np.sin(math.pi * s)
-
-    return x, dx
+    k = np.arange(dof)
+    g, v11, v22, _ = at((first + 0.5 * k) * h)
+    g_mid, _, _, v12 = at((first + 0.25 + 0.5 * k[:-1]) * h)
+    even = k % 2 == 0
+    off = (np.where(even[:-1], 1.0, -1.0) + 0.5 * h * g_mid * v12) / (h * np.sqrt(g[:-1] * g[1:]))
+    return DiscretizedOperator(diag=np.where(even, v11, v22), offdiag=off, weights=h * g)
 
 
 def discretize_angular(p, ctx, N):
@@ -106,44 +114,12 @@ def discretize_angular(p, ctx, N):
     continuum problem when mu*a = 0, omega = 0 and d = 0."""
     if N < 200:
         raise GridTooCoarse("angular oracle needs N >= 200")
-    h = 1.0 / N
-    theta_of, dtheta_of = _cluster_map(_EPSILON, math.pi - _EPSILON)
-    s_a = (np.arange(N) + 0.25) * h
-    s_b = (np.arange(N) + 0.75) * h
 
-    def g_of(s):
-        return dtheta_of(s) / np.sqrt(delta_theta(p, theta_of(s)))
+    def entries(theta, dtheta):
+        m11, m12 = _angular_entries(p, ctx, theta)
+        return dtheta / np.sqrt(delta_theta(p, theta)), m11, -m11, m12
 
-    g_a, g_b = g_of(s_a), g_of(s_b)
-    m11_a, _ = _angular_entries(p, ctx, theta_of(s_a))
-    m11_b, _ = _angular_entries(p, ctx, theta_of(s_b))
-
-    def coupling(s):
-        _, m12 = _angular_entries(p, ctx, theta_of(s))
-        return 0.5 * h * g_of(s) * m12
-
-    c_plus = coupling((np.arange(N) + 0.5) * h)  # pair (u1_i, u2_i)
-    c_minus = coupling(np.arange(1, N) * h)  # pair (u2_{i-1}, u1_i)
-
-    diag = np.empty(2 * N)
-    diag[0::2] = m11_a
-    diag[1::2] = -m11_b
-    off = np.empty(2 * N - 1)
-    off[0::2] = (1.0 + c_plus) / (h * np.sqrt(g_a * g_b))
-    off[1::2] = (-1.0 + c_minus) / (h * np.sqrt(g_b[:-1] * g_a[1:]))
-
-    weights = np.empty(2 * N)
-    weights[0::2] = h * g_a
-    weights[1::2] = h * g_b
-    return DiscretizedOperator(
-        diag=diag,
-        offdiag=off,
-        weights=weights,
-        interval=(_EPSILON, math.pi - _EPSILON),
-        n_cells=N,
-        offsets=(_EPSILON, _EPSILON),
-        scheme="staggered-quarter-offset",
-    )
+    return _staggered(_EPSILON, math.pi - _EPSILON, N, 0.25, 2 * N, entries)
 
 
 def discretize_radial_confined(p, ctx, lam, r0, N, delta=1e-3):
@@ -164,48 +140,13 @@ def discretize_radial_confined(p, ctx, lam, r0, N, delta=1e-3):
     x0 = tm.x(r0)
     if not x0 < -delta:
         raise Refusal("r0 maps inside the infinity cutoff")
-    h = 1.0 / N
-    x_of, dx_of = _cluster_map(x0, -delta)
 
-    def entries(s):
-        """(V11, V22, V12) of the rotated potential: diag +- off on the diagonal, -conf off it."""
-        diag, conf, off = _radial_terms(p, ctx, lam, tm.u_of_y(-x_of(s)))
-        return diag + off, diag - off, -conf
+    def entries(x, dx):
+        """Rotated potential: diag +- off on the diagonal, -conf off it."""
+        diag, conf, off = _radial_terms(p, ctx, lam, tm.u_of_y(-x))
+        return dx, diag + off, diag - off, -conf
 
-    s_half = (np.arange(N) + 0.5) * h
-    s_int = np.arange(1, N) * h
-    g_half, g_int = dx_of(s_half), dx_of(s_int)
-    v11_h, _, _ = entries(s_half)
-    _, v22_i, _ = entries(s_int)
-
-    def coupling(s):
-        _, _, v12 = entries(s)
-        return 0.5 * h * dx_of(s) * v12
-
-    # Pair midpoints: (w1_{i+1/2}, w2_{i+1}) at (i+3/4)h for i = 0..N-2 and
-    # (w2_i, w1_{i+1/2}) at (i+1/4)h for i = 1..N-1.
-    c_up = coupling((np.arange(N - 1) + 0.75) * h)
-    c_dn = coupling((np.arange(1, N) + 0.25) * h)
-
-    diag = np.empty(2 * N - 1)
-    diag[0::2] = v11_h
-    diag[1::2] = v22_i
-    off = np.empty(2 * N - 2)
-    off[0::2] = (1.0 + c_up) / (h * np.sqrt(g_half[:-1] * g_int))
-    off[1::2] = (-1.0 + c_dn) / (h * np.sqrt(g_int * g_half[1:]))
-
-    weights = np.empty(2 * N - 1)
-    weights[0::2] = h * g_half
-    weights[1::2] = h * g_int
-    return DiscretizedOperator(
-        diag=diag,
-        offdiag=off,
-        weights=weights,
-        interval=(x0, -delta),
-        n_cells=N,
-        offsets=(0.0, delta),
-        scheme="staggered-half-integer",
-    )
+    return _staggered(x0, -delta, N, 0.5, 2 * N - 1, entries)
 
 
 _DEFAULT_FIXTURES = Path(__file__).parent / "data" / "fixtures.json"

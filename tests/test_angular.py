@@ -19,7 +19,7 @@ from knads.angular import (
 )
 from knads.angular import _defect
 from knads.classify import angular_exponents
-from knads.geometry import BlackHoleParams, Refusal
+from knads.geometry import BlackHoleParams, InputError, Refusal
 from knads.magnus import MAX_MESH_INTERVALS, MIN_MESH_INTERVALS, WindowTooWide, solve_window
 from knads.operators import ModeContext, angular_matrix, dirac_d, tortoise_map
 from knads.oracle import load_fixtures
@@ -100,6 +100,16 @@ def test_eigenvalues_by_label_matches_window_solve():
     table = dict(zip(sw.labels, sw.eigenvalues))
     for j, lam in got.items():
         assert lam == pytest.approx(table[j], abs=1e-9)
+
+
+@pytest.mark.parametrize("labels", [[], [0, 1], (0,)])
+def test_eigenvalues_by_label_refuses_empty_or_zero_labels_before_solving(monkeypatch, labels):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a window was solved")
+
+    monkeypatch.setattr(angular_mod, "angular_eigenvalues", no_solve)
+    with pytest.raises(InputError, match="nonzero integers"):
+        eigenvalues_by_label(ROTATING, ModeContext(mu=1.0, e=0.1, k=0.5), labels)
 
 
 def test_not_limit_point_refusal_and_override():

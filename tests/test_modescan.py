@@ -127,6 +127,12 @@ def test_grid_validation():
         coupled_scan(P0, CTX, [0.3], j_window=1)
 
 
+@pytest.mark.parametrize("j_window", [0, -1, 2.5])
+def test_j_window_must_be_a_positive_integer(j_window):
+    with pytest.raises(InputError, match="j_window must be an integer >= 1"):
+        coupled_scan(P0, CTX, GRID, j_window=j_window)
+
+
 def test_periodicity_all_harmonics_rejected(scan):
     # base frequency 0.2: harmonics -0.4 ... 0.4 all sit on the grid
     rep = periodicity_verdict(scan, 2.0 * math.pi / 0.2)

@@ -342,6 +342,10 @@ def test_tortoise_maps_do_not_depend_on_the_batch(p):
         whole = f(xs)
         parts = np.concatenate([f(xs[:1]), f(xs[1:8]), f(xs[8:])])
         assert np.array_equal(whole, parts)
+    # The far branch (s >= s_hi, the tail quadrature), one point at a time.
+    far = np.linspace(tm.s_hi, tm.s_hi + 30.0, 601)
+    for f, xs in ((tm.y_of_s, far), (tm.log_u_of_y, tm.y_of_s(far))):
+        assert np.array_equal(f(xs), [f(x) for x in xs])
 
 
 @pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])

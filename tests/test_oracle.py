@@ -9,7 +9,7 @@ import pytest
 
 from knads.angular import angular_eigenvalues
 from knads.geometry import BlackHoleParams
-from knads.operators import ModeContext
+from knads.operators import ModeContext, tortoise_map
 from knads.oracle import (
     GridTooCoarse,
     discretize_angular,
@@ -131,6 +131,13 @@ def test_weights_positive_and_measure_sane():
     dth = 1.0 - (ROTATING.a / ROTATING.l) ** 2 * np.cos(ths) ** 2
     want = 2.0 * np.trapezoid(1.0 / np.sqrt(dth), ths)
     assert total == pytest.approx(want, rel=1e-3)
+    # radial: each component's weights approximate the length of [x(r0), -delta]
+    r0, delta = 2.0, 1e-3
+    op = discretize_radial_confined(ROTATING, CTX, 1.0, r0, 400, delta=delta)
+    assert np.all(op.weights > 0.0)
+    length = -delta - tortoise_map(ROTATING).x(r0)
+    for part in (op.weights[0::2], op.weights[1::2]):
+        assert part.sum() == pytest.approx(length, rel=1e-4)
 
 
 def test_generate_fixtures_reproduces_the_packaged_file(tmp_path):
