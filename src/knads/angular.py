@@ -29,13 +29,14 @@ no eigenvalue depends on what else shares its batch.
 
 from functools import lru_cache
 import math
+import numbers
 
 import numpy as np
 
 from .classify import angular_exponents, classify_angular
 from .geometry import InputError, Refusal, delta_theta
-from .magnus import (GAUSS, GRADE, PHASE_STEP, WindowTooWide, chandrupatla_batched, magnus_terms,
-                     mesh_size, omega_table, refined, solve_window, sweep)
+from .magnus import (GAUSS, GRADE, PHASE_STEP, chandrupatla_batched, magnus_terms, mesh_size,
+                     omega_table, refined, solve_window, sweep, window_brackets)
 from .operators import _angular_entries, dirac_d, sigma_function
 # Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
 from .rk import integrate  # noqa: F401
@@ -47,6 +48,7 @@ __all__ = [
     "prufer_rhs",
     "angular_eigenvalues",
     "eigenvalues_by_label",
+    "label_brackets",
     "amplitude_weight",
 ]
 
@@ -303,24 +305,31 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
     return roots, np.abs(resid)
 
 
-def eigenvalues_by_label(p, ctx, labels):
-    """Eigenvalues for specific signed labels, expanding the search window
-    until every requested label is present. Returns {label: eigenvalue}."""
-    want = set(int(j) for j in labels)
-    if not want or 0 in want:
-        raise InputError(f"labels must be a nonempty set of nonzero integers, got {sorted(want)}")
+def label_brackets(p, ctx, labels):
+    """(targets, lo, hi): the winding target and grid segment of each signed
+    label in increasing order, from magnus.window_brackets on (-w, w), w
+    doubling until every label is present. A label that is not a nonzero
+    integer is an InputError, raised before any defect call."""
+    want = sorted(set(labels))
+    if not want or not all(isinstance(j, numbers.Integral) and j != 0 for j in want):
+        raise InputError(f"labels must be a nonempty set of nonzero integers, got {want}")
+    _require_limit_point(p, ctx, None, None)
     w = max(abs(j) for j in want) + 2.0 + abs(ctx.k) + abs(ctx.omega) * p.a
-    lo, hi = -w, w
-    for _ in range(12):
-        sw = angular_eigenvalues(p, ctx, (lo, hi))
-        found = dict(zip(sw.labels, sw.eigenvalues))
-        if want <= set(found):
-            return {j: found[j] for j in sorted(want)}
-        if min(want) < min(found, default=0) or not found:
-            lo -= max(2.0, 0.5 * (hi - lo))
-        if max(want) > max(found, default=0) or not found:
-            hi += max(2.0, 0.5 * (hi - lo))
-    raise WindowTooWide("could not bracket all requested labels")
+    while True:
+        _, targets, found, a, b, *_ = window_brackets(
+            lambda lams, n: _defect(p, ctx, lams, DEFAULT_MATCHING_POINT, DEFAULT_EPSILON, None, None, n=n),
+            -w, w, mesh_intervals(p, ctx, w), f"|lambda| <= {w:g} and {_sigma(p, ctx)[1]}")
+        if np.count_nonzero(keep := np.isin(found, want)) == len(want):
+            return targets[keep], a[keep], b[keep]
+        w *= 2.0
+
+
+def eigenvalues_by_label(p, ctx, labels):
+    """Eigenvalues for specific signed labels, the items of their
+    label_brackets solved to 1e-10 (solve_items). Returns {label: eigenvalue}."""
+    targets, lo, hi = label_brackets(p, ctx, labels)
+    roots, _ = solve_items(p, ctx, targets, lo, hi, np.zeros(lo.size), 1e-10)
+    return dict(zip(sorted(set(labels)), roots.tolist()))
 
 
 def amplitude_weight(p, ctx, theta):

@@ -7,10 +7,11 @@ coefficients of each interval's Omega (Blanes, Casas & Ros, BIT 40, 2000)
 as a polynomial in the two variables, once per mesh as in MATSLISE (Ledoux,
 Van Daele & Vanden Berghe, ACM TOMS 31, 2005); sweep carries the Prüfer
 phase, and the log amplitude where asked, across the mesh. mesh_size and
-refined size the mesh; solve_window solves a window by chandrupatla_batched
-and doubles n while its n/2 check asks. Every operation is elementwise over
-the batch or a product of fixed shape, so no result depends on what else
-shares its batch.
+refined size the mesh; window_brackets counts, brackets and labels the
+roots of a window on a grid, and solve_window solves them by
+chandrupatla_batched and doubles n while its n/2 check asks. Every
+operation is elementwise over the batch or a product of fixed shape, so no
+result depends on what else shares its batch.
 """
 
 from dataclasses import dataclass
@@ -119,24 +120,20 @@ def chandrupatla_batched(fun, lo, hi, flo, fhi, tol):
     return np.where(use_a, a, b), np.where(use_a, fa, fb), (fb - fa) / (b - a)
 
 
-def solve_window(defect, lo, hi, tol, n, cause):
-    """Every root of defect(x, n) = m*pi in [lo, hi], m integer, for a
-    strictly increasing matching defect on a mesh of n intervals, evaluated
-    in batches (array in, array out).
+def window_brackets(defect, lo, hi, n, cause):
+    """Count, bracket and label the roots of defect(x, n) = m*pi in [lo,
+    hi], m integer, for a strictly increasing matching defect on a mesh of n
+    intervals, evaluated in batches (array in, array out), from one grid of
+    segments of width <= 0.5 and a probe at x = 0. While the grid defect is
+    not finite and strictly increasing, n doubles (refined, naming cause at
+    the cap). Labels are signed indices ordered by value, anchored so the
+    first eigenvalue above x = 0 gets +1. A window of more than
+    MAX_WINDOW_SEGMENTS segments raises WindowTooWide before the first
+    defect call, and one of more than 1e3 eigenvalues after it.
 
-    The number of multiples of pi crossed between the window ends counts the
-    eigenvalues. Each is bracketed in one of the grid segments of width
-    <= 0.5 and located there by chandrupatla_batched, from the secant
-    between the segment ends, to a bracket narrower than tol / 2. Labels are
-    signed indices ordered by value, anchored so the first eigenvalue above
-    x = 0 gets +1 (a probe at 0 rides in the grid batch). A window of more
-    than MAX_WINDOW_SEGMENTS segments raises WindowTooWide before the first
-    defect call.
-
-    mesh_error is the largest |defect(x, n // 2) - defect(x, n)| at a root
-    over the secant slope of the root's segment. While it exceeds tol, or
-    the defect on the grid is not finite and strictly increasing, n doubles
-    (refined, naming cause at the cap) and the window is solved again."""
+    Returns (n, targets, labels, a, b, fa, fb): the mesh reached and, per
+    target m in increasing order, its label, its segment [a, b] and the
+    defect minus m*pi at the segment ends."""
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise InputError("window must satisfy lam_lo < lam_hi")
@@ -148,38 +145,43 @@ def solve_window(defect, lo, hi, tol, n, cause):
         dvals = defect(np.concatenate([grid, [0.0]]), n)
         dgrid, d0 = dvals[:-1], dvals[-1]
         if np.all(np.diff(dgrid) > 0.0):  # D rises strictly where the mesh resolves it
-            if (dgrid[-1] - dgrid[0]) / math.pi > 1e3:
-                raise WindowTooWide("window holds more than 1e3 eigenvalues")
-            m_lo = math.floor(dgrid[0] / math.pi)
-            m_hi = math.floor(dgrid[-1] / math.pi)
-            targets = np.arange(m_lo + 1, m_hi + 1)
-            if targets.size == 0:
-                return SpectrumWindow(lo, hi, (), (), (), 0, mesh_error=0.0)
-            tpi = targets * math.pi
-            seg = np.clip(np.searchsorted(dgrid, tpi) - 1, 0, nseg - 1)
-            a, b = grid[seg], grid[seg + 1]
-            fa, fb = dgrid[seg] - tpi, dgrid[seg + 1] - tpi
-            roots, resid, _ = chandrupatla_batched(
-                lambda xs, idx: defect(xs, n) - tpi[idx], a, b, fa, fb, 0.5 * tol
-            )
-            slope = (fb - fa) / (b - a)
-            mesh_error = float(np.max(np.abs(defect(roots, n // 2) - tpi - resid) / slope))
-            if mesh_error <= tol:
-                break
+            break
+        n = refined(n, cause)
+    if (dgrid[-1] - dgrid[0]) / math.pi > 1e3:
+        raise WindowTooWide("window holds more than 1e3 eigenvalues")
+    targets = np.arange(math.floor(dgrid[0] / math.pi) + 1, math.floor(dgrid[-1] / math.pi) + 1)
+    labels = targets - math.floor(d0 / math.pi)
+    tpi = targets * math.pi
+    seg = np.clip(np.searchsorted(dgrid, tpi) - 1, 0, nseg - 1)
+    return (n, targets, np.where(labels <= 0, labels - 1, labels), grid[seg], grid[seg + 1],
+            dgrid[seg] - tpi, dgrid[seg + 1] - tpi)
+
+
+def solve_window(defect, lo, hi, tol, n, cause):
+    """Every root of defect(x, n) = m*pi in [lo, hi], bracketed and labelled
+    by window_brackets and located by chandrupatla_batched to a bracket
+    narrower than tol / 2. mesh_error is the largest |defect(x, n // 2) -
+    defect(x, n)| at a root over the secant slope of the finder's final
+    bracket, infinite where that slope is not finite and positive; while it
+    exceeds tol, n doubles (refined) and the window is solved again."""
+    while True:
+        n, targets, labels, a, b, fa, fb = window_brackets(defect, lo, hi, n, cause)
+        if targets.size == 0:
+            return SpectrumWindow(float(lo), float(hi), (), (), (), 0, mesh_error=0.0)
+        tpi = targets * math.pi
+        roots, resid, slope = chandrupatla_batched(lambda xs, idx: defect(xs, n) - tpi[idx],
+                                                   a, b, fa, fb, 0.5 * tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.abs(defect(roots, n // 2) - tpi - resid) / slope
+        mesh_error = float(np.max(np.where(np.isfinite(slope) & (slope > 0.0), err, np.inf)))
+        if mesh_error <= tol:
+            break
         n = refined(n, cause)
 
-    labels = targets - math.floor(d0 / math.pi)
-    labels = np.where(labels <= 0, labels - 1, labels)
     order = np.argsort(roots)
-    return SpectrumWindow(
-        lam_lo=lo,
-        lam_hi=hi,
-        eigenvalues=tuple(float(r) for r in roots[order]),
-        residuals=tuple(float(r) for r in np.abs(resid)[order]),
-        labels=tuple(int(m) for m in labels[order]),
-        count=int(targets.size),
-        mesh_error=mesh_error,
-    )
+    return SpectrumWindow(float(lo), float(hi), tuple(roots[order].tolist()),
+                          tuple(np.abs(resid)[order].tolist()), tuple(labels[order].tolist()),
+                          int(targets.size), mesh_error)
 
 
 def mesh_size(need, causes):

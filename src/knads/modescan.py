@@ -8,15 +8,18 @@ horizon-side non-normalizability evidence: the recessive-at-infinity
 solution keeps an order-one amplitude toward the horizon instead of
 collapsing, and its phase advances at the predicted rate omega - phi_plus.
 
-Curve tracking works on integer winding targets: the matching defect is
-strictly increasing in lambda and moves by at most a * |omega - omega_0|
-(the Lipschitz bound from the frequency term), so each eigenvalue at each
-frequency is the unique defect root inside a bracket centered on the
-first-frequency value. That makes every (omega, j) item independent of the
-rest of the grid: no sequential hand-off, no branch-swap risk. Each root is
-predicted on an eighth of the item's Magnus mesh and enclosed on the full
-mesh by one Newton step; an item whose enclosure misses is solved from its
-bracket on the full mesh (angular.solve_items).
+Curve tracking works on integer winding targets: one grid pass at the
+first frequency (angular.label_brackets) gives each label its target and a
+grid segment holding its root there. The matching defect is strictly
+increasing in lambda and moves by at most |a| |omega - omega_0| (the
+Lipschitz bound from the frequency term), so each eigenvalue at each
+frequency, the first included, is the unique defect root inside its
+segment widened by that bound. That makes every (omega, j) item
+independent of the rest of the grid: no sequential hand-off, no
+branch-swap risk. Each root is predicted on an eighth of the item's Magnus
+mesh and enclosed on the full mesh by one Newton step; an item whose
+enclosure misses is solved from its bracket on the full mesh
+(angular.solve_items).
 
 The scan is evidence, not proof: the amplitude threshold is conservative
 policy and every raw number is emitted for audit.
@@ -29,7 +32,7 @@ import numbers
 import numpy as np
 
 from . import angular
-from .angular import DEFAULT_EPSILON, DEFAULT_MATCHING_POINT, eigenvalues_by_label
+from .angular import eigenvalues_by_label, label_brackets
 from .classify import sa_report
 from .geometry import InputError, Refusal, find_horizons
 from .operators import phi_plus
@@ -77,35 +80,24 @@ class PeriodicityReport:
     detail: str
 
 
-def _defect_targets(p, ctx, lams):
-    """Integer winding targets m for eigenvalues lams (defect = m*pi there)."""
-    d = angular._defect(
-        p, ctx, np.asarray(lams, float), DEFAULT_MATCHING_POINT, DEFAULT_EPSILON, None, None
-    )
-    return np.round(d / math.pi).astype(int)
-
-
-def _solve_items(p, ctx0, targets, lam_seed, half_width, domega):
-    """Solve the defect for the integer targets inside per-item brackets
-    lam_seed +- half_width (angular.solve_items).
-
-    All arrays are flat over (omega, j) items; ctx0 carries the seed
-    frequency and domega the per-item offsets. Each item has its own mesh,
-    its own coarse prediction and full-mesh enclosure, and stops on its own
-    bracket width, so its root and residual do not depend on which other
-    items share the batch. Returns (roots, |residuals|)."""
-    return angular.solve_items(
-        p, ctx0, targets, lam_seed - half_width, lam_seed + half_width, domega, _ITEM_TOL
-    )
+def _solve_items(p, ctx0, targets, lo, hi, domega):
+    """Roots and |residuals| of the defect at the integer targets, flat over
+    (omega, j) items at the offsets domega from ctx0's frequency, inside the
+    segments [lo, hi] at ctx0 widened by the Lipschitz bound |a| |domega|
+    plus _TRACK_MARGIN where domega is not 0 (angular.solve_items). No item
+    depends on which other items share the batch."""
+    pad = np.where(domega == 0.0, 0.0, abs(p.a) * np.abs(domega) + _TRACK_MARGIN)
+    return angular.solve_items(p, ctx0, targets, lo - pad, hi + pad, domega, _ITEM_TOL)
 
 
 def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT_THRESHOLD):
     """Scan the frequency grid and certify the absence of normalizable modes.
 
     For each omega the angular eigenvalues lambda_j(omega) for 1 <= |j| <=
-    j_window (an int) are located by their integer winding targets inside
-    Lipschitz brackets around the first-frequency values. Each (omega, j)
-    pair then gets radial evidence from the recessive continuation; near
+    j_window (an int) are located, in one batch of items, by their integer
+    winding targets inside the first frequency's grid segments widened by
+    the Lipschitz bound. Each (omega, j) pair then gets radial evidence
+    from the recessive continuation; near
     omega = phi_plus the oscillation slope is meaningless and the Levinson
     certificate is consulted instead. Rerunning with the same inputs
     reproduces the output bit for bit."""
@@ -128,23 +120,13 @@ def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT
     lip = abs(p.a)
 
     ctx0 = ctx_base.with_omega(float(omegas[0]))
-    seed = eigenvalues_by_label(p, ctx0, labels)
-    lam0 = np.array([seed[j] for j in labels])
-    targets = _defect_targets(p, ctx0, lam0)
-
-    curves = np.empty((omegas.size, nj))
-    curves[0] = lam0
+    items = (np.tile(v, omegas.size) for v in label_brackets(p, ctx0, labels))
+    roots, res = _solve_items(p, ctx0, *items, np.repeat(omegas - omegas[0], nj))
+    curves = roots.reshape(-1, nj)
     notes = []
-    n_rest = omegas.size - 1
-    dom = np.repeat(omegas[1:] - omegas[0], nj)
-    half = lip * np.abs(dom) + _TRACK_MARGIN
-    roots, res = _solve_items(
-        p, ctx0, np.tile(targets, n_rest), np.tile(lam0, n_rest), half, dom
-    )
-    curves[1:] = roots.reshape(n_rest, nj)
-    for i, bad in enumerate(res.reshape(n_rest, nj), start=1):
+    for i, bad in enumerate(res.reshape(-1, nj)):
         if np.max(bad) > 1e-6:
-            # bracket failed; recover with a full window solve
+            # bracket failed; recover from this frequency's own label brackets
             got = eigenvalues_by_label(p, ctx_base.with_omega(float(omegas[i])), labels)
             curves[i] = [got[j] for j in labels]
             notes.append(f"full re-solve at omega={omegas[i]:.6g}")
@@ -164,7 +146,6 @@ def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT
     slopes, amps, decays, _ = horizon_continuation_evidence(p, ctx_base, lam_flat, om_flat, r0=r0)
 
     rows = []
-    lev_cache = {}
     for idx in range(lam_flat.size):
         om = float(om_flat[idx])
         j = labels[idx % nj]
@@ -174,14 +155,8 @@ def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT
         if amp <= threshold:
             code = "amp_collapse"
         elif near_phi:
-            key = round(lam, 12)
-            if key not in lev_cache:
-                lev_cache[key] = levinson_phi_plus(p, ctx_base, lam)
-            code = (
-                "levinson_nonnormalizable"
-                if lev_cache[key].passed
-                else "levinson_inconclusive"
-            )
+            passed = levinson_phi_plus(p, ctx_base, lam).passed
+            code = "levinson_nonnormalizable" if passed else "levinson_inconclusive"
         else:
             rel = abs(float(slopes[idx]) - (om - ph)) / abs(om - ph)
             code = "osc_nonnormalizable" if rel < 1e-3 else "osc_slope_mismatch"

@@ -93,23 +93,39 @@ def test_eigenvalues_sorted_with_signed_labels():
     assert squashed == list(range(squashed[0], squashed[0] + sw.count))
 
 
-def test_eigenvalues_by_label_matches_window_solve():
-    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=0.2)
-    got = eigenvalues_by_label(ROTATING, ctx, (-2, -1, 1, 2))
-    sw = angular_eigenvalues(ROTATING, ctx, (-8.0, 8.0))
+def test_eigenvalues_by_label_matches_window_solve(monkeypatch):
+    # At mu a = 14 the eigenvalues of labels +-9 (about +-13.8) lie outside
+    # the first window (-11.57, 11.57), so the grid pass runs again on the
+    # doubled window before the items are solved.
+    ctx = ModeContext(mu=40.0, e=0.1, k=0.5, omega=0.2)
+    windows = []
+
+    def spied(defect, lo, hi, n, cause):
+        windows.append((lo, hi))
+        return brackets(defect, lo, hi, n, cause)
+
+    brackets = angular_mod.window_brackets
+    monkeypatch.setattr(angular_mod, "window_brackets", spied)
+    got = eigenvalues_by_label(ROTATING, ctx, (-9, -2, -1, 1, 2, 9))
+    assert windows == [(-11.57, 11.57), (-23.14, 23.14)]
+    sw = angular_eigenvalues(ROTATING, ctx, (-16.0, 16.0))
     table = dict(zip(sw.labels, sw.eigenvalues))
+    assert list(got) == [-9, -2, -1, 1, 2, 9]
     for j, lam in got.items():
         assert lam == pytest.approx(table[j], abs=1e-9)
 
 
-@pytest.mark.parametrize("labels", [[], [0, 1], (0,)])
+@pytest.mark.parametrize("labels", [[], [0, 1], (0,), [1.5, -2.9], [1.5, -0.7]])
 def test_eigenvalues_by_label_refuses_empty_or_zero_labels_before_solving(monkeypatch, labels):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a window was solved")
+    # Fractional labels were truncated: [1.5, -2.9] returned labels {-2, 1},
+    # and [1.5, -0.7] was refused as "got [0, 1]".
+    def no_defect(*args, **kwargs):
+        raise AssertionError("a defect was evaluated")
 
-    monkeypatch.setattr(angular_mod, "angular_eigenvalues", no_solve)
-    with pytest.raises(InputError, match="nonzero integers"):
+    monkeypatch.setattr(angular_mod, "_defect", no_defect)
+    with pytest.raises(InputError, match="nonzero integers") as refused:
         eigenvalues_by_label(ROTATING, ModeContext(mu=1.0, e=0.1, k=0.5), labels)
+    assert str(refused.value).endswith(f"got {sorted(set(labels))}")
 
 
 def test_not_limit_point_refusal_and_override():

@@ -181,6 +181,32 @@ def test_radial_couples_to_angular_eigenvalue(tmp_path, capsys):
     )
 
 
+# The window n/2 check divided by its grid segment's secant slope (about
+# 2 pi), not by the root finder's: where the defect steps steeply through its
+# target the estimate stayed above tol up to the mesh cap, and both runs below
+# exited 3 after 15-16 s. The residuals stay large at such a step.
+def test_radial_at_mu_14_solves_within_seconds(tmp_path, capsys):
+    cfg = write_config(tmp_path, mu=14.0)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["radial", "--config", cfg, "--format", "json", "--oracle"])
+    assert rc == 0, err
+    assert time.perf_counter() - start < 5.0
+    (row,) = [r for r in json.loads(out)["rows"] if r["record"] == "eigenvalue"]
+    assert row["value"] == pytest.approx(float(row["detail"].removeprefix("oracle=")), abs=1e-4)
+
+
+def test_monopole_angular_window_solves_within_seconds(tmp_path, capsys):
+    # d = q_m e / xi = 20 on the round sphere: the spectrum is +-sqrt(n^2 - d^2), n >= d
+    cfg = write_config(tmp_path, a=0.0, q_e=0.0, q_m=0.5, mu=0.0, e=40.0, k=19.5, window=[-10.0, 10.0])
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["angular", "--config", cfg, "--format", "json"])
+    assert rc == 0, err
+    assert time.perf_counter() - start < 5.0
+    got = [r["lambda"] for r in json.loads(out)["rows"]]
+    want = [-math.sqrt(84.0), -math.sqrt(41.0), 0.0, math.sqrt(41.0), math.sqrt(84.0)]
+    assert np.max(np.abs(np.array(got) - want)) < 1e-8
+
+
 def test_scan_deterministic_output(tmp_path, capsys):
     cfg = write_config(
         tmp_path, omega_min=-0.3, omega_max=0.3, omega_step=0.15, j_window=1

@@ -7,12 +7,11 @@ import pytest
 
 import knads.angular as angular_mod
 from knads.geometry import BlackHoleParams, InputError, Refusal, reparameterize
-from knads.angular import eigenvalues_by_label
+from knads.angular import eigenvalues_by_label, label_brackets
 from knads.modescan import (
     _ITEM_TOL,
     _TRACK_MARGIN,
     ExtremalUnsupported,
-    _defect_targets,
     _solve_items,
     coupled_scan,
     periodicity_verdict,
@@ -104,6 +103,24 @@ def test_wider_label_window_is_consistent(scan):
     for j in (-1, 1):
         d = np.array(scan.lambda_curves[j]) - wider.lambda_curves[j]
         assert np.max(np.abs(d)) < 1e-9
+
+
+def test_a_row_with_a_failed_item_is_solved_again_from_its_own_brackets(monkeypatch, scan):
+    # An item residual above 1e-6 means its bracket missed the root: the row
+    # is solved again by eigenvalues_by_label at its own frequency, and the
+    # scan notes it. The first frequency is a row like the others, and its
+    # re-solve repeats the scan's own items there bit for bit.
+    def spoiled(*args):
+        roots, res = solve(*args)
+        if res.size == GRID.size * 2:  # the scan's batch, not a re-solve
+            res = np.where(np.arange(res.size) == 0, 1.0, res)
+        return roots, res
+
+    solve = angular_mod.solve_items
+    monkeypatch.setattr(angular_mod, "solve_items", spoiled)
+    again = coupled_scan(P0, CTX, GRID, j_window=1)
+    assert again.notes == (f"full re-solve at omega={GRID[0]:.6g}",)
+    assert again.lambda_curves == scan.lambda_curves
 
 
 def test_extremal_unsupported():
@@ -200,14 +217,7 @@ GRID_81 = -2.0 + 0.05 * np.arange(81)
 
 def test_tracking_items_do_not_depend_on_their_batch():
     # coupled_scan's tracking items on criterion 8's grid, as it builds them
-    labels = (-3, -2, -1, 1, 2, 3)
-    ctx0 = CTX.with_omega(float(GRID_81[0]))
-    seed = eigenvalues_by_label(P_BASE, ctx0, labels)
-    lam0 = np.array([seed[j] for j in labels])
-    targets = _defect_targets(P_BASE, ctx0, lam0)
-    dom = np.repeat(GRID_81[1:] - GRID_81[0], len(labels))
-    half = P_BASE.a * np.abs(dom) + _TRACK_MARGIN
-    items = (np.tile(targets, 80), np.tile(lam0, 80), half, dom)
+    ctx0, items = _tracking_items(first=0, every=1)
 
     roots, res = _solve_items(P_BASE, ctx0, *items)
     assert np.max(res) < 1e-8
@@ -230,9 +240,19 @@ def test_coarse_curves_equal_the_fine_curves_exactly():
         assert np.array_equal(coarse.lambda_curves[j], fine.lambda_curves[j][::2]), j
 
 
-def test_criterion_8_scan_needs_at_most_19_defect_calls(monkeypatch):
+def test_scan_first_row_equals_eigenvalues_by_label_exactly():
+    # The first frequency is an ordinary item, solved from the same bracket
+    # as eigenvalues_by_label's, and items do not depend on their batch.
+    scan = coupled_scan(P_BASE, CTX, GRID_81, j_window=3)
+    seed = eigenvalues_by_label(P_BASE, CTX.with_omega(float(GRID_81[0])), scan.labels)
+    for j, curve in scan.lambda_curves.items():
+        assert curve[0] == seed[j], j
+
+
+def test_criterion_8_scan_needs_at_most_12_defect_calls(monkeypatch):
     # Root-finder steps set the scan's cost: the Illinois finder took 21
-    # angular defect calls (4,617 rows), Chandrupatla's takes 19 (4,240).
+    # angular defect calls (4,617 rows), Chandrupatla's 19 (4,240) with a
+    # seed window solve; one grid pass and one batch of items take 11.
     calls = []
 
     def counted(*args, **kwargs):
@@ -242,13 +262,14 @@ def test_criterion_8_scan_needs_at_most_19_defect_calls(monkeypatch):
     defect = angular_mod._defect
     monkeypatch.setattr(angular_mod, "_defect", counted)
     coupled_scan(P_BASE, CTX, GRID_81, j_window=3)
-    assert len(calls) <= 19
+    assert len(calls) <= 12
 
 
 def test_criterion_8_scan_work_is_bounded(monkeypatch):
     # rows x mesh intervals over every sweep of angular._defect: each item's
     # root is predicted on an eighth of its mesh and enclosed by one Newton
-    # step on the full mesh (579,744); solving every item on its full mesh
+    # step on the full mesh (594,784, 579,744 with a seed window solve and
+    # brackets centred on its roots); solving every item on its full mesh
     # took 1,046,016.
     work = []
 
@@ -262,17 +283,15 @@ def test_criterion_8_scan_work_is_bounded(monkeypatch):
     assert sum(work) <= 650_000
 
 
-def _tracking_items(every):
-    """coupled_scan's tracking items on criterion 8's grid, at every every-th
-    frequency after the seed."""
+def _tracking_items(first=1, every=1):
+    """coupled_scan's tracking items (targets, lo, hi, domega) on criterion
+    8's grid, at every every-th frequency from GRID_81[first] on."""
     labels = (-3, -2, -1, 1, 2, 3)
     ctx0 = CTX.with_omega(float(GRID_81[0]))
-    seed = eigenvalues_by_label(P_BASE, ctx0, labels)
-    lam0 = np.array([seed[j] for j in labels])
-    dom = np.repeat(GRID_81[1::every] - GRID_81[0], len(labels))
+    targets, lo, hi = label_brackets(P_BASE, ctx0, labels)
+    dom = np.repeat(GRID_81[first::every] - GRID_81[0], len(labels))
     reps = dom.size // len(labels)
-    half = P_BASE.a * np.abs(dom) + _TRACK_MARGIN
-    return ctx0, (np.tile(_defect_targets(P_BASE, ctx0, lam0), reps), np.tile(lam0, reps), half, dom)
+    return ctx0, (np.tile(targets, reps), np.tile(lo, reps), np.tile(hi, reps), dom)
 
 
 def test_items_whose_enclosure_misses_fall_back_to_their_bracket(monkeypatch):
@@ -294,10 +313,11 @@ def test_items_whose_enclosure_misses_fall_back_to_their_bracket(monkeypatch):
     assert np.max(np.abs(roots - want)) <= _ITEM_TOL
     assert np.max(res) < 1e-8
     # the brackets' ends went to the coarse mesh, then all of them to the full one
-    _, lam_seed, half, dom = items
-    ends = np.concatenate([lam_seed - half, lam_seed + half])
+    _, lo, hi, dom = items
+    pad = P_BASE.a * np.abs(dom) + _TRACK_MARGIN
+    ends = np.concatenate([lo - pad, hi + pad])
     meshes = [n for lams, n in calls if np.array_equal(lams, ends)]
-    n0 = angular_mod.mesh_intervals(P_BASE, ctx0, np.abs(lam_seed) + half, np.abs(dom))
+    n0 = angular_mod.mesh_intervals(P_BASE, ctx0, np.maximum(np.abs(lo - pad), np.abs(hi + pad)), np.abs(dom))
     assert len(meshes) == 2 and np.array_equal(meshes[1], np.tile(n0, 2))
     # and each item passed its n/2 check there: no mesh was doubled
     assert max(np.max(n) for _, n in calls) <= np.max(n0)
