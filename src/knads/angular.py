@@ -19,7 +19,7 @@ Near each pole the recessive (power-law bounded) solution is selected by
 the Frobenius phase at theta = eps.
 
 mesh_intervals fixes n, a power of two, from (p, ctx, c, eps) and a bound
-on |lambda| and |domega| alone; each solve checks it at n/2 and doubles it
+on |lambda| and domega alone; each solve checks it at n/2 and doubles it
 while the estimated eigenvalue error exceeds tol. Eigenvalues are the roots
 of the matching defect D = eta_left(c) - eta_right(c) at multiples m*pi; D
 is strictly increasing in lambda and the integer m doubles as a global mode
@@ -58,6 +58,8 @@ _SIGMA_MAX = 1e30  # sigma^10 stays finite: Omega multiplies up to 5 samples of 
 # solve_items predicts each root on n // _COARSE intervals, to a bracket of _COARSE_TOL.
 _COARSE = 8
 _COARSE_TOL = 1e-6
+# Mesh error ~ h^6 (sixth-order Magnus): the n/_COARSE and n/2 roots extrapolate to the n root.
+_RICHARDSON = (2.0**6 - 1.0) / (_COARSE**6 - 2.0**6)
 
 
 class NotLimitPoint(Refusal):
@@ -101,18 +103,18 @@ def _sides(c):
 
 
 def mesh_intervals(
-    p, ctx, lam_bound, domega_bound=0.0, c=DEFAULT_MATCHING_POINT, eps=DEFAULT_EPSILON
+    p, ctx, lam_bound, domega=0.0, c=DEFAULT_MATCHING_POINT, eps=DEFAULT_EPSILON
 ):
-    """Magnus intervals per side for |lambda| <= lam_bound and |domega| <=
-    domega_bound (scalars, or arrays giving each item its own mesh): the
-    smallest power of two, at least MIN_MESH_INTERVALS, that keeps the
-    lambda and domega part of every interval's phase move within
-    PHASE_STEP, the accuracy budget.
+    """Magnus intervals per side for |lambda| <= lam_bound at the signed
+    frequency offset domega (scalars, or arrays giving each item its own
+    mesh): the smallest power of two, at least MIN_MESH_INTERVALS, that
+    keeps the lambda and frequency part of every interval's phase move
+    within PHASE_STEP, the accuracy budget.
 
     At distance r = e^t from the pole, Delta_theta >= xi bounds that part of
-    |d eta/dt| by r L,
+    |d eta/dt|, at the item's own frequency omega + domega, by r L,
 
-        L = (|lambda| + |mu a|) / sqrt(xi) + |a| (|omega| + |domega|) / xi.
+        L = (|lambda| + |mu a|) / sqrt(xi) + |a| |omega + domega| / xi.
 
     On a side reaching distance x, the mesh graded with beta = GRADE gives
     the interval starting at t a length of at most h(t) = S e^{-t/beta} / n,
@@ -124,15 +126,14 @@ def mesh_intervals(
     nearly constant, so the Magnus step is nearly exact, and the swept
     solution is the dominant one in its direction of travel. Raises
     WindowTooWide when n would exceed MAX_MESH_INTERVALS, naming the term
-    that dominates: |lambda|, |mu a| or |a| (|omega| + |domega|), and
+    that dominates: |lambda|, |mu a| or |a| |omega + domega|, and
     Refusal for sigma above _SIGMA_MAX, where Omega could overflow."""
     sigma, named = _sigma(p, ctx)
     if not sigma <= _SIGMA_MAX:
         raise Refusal(f"{named} is above {_SIGMA_MAX:g}, "
                       "where the Magnus Omega of a pole interval could overflow")
-    lam_bound = np.asarray(lam_bound, dtype=float)
-    domega_bound = np.asarray(domega_bound, dtype=float)
-    mu_a, a_omega = abs(ctx.mu * p.a), abs(p.a) * (abs(ctx.omega) + domega_bound)
+    lam_bound, domega = (np.asarray(v, dtype=float) for v in (lam_bound, domega))
+    mu_a, a_omega = abs(ctx.mu * p.a), abs(p.a) * np.abs(ctx.omega + domega)
     e0 = eps ** (1.0 / GRADE)
     span = max(GRADE * (x ** (1.0 / GRADE) - e0) * x ** (1.0 - 1.0 / GRADE) for *_, x in _sides(c))
     with np.errstate(over="ignore"):  # a rate past the float range is +inf, refused below
@@ -141,7 +142,7 @@ def mesh_intervals(
     return mesh_size(need, (
         ("|lambda| <= {:g}", lam_bound, w * lam_bound / math.sqrt(p.xi)),
         ("|mu a| = {:g}", mu_a, w * mu_a / math.sqrt(p.xi)),
-        ("|a| (|omega| + |domega|) <= {:g}", a_omega, w * a_omega / p.xi),
+        ("|a| |omega + domega| <= {:g}", a_omega, w * a_omega / p.xi),
     ))
 
 
@@ -197,7 +198,7 @@ def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None, n=None):
     pi - eps to the matching point c.
 
     n gives the Magnus intervals per side (a scalar or one per row); by
-    default each row gets mesh_intervals of its own |lambda| and |domega|.
+    default each row gets mesh_intervals of its own |lambda| and offset.
     domega gives optional per-row frequency offsets (the recessive
     initialization is frequency independent since the omega term vanishes
     to first order at the fixed points)."""
@@ -206,7 +207,7 @@ def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None, n=None):
         np.asarray(domega, dtype=float), lams.shape
     )
     if n is None:
-        n = mesh_intervals(p, ctx, np.abs(lams), np.abs(dw), c, eps)
+        n = mesh_intervals(p, ctx, np.abs(lams), dw, c, eps)
     n = np.broadcast_to(np.asarray(n), lams.shape)
     nu, rho0 = angular_exponents(ctx.k, dirac_d(p, ctx), ctx.gauge_b)
     mu_a = ctx.mu * p.a
@@ -258,22 +259,24 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
     domega from ctx.omega, shooting to the default matching point from the
     default pole offset.
 
-    Each item gets the Magnus mesh of its own bracket and offset and is
-    solved on two meshes (two-grid, Xu & Zhou, Math. Comp. 70, 2001): on
-    n // _COARSE intervals by chandrupatla_batched from its bracket to a
-    bracket narrower than _COARSE_TOL, then by one Newton step x1 on the
-    full mesh, with the coarse bracket's secant slope. Where the full-mesh
-    defect at x1 -+ tol / 8 straddles the target, that enclosure is the
-    item's bracket, elsewhere its own bracket is; one chandrupatla_batched
-    call narrows every bracket below tol / 2. Each root is checked against
-    n/2, with the coarse slope; an item whose estimated eigenvalue error
-    exceeds tol is solved again on the doubled mesh. So every root depends
-    on its own item alone. Returns (roots, |residuals|)."""
+    Each item gets the Magnus mesh of its own bracket and frequency. Its
+    root is predicted on coarser meshes (two-grid, Xu & Zhou, Math. Comp.
+    70, 2001): chandrupatla_batched solves on n // _COARSE intervals to a
+    bracket narrower than _COARSE_TOL, Newton steps with its secant slope
+    give the roots r_c there and r_2 on n/2 intervals, and since the
+    Magnus error scales as h^6 they extrapolate (Richardson) to the
+    full-mesh root x1. Where the full-mesh defect at x1 -+ tol / 8
+    straddles the target, that enclosure is the item's bracket, elsewhere
+    its own bracket is; one chandrupatla_batched call narrows every bracket
+    below tol / 2. Each root is checked against n/2, with the coarse slope;
+    an item whose estimated eigenvalue error exceeds tol is solved again on
+    the doubled mesh. So every root depends on its own item alone. Returns
+    (roots, |residuals|)."""
     tpi = np.asarray(targets, dtype=float) * math.pi
     lo, hi, dw = (np.asarray(v, dtype=float) for v in (lo, hi, domega))
     bound = np.maximum(np.abs(lo), np.abs(hi))
     c, eps = DEFAULT_MATCHING_POINT, DEFAULT_EPSILON
-    n = np.broadcast_to(mesh_intervals(p, ctx, bound, np.abs(dw), c, eps), tpi.shape).copy()
+    n = np.broadcast_to(mesh_intervals(p, ctx, bound, dw, c, eps), tpi.shape).copy()
     roots, resid = np.empty(tpi.shape), np.empty(tpi.shape)
     todo = np.arange(tpi.size)
     while todo.size:
@@ -287,10 +290,11 @@ def solve_items(p, ctx, targets, lo, hi, domega, tol):
             return ends[: idx.size], ends[idx.size:]
 
         k, a, b = np.arange(todo.size), lo[todo], hi[todo]
-        x, _, slope = chandrupatla_batched(lambda xs, idx: f(xs, idx, div=_COARSE), a, b,
-                                           *at_ends(a, b, k, _COARSE), _COARSE_TOL)
+        x, fx, slope = chandrupatla_batched(lambda xs, idx: f(xs, idx, div=_COARSE), a, b,
+                                            *at_ends(a, b, k, _COARSE), _COARSE_TOL)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x = np.fmin(np.fmax(x - f(x, k) / slope, a), b)  # a nan step lands on a
+            r_c, r_2 = x - fx / slope, x - f(x, k, div=2) / slope
+            x = np.fmin(np.fmax(r_2 - (r_c - r_2) * _RICHARDSON, a), b)  # a nan step lands on a
         fa, fb = at_ends(x - tol / 8, x + tol / 8, k)
         hit = fa * fb <= 0.0  # the enclosure straddles the target; nan never does
         a, b = np.where(hit, (x - tol / 8, x + tol / 8), (a, b))

@@ -16,10 +16,10 @@ Lipschitz bound from the frequency term), so each eigenvalue at each
 frequency, the first included, is the unique defect root inside its
 segment widened by that bound. That makes every (omega, j) item
 independent of the rest of the grid: no sequential hand-off, no
-branch-swap risk. Each root is predicted on an eighth of the item's Magnus
-mesh and enclosed on the full mesh by one Newton step; an item whose
-enclosure misses is solved from its bracket on the full mesh
-(angular.solve_items).
+branch-swap risk. Each root is predicted by Richardson extrapolation from
+an eighth and from half of the item's Magnus mesh and enclosed on the full
+mesh; an item whose enclosure misses is solved from its bracket on the
+full mesh (angular.solve_items).
 
 The scan is evidence, not proof: the amplitude threshold is conservative
 policy and every raw number is emitted for audit.

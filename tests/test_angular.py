@@ -363,6 +363,30 @@ def test_mesh_bound_does_not_depend_on_the_sign_of_a():
         assert mesh_intervals(mirrored, ctx, lam, 0.5) == mesh_intervals(ROTATING, ctx, lam, 0.5)
 
 
+@pytest.mark.parametrize(
+    "omega, dom, want, triangle",
+    [
+        (1.5, -0.7, [256] * 5 + [512] * 2, [256] * 4 + [512] * 3),  # a negative offset
+        (-1.5, 2.5, [256] * 5 + [512] * 2, [256] * 4 + [512] * 2 + [1024]),  # across omega = 0
+        (1.5, -4.5, [256] * 4 + [512] * 2 + [1024], [256] * 3 + [512] * 3 + [1024]),  # to -3
+        (-1.5, 0.0, [256] * 5 + [512] * 2, [256] * 5 + [512] * 2),  # no offset, no change
+    ],
+)
+def test_mesh_intervals_take_the_signed_offset_exactly(omega, dom, want, triangle):
+    # The frequency term of the rate is a (omega + domega) sin(theta) /
+    # sqrt(Delta_theta), bounded by |a| |omega + domega|, the item's own
+    # frequency. The triangle inequality's |a| (|omega| + |domega|) gave
+    # `triangle`; at domega = 0 the two agree.
+    ctx = ModeContext(mu=1.0, e=0.1, k=0.5, omega=omega)
+    lam = np.array([0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
+    got = mesh_intervals(ROTATING, ctx, lam, dom)
+    assert got.tolist() == want
+    assert np.array_equal(got, mesh_intervals(ROTATING, ctx.with_omega(omega + dom), lam, 0.0))
+    assert mesh_intervals(ROTATING, ctx.with_omega(abs(omega) + abs(dom)), lam).tolist() == triangle
+    # per item, each row gets the mesh of its own signed offset
+    assert np.array_equal(mesh_intervals(ROTATING, ctx, lam, np.full(lam.size, dom)), got)
+
+
 def test_a_defect_that_does_not_rise_on_the_grid_is_refined():
     # The defect rises strictly in lambda. Where the grid says otherwise, or
     # is not finite, the mesh does not resolve it: the window is solved again
@@ -466,7 +490,7 @@ def test_mesh_refusal_names_the_dominant_term():
         mesh_intervals(ROTATING, ctx, 1e6)
     with pytest.raises(WindowTooWide, match=r"^\|mu a\| = 3\.5e\+06 needs"):
         mesh_intervals(ROTATING, dataclasses.replace(ctx, mu=1e7), 1.0)
-    with pytest.raises(WindowTooWide, match=r"^\|a\| \(\|omega\| \+ \|domega\|\) <= 3\.5e\+06"):
+    with pytest.raises(WindowTooWide, match=r"^\|a\| \|omega \+ domega\| <= 3\.5e\+06"):
         mesh_intervals(ROTATING, ctx.with_omega(1e7), 1.0)
     # sigma = |d| (1 + |b|) + |k| is a hyperbolic rate and enters no mesh
     # rule; only past the float range of a pole interval's Omega is it refused

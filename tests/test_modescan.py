@@ -18,6 +18,8 @@ from knads.modescan import (
 )
 from knads.operators import ModeContext
 
+from conftest import SEED, draw_nonextremal
+
 P0 = BlackHoleParams(m=1.0, a=0.2, q_e=0.1, q_m=0.0, l=1.0)
 CTX = ModeContext(mu=1.0, e=0.1, k=0.5)
 GRID = np.linspace(-0.4, 0.4, 5)
@@ -267,10 +269,11 @@ def test_criterion_8_scan_needs_at_most_12_defect_calls(monkeypatch):
 
 def test_criterion_8_scan_work_is_bounded(monkeypatch):
     # rows x mesh intervals over every sweep of angular._defect: each item's
-    # root is predicted on an eighth of its mesh and enclosed by one Newton
-    # step on the full mesh (594,784, 579,744 with a seed window solve and
-    # brackets centred on its roots); solving every item on its full mesh
-    # took 1,046,016.
+    # root is predicted from an eighth and from half of the mesh of its own
+    # frequency and enclosed on the full mesh (498,560; 594,784 with a full
+    # mesh Newton step and the mesh of |omega| + |domega|, 579,744 with a
+    # seed window solve and brackets centred on its roots); solving every
+    # item on its full mesh took 1,046,016.
     work = []
 
     def counted(tabs, lams, *args):
@@ -280,7 +283,7 @@ def test_criterion_8_scan_work_is_bounded(monkeypatch):
     sweep = angular_mod.sweep
     monkeypatch.setattr(angular_mod, "sweep", counted)
     coupled_scan(P_BASE, CTX, GRID_81, j_window=3)
-    assert sum(work) <= 650_000
+    assert sum(work) <= 520_000
 
 
 def _tracking_items(first=1, every=1):
@@ -294,30 +297,104 @@ def _tracking_items(first=1, every=1):
     return ctx0, (np.tile(targets, reps), np.tile(lo, reps), np.tile(hi, reps), dom)
 
 
-def test_items_whose_enclosure_misses_fall_back_to_their_bracket(monkeypatch):
-    # With a coarse tolerance wider than every bracket the prediction is a
-    # bracket end, one Newton step from it misses its tol / 4 enclosure, and
-    # every item is solved from its own bracket on its full mesh.
-    ctx0, items = _tracking_items(every=8)
-    want, _ = _solve_items(P_BASE, ctx0, *items)
+def _logged_defect(monkeypatch):
+    """Spies on angular._defect: the list it returns gets (lambdas, meshes)
+    of every call, one mesh per row."""
     calls = []
+    defect = angular_mod._defect
 
     def logged(p, ctx, lams, c, eps, bl, br, domega, n):
-        calls.append((np.array(lams), np.array(n)))
+        calls.append((np.array(lams), np.broadcast_to(n, np.shape(lams)).copy()))
         return defect(p, ctx, lams, c, eps, bl, br, domega, n)
 
-    defect = angular_mod._defect
     monkeypatch.setattr(angular_mod, "_defect", logged)
+    return calls
+
+
+def _padded(p, lo, hi, dom):
+    """The brackets _solve_items hands to angular.solve_items."""
+    pad = np.where(dom == 0.0, 0.0, abs(p.a) * np.abs(dom) + _TRACK_MARGIN)
+    return lo - pad, hi + pad
+
+
+def _missed(p, ctx0, calls, items):
+    """(lambda, mesh) rows of the logged calls that took an item's defect on
+    its full mesh at an end of its own bracket: there its enclosure missed."""
+    _, lo, hi, dom = items
+    lo, hi = _padded(p, lo, hi, dom)
+    n0 = angular_mod.mesh_intervals(p, ctx0, np.maximum(np.abs(lo), np.abs(hi)), dom)
+    ends = set(zip(lo.tolist(), n0.tolist())) | set(zip(hi.tolist(), n0.tolist()))
+    return {x for lams, n in calls for x in zip(lams.tolist(), n.tolist()) if x in ends}
+
+
+def test_criterion_8_batch_hits_every_enclosure(monkeypatch):
+    # Richardson extrapolation of the n/8 and n/2 roots lands within 3e-13 of
+    # the full-mesh root here, well inside the tol / 8 half-width: no item
+    # falls back to its own bracket.
+    ctx0, items = _tracking_items(first=0)
+    calls = _logged_defect(monkeypatch)
+    _solve_items(P_BASE, ctx0, *items)
+    assert not _missed(P_BASE, ctx0, calls, items)
+
+
+def test_criterion_8_batch_meshes_each_item_at_its_own_frequency(monkeypatch):
+    # The frequency part of the mesh bound is |a| |omega + domega|, so an item
+    # gets the mesh of a window solve at its own frequency, and the 30 items
+    # of labels +-3 at omega >= 1.3 no longer sit on 512 intervals.
+    ctx0, items = _tracking_items(first=0)
+    calls = _logged_defect(monkeypatch)
+    _solve_items(P_BASE, ctx0, *items)
+    _, lo, hi, dom = items
+    bound = np.maximum(*np.abs(_padded(P_BASE, lo, hi, dom)))
+    omegas = np.repeat(GRID_81, dom.size // GRID_81.size)
+    own = np.array([angular_mod.mesh_intervals(P_BASE, ctx0.with_omega(float(w)), b, 0.0)
+                    for b, w in zip(bound, omegas)])
+    # the bracket ends' coarse call and the enclosures' call take 2 rows per item
+    coarse, enclosure = (n[: dom.size] for lams, n in calls if lams.size == 2 * dom.size)
+    assert np.array_equal(enclosure, own) and np.array_equal(coarse, own // 8)
+    assert np.max(own) == 256
+
+
+def test_family_batches_hit_their_enclosures(monkeypatch):
+    # Eight seeded backgrounds, k in {+-0.5, 1.5, 4.5}, labels +-1..3 on a
+    # grid from omega = -2 across 0 to 2: every prediction hits its
+    # enclosure, and every root is within _ITEM_TOL of the item solved from
+    # its own bracket (the fallback, forced by a coarse tolerance of 1).
+    rng = np.random.default_rng(SEED)
+    grid = np.linspace(-2.0, 2.0, 9)
+    for k in (0.5, -0.5, 1.5, 4.5) * 2:
+        p = draw_nonextremal(rng)
+        ctx0 = ModeContext(mu=1.0, e=0.1, k=k, omega=float(grid[0]))
+        targets, lo, hi = label_brackets(p, ctx0, (-3, -2, -1, 1, 2, 3))
+        dom = np.repeat(grid - grid[0], targets.size)
+        items = tuple(np.tile(v, grid.size) for v in (targets, lo, hi)) + (dom,)
+        with monkeypatch.context() as m:
+            calls = _logged_defect(m)
+            roots, _ = _solve_items(p, ctx0, *items)
+        assert not _missed(p, ctx0, calls, items), (p, k)
+        with monkeypatch.context() as m:
+            m.setattr(angular_mod, "_COARSE_TOL", 1.0)
+            want, _ = _solve_items(p, ctx0, *items)
+        assert np.max(np.abs(roots - want)) <= _ITEM_TOL, (p, k)
+
+
+def test_items_whose_enclosure_misses_fall_back_to_their_bracket(monkeypatch):
+    # With a coarse tolerance wider than every bracket the prediction starts
+    # from a bracket end, so its Newton steps on n/8 and n/2 intervals land
+    # far from the root, the extrapolated root misses its tol / 4 enclosure,
+    # and every item is solved from its own bracket on its full mesh.
+    ctx0, items = _tracking_items(every=8)
+    want, _ = _solve_items(P_BASE, ctx0, *items)
+    calls = _logged_defect(monkeypatch)
     monkeypatch.setattr(angular_mod, "_COARSE_TOL", 1.0)
     roots, res = _solve_items(P_BASE, ctx0, *items)
     assert np.max(np.abs(roots - want)) <= _ITEM_TOL
     assert np.max(res) < 1e-8
     # the brackets' ends went to the coarse mesh, then all of them to the full one
     _, lo, hi, dom = items
-    pad = P_BASE.a * np.abs(dom) + _TRACK_MARGIN
-    ends = np.concatenate([lo - pad, hi + pad])
-    meshes = [n for lams, n in calls if np.array_equal(lams, ends)]
-    n0 = angular_mod.mesh_intervals(P_BASE, ctx0, np.maximum(np.abs(lo - pad), np.abs(hi + pad)), np.abs(dom))
+    lo, hi = _padded(P_BASE, lo, hi, dom)
+    meshes = [n for lams, n in calls if np.array_equal(lams, np.concatenate([lo, hi]))]
+    n0 = angular_mod.mesh_intervals(P_BASE, ctx0, np.maximum(np.abs(lo), np.abs(hi)), dom)
     assert len(meshes) == 2 and np.array_equal(meshes[1], np.tile(n0, 2))
     # and each item passed its n/2 check there: no mesh was doubled
     assert max(np.max(n) for _, n in calls) <= np.max(n0)
@@ -325,9 +402,10 @@ def test_items_whose_enclosure_misses_fall_back_to_their_bracket(monkeypatch):
 
 @pytest.mark.parametrize("bad", [0.0, np.nan])
 def test_a_zero_or_nan_coarse_slope_costs_one_doubling(monkeypatch, bad):
-    # The Newton step divides by the coarse slope under np.errstate, since
-    # pytest turns a RuntimeWarning into an error. With a zero or nan slope
-    # every enclosure misses and every n/2 check fails, so each item is
+    # The Newton steps of the prediction divide by the coarse slope under
+    # np.errstate, since pytest turns a RuntimeWarning into an error. With a
+    # zero or nan slope the prediction is nan, lands on its bracket's lower
+    # end, every enclosure misses and every n/2 check fails, so each item is
     # solved again on its doubled mesh, with a true slope.
     ctx0, items = _tracking_items(every=40)
     want, _ = _solve_items(P_BASE, ctx0, *items)

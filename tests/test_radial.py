@@ -251,26 +251,28 @@ def test_horizon_continuation_evidence_batch():
     assert np.max(np.abs(decays - CTX.mu * P0.l)) < 0.05
 
 
-def _linear_continuation_amplitude(p, ctx, lam, omega, y_far=1e3, delta=DEFAULT_DELTA):
-    """min |X(y >= 0.1 y_far)| / |X(y(r0))| for the recessive-at-infinity
-    solution of dX/dy = -A X, with X = rho (cos eta, sin eta) and
-    dX/dx = A X = [[V12, V22 - omega], [omega - V11, -V12]] X, by solve_ivp
-    on the linear system itself (log y toward r0, then y toward y_far)."""
+def _linear_continuation_amplitudes(p, ctx, lams, omegas, y_far=1e3, delta=DEFAULT_DELTA):
+    """min |X_i(y >= 0.1 y_far)| / |X_i(y(r0))| per row i for the
+    recessive-at-infinity solution of dX/dy = -A X, with X = rho (cos eta,
+    sin eta) and dX/dx = A X = [[V12, V22 - omega], [omega - V11, -V12]] X,
+    by solve_ivp on the linear system itself (log y toward r0, then y toward
+    y_far). The rows are stacked into one system of 2 * rows components, so
+    each step maps u_of_y once for every row."""
 
     tm = tortoise_map(p)
 
     def minus_a(y, x):
-        v11, v22, v12 = (float(v) for v in radial_potential_from_u(p, ctx, lam, tm.u_of_y(y)))
-        return -np.array(
-            [v12 * x[0] + (v22 - omega) * x[1], (omega - v11) * x[0] - v12 * x[1]]
-        )
+        v11, v22, v12 = radial_potential_from_u(p, ctx, lams, tm.u_of_y(y))
+        x0, x1 = x.reshape(-1, 2).T
+        dx = np.column_stack([v12 * x0 + (v22 - omegas) * x1, (omegas - v11) * x0 - v12 * x1])
+        return -dx.ravel()
 
     y0 = tm.y(default_r0(p))
-    eta = float(_infinity_init(p, ctx, lam, omega, delta))
+    eta = _infinity_init(p, ctx, lams, omegas, delta)
     leg1 = solve_ivp(
         lambda tau, x: math.exp(tau) * minus_a(math.exp(tau), x),
         (math.log(delta), math.log(y0)),
-        [math.cos(eta), math.sin(eta)],
+        np.column_stack([np.cos(eta), np.sin(eta)]).ravel(),
         method="DOP853",
         rtol=1e-10,
         atol=1e-12,
@@ -280,7 +282,8 @@ def _linear_continuation_amplitude(p, ctx, lam, omega, y_far=1e3, delta=DEFAULT_
     leg2 = solve_ivp(
         minus_a, (y0, y_far), x0, method="DOP853", rtol=1e-10, atol=1e-12, t_eval=ys
     )
-    return np.linalg.norm(leg2.y, axis=0).min() / np.linalg.norm(x0)
+    norms = np.linalg.norm(leg2.y.reshape(lams.size, 2, -1), axis=1)
+    return norms.min(axis=1) / np.linalg.norm(x0.reshape(-1, 2), axis=1)
 
 
 def test_continuation_amplitude_matches_linear_system():
@@ -290,11 +293,7 @@ def test_continuation_amplitude_matches_linear_system():
     lams = np.array([1.0, 1.0, -0.5])
     omegas = ph + np.array([0.8, -1.1, 0.4])
     _, amps, _, _ = horizon_continuation_evidence(P0, CTX, lams, omegas)
-    want = [
-        _linear_continuation_amplitude(P0, CTX, lam, om)
-        for lam, om in zip(lams, omegas)
-    ]
-    assert amps == pytest.approx(want, rel=1e-6)
+    assert amps == pytest.approx(_linear_continuation_amplitudes(P0, CTX, lams, omegas), rel=1e-6)
 
 
 def test_default_r0():
