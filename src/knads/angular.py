@@ -37,7 +37,7 @@ from .classify import angular_exponents, classify_angular
 from .geometry import InputError, Refusal, delta_theta
 from .magnus import (GAUSS, GRADE, PHASE_STEP, chandrupatla_batched, magnus_terms, mesh_size,
                      omega_table, refined, solve_window, sweep, window_brackets)
-from .operators import _angular_entries, dirac_d, sigma_function
+from .operators import _angular_entries, dirac_d
 # Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
 from .rk import integrate  # noqa: F401
 
@@ -45,7 +45,6 @@ __all__ = [
     "solve_items",
     "mesh_intervals",
     "NotLimitPoint",
-    "prufer_rhs",
     "angular_eigenvalues",
     "eigenvalues_by_label",
     "label_brackets",
@@ -65,27 +64,6 @@ _RICHARDSON = (2.0**6 - 1.0) / (_COARSE**6 - 2.0**6)
 class NotLimitPoint(Refusal):
     """An angular endpoint is limit circle and no boundary parameter beta was
     supplied; shooting refuses rather than picking an extension silently."""
-
-
-def prufer_rhs(p, ctx, theta, eta, lam):
-    """Phase derivative in the printed form
-
-        H = lambda/sqrt(Delta_theta) + (2 a mu cos(theta)) sin(eta) cos(eta)
-            + [xi sigma_b/(sqrt(Delta_theta) sin(theta))
-               + a omega sin(theta)/sqrt(Delta_theta)] (sin^2(eta) - cos^2(eta)).
-
-    Exposed for direct evaluation and tests; shooting propagates the
-    equivalent first-order system itself (the two phase equations coincide
-    when a = 0)."""
-    sq = math.sqrt(delta_theta(p, theta))
-    sig = sigma_function(p, ctx, theta)
-    s, c = math.sin(eta), math.cos(eta)
-    return (
-        lam / sq
-        + (2.0 * p.a * ctx.mu * math.cos(theta)) * s * c
-        + (p.xi * sig / (sq * math.sin(theta)) + p.a * ctx.omega * math.sin(theta) / sq)
-        * (s * s - c * c)
-    )
 
 
 def _frobenius_init(exponent, lam, mu_a, xi, eps):

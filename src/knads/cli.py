@@ -364,7 +364,7 @@ def cmd_scan(cfg, args):
             "notes": list(scan.notes),
         },
     )
-    stream = sys.stderr if not args.out and args.format == "csv" else sys.stdout
+    stream = sys.stdout if args.out else sys.stderr
     print(f"verdict={scan.verdict} min_amplitude={_fmt(scan.min_amplitude)}", file=stream)
     return 0
 

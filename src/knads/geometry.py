@@ -268,29 +268,11 @@ def reparameterize(r_plus, r_minus, a, l):
     return m, max(z2, 0.0)
 
 
-def reparameterization_jacobian(r_plus, r_minus, a, l):
-    """det d(m, z2)/d(r_plus, r_minus); strictly positive for r_plus > r_minus."""
-    a_p = 3.0 * r_plus**2 + r_minus**2 + 2.0 * r_plus * r_minus + a * a + l * l
-    a_m = r_plus**2 + 3.0 * r_minus**2 + 2.0 * r_plus * r_minus + a * a + l * l
-    return a_p * a_m * (r_plus - r_minus) / (2.0 * l**4)
-
-
-def h_function(p, r):
-    """h(r) = (a^2/l^2)(r^2 + l^2)/(r^2 + a^2); decreasing, bounds the
-    positivity weight by alpha(r, theta)^2 < h(r_plus) < 1."""
-    return (p.a / p.l) ** 2 * (r * r + p.l**2) / (r * r + p.a**2)
-
-
-def sqrt_h_rplus(p):
-    """The weight bound sqrt(h(r_plus)), strictly below 1 for a^2 < l^2."""
-    hd = find_horizons(p)
-    return math.sqrt(h_function(p, hd.r_plus))
-
-
 def alpha_weight(p, r, theta):
     """Positivity weight alpha(r, theta) =
     (sqrt(Delta_r)/sqrt(Delta_theta)) * a sin(theta) / (r^2 + a^2),
-    defined on the exterior r >= r_plus; bounded by sqrt(h(r_plus)) < 1."""
+    defined on the exterior r >= r_plus; bounded by sqrt(h(r_plus)) < 1, where
+    h(r) = (a^2/l^2)(r^2 + l^2)/(r^2 + a^2) decreases in r."""
     hd = find_horizons(p)
     if r < hd.r_plus * (1.0 - 1e-12):
         raise OutsideExterior("alpha weight is defined for r >= r_plus")

@@ -113,8 +113,8 @@ def coupled_scan(p, ctx_base, omega_grid, j_window=3, r0=None, threshold=DEFAULT
             f"(codes {rep.rationale_codes})"
         )
     omegas = np.asarray(list(omega_grid), dtype=float)
-    if omegas.size < 2 or np.any(np.diff(omegas) <= 0):
-        raise InputError("omega_grid must be strictly increasing with >= 2 points")
+    if omegas.size < 2 or not (np.all(np.isfinite(omegas)) and np.all(np.diff(omegas) > 0)):
+        raise InputError("omega_grid must be finite and strictly increasing with >= 2 points")
     labels = tuple(range(-j_window, 0)) + tuple(range(1, j_window + 1))
     nj = len(labels)
     lip = abs(p.a)

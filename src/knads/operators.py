@@ -21,11 +21,6 @@ from .geometry import (InputError, OutsideExterior, Refusal, delta_theta, find_h
                        require_finite)
 
 
-class DomainError(InputError):
-    """Raised when a coordinate sits outside the open domain of a coefficient
-    function (e.g. theta at an endpoint)."""
-
-
 class ParameterOverflow(InputError):
     """A parameter so large that a coefficient overflows; names the parameter."""
 
@@ -49,11 +44,6 @@ class ModeContext:
         two_k = 2.0 * self.k
         if abs(two_k - round(two_k)) > 1e-12 or round(two_k) % 2 == 0:
             raise InputError("2k must be an odd integer")
-
-    @property
-    def n(self):
-        """Integer index with k = n + 1/2."""
-        return int(round(self.k - 0.5))
 
     def with_omega(self, omega):
         return ModeContext(self.mu, self.e, self.k, omega, self.gauge_b)
@@ -81,23 +71,6 @@ def _angular_entries(p, ctx, theta):
     )
     m12 = -ctx.mu * p.a * np.cos(theta)
     return m11, m12 + np.zeros_like(m11)
-
-
-def angular_matrix(p, ctx, theta):
-    """Symmetric 2x2 potential matrix M(theta) of the angular operator,
-    frequency term included:
-
-        M11 = xi sigma_b / (sqrt(Delta_theta) sin(theta))
-              + a omega sin(theta) / sqrt(Delta_theta)
-        M22 = -M11,   M12 = M21 = -mu a cos(theta).
-
-    theta must lie strictly inside (0, pi)."""
-    if not 0.0 < theta < math.pi:
-        raise DomainError("theta must lie in the open interval (0, pi)")
-    m11, m12 = _angular_entries(p, ctx, theta)
-    m11 = float(m11)
-    m12 = float(m12)
-    return np.array([[m11, m12], [m12, -m11]])
 
 
 def _p_function(p, ctx, r):
@@ -156,17 +129,6 @@ def _radial_terms(p, ctx, lam, u):
     return _p_function(p, ctx, r) / r2a2, conf, lam * sq / r2a2
 
 
-def radial_potential_from_u(p, ctx, lam, u):
-    """Entries (V11, V22, V12) of the radial potential at r = r_plus + u,
-    vectorized and cancellation-free near the horizon:
-
-        V11 = (P + mu r sqrt(Delta_r)) / (r^2 + a^2)
-        V22 = (P - mu r sqrt(Delta_r)) / (r^2 + a^2)
-        V12 = lambda sqrt(Delta_r) / (r^2 + a^2)."""
-    diag, conf, off = _radial_terms(p, ctx, lam, u)
-    return diag + conf, diag - conf, off
-
-
 def deviation_norm(p, ctx, lam, u):
     """Frobenius norm of V - phi_plus * I at r = r_plus + u, vectorized.
 
@@ -180,17 +142,6 @@ def deviation_norm(p, ctx, lam, u):
     _, scale = np.frexp(np.maximum(np.maximum(np.abs(dev), np.abs(conf)), np.abs(off)))
     dev, conf, off = (np.ldexp(t, -scale) for t in (dev, conf, off))
     return np.ldexp(np.sqrt((dev + conf) ** 2 + (dev - conf) ** 2 + 2.0 * off**2), scale)
-
-
-def radial_potential(p, ctx, lam, r):
-    """Symmetric 2x2 radial potential V(r) in the tortoise form, for a single
-    exterior radius r > r_plus. lam is the angular eigenvalue of the partial
-    wave (a plain parameter here)."""
-    hd = find_horizons(p)
-    if r < hd.r_plus:
-        raise OutsideExterior("radial potential is defined on r > r_plus")
-    v11, v22, v12 = radial_potential_from_u(p, ctx, lam, r - hd.r_plus)
-    return np.array([[float(v11), float(v12)], [float(v12), float(v22)]])
 
 
 def confinement_density(p, ctx, r):

@@ -59,25 +59,6 @@ class DiscretizedOperator:
             self.diag, self.offdiag, eigvals_only=True, select="v", select_range=(lo, hi)
         )
 
-    def eigenpairs_in_window(self, lo, hi):
-        return eigh_tridiagonal(
-            self.diag, self.offdiag, select="v", select_range=(lo, hi)
-        )
-
-    def component_balance(self, vecs):
-        """Weighted norm ratio of the two interleaved components per column;
-        spurious doubler modes would push this far from 1."""
-        v2 = vecs * vecs
-        n1 = np.sqrt(v2[0::2].sum(axis=0))
-        n2 = np.sqrt(v2[1::2].sum(axis=0))
-        return n1 / n2
-
-    def matrix_norm(self):
-        return float(
-            np.max(np.abs(self.diag))
-            + 2.0 * np.max(np.abs(self.offdiag), initial=0.0)
-        )
-
 
 def _staggered(lo, hi, N, first, dof, entries):
     """Staggered assembly of dof interleaved unknowns on [lo, hi], h = 1/N.

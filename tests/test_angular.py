@@ -15,13 +15,12 @@ from knads.angular import (
     angular_eigenvalues,
     eigenvalues_by_label,
     mesh_intervals,
-    prufer_rhs,
 )
 from knads.angular import _defect
 from knads.classify import angular_exponents
-from knads.geometry import BlackHoleParams, InputError, Refusal
+from knads.geometry import BlackHoleParams, InputError, Refusal, delta_theta
 from knads.magnus import MAX_MESH_INTERVALS, MIN_MESH_INTERVALS, WindowTooWide, solve_window
-from knads.operators import ModeContext, angular_matrix, dirac_d, tortoise_map
+from knads.operators import ModeContext, _angular_entries, dirac_d, sigma_function, tortoise_map
 from knads.oracle import load_fixtures
 from knads.radial import _RADIAL_LAYOUT, DEFAULT_DELTA, _radial_tables, default_r0
 
@@ -208,6 +207,21 @@ def test_window_validation():
 
 
 def test_prufer_rhs_printed_form():
+    # the paper's printed phase equation agrees with the production entry M11
+    def prufer_rhs(p, ctx, theta, eta, lam):
+        """H = lambda/sqrt(Delta_theta) + (2 a mu cos(theta)) sin(eta) cos(eta)
+        + [xi sigma_b/(sqrt(Delta_theta) sin(theta))
+           + a omega sin(theta)/sqrt(Delta_theta)] (sin^2(eta) - cos^2(eta))."""
+        sq = math.sqrt(delta_theta(p, theta))
+        sig = sigma_function(p, ctx, theta)
+        s, c = math.sin(eta), math.cos(eta)
+        return (
+            lam / sq
+            + (2.0 * p.a * ctx.mu * math.cos(theta)) * s * c
+            + (p.xi * sig / (sq * math.sin(theta)) + p.a * ctx.omega * math.sin(theta) / sq)
+            * (s * s - c * c)
+        )
+
     ctx = ModeContext(mu=0.7, e=0.3, k=1.5, omega=0.9, gauge_b=0.2)
     p = PMAG
     rng = np.random.default_rng(7)
@@ -215,13 +229,13 @@ def test_prufer_rhs_printed_form():
         th = rng.uniform(0.05, math.pi - 0.05)
         eta = rng.uniform(-4.0, 4.0)
         lam = rng.uniform(-3.0, 3.0)
-        mat = angular_matrix(p, ctx, th)
+        m11, _ = _angular_entries(p, ctx, th)
         sq = math.sqrt(1.0 - (p.a / p.l) ** 2 * math.cos(th) ** 2)
         s, c = math.sin(eta), math.cos(eta)
         want = (
             lam / sq
             + 2.0 * p.a * ctx.mu * math.cos(th) * s * c
-            + mat[0, 0] * (s * s - c * c)
+            + m11 * (s * s - c * c)
         )
         got = prufer_rhs(p, ctx, th, eta, lam)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

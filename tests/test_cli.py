@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import importlib
@@ -5,6 +6,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -284,12 +287,19 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert dest.read_text() == out
 
 
-def test_json_format(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    rc, out, _ = run(capsys, ["horizons", "--config", cfg, "--format", "json"])
+@pytest.mark.parametrize("command", list(cli_mod._COMMANDS))
+def test_json_format(tmp_path, capsys, command):
+    # stdout holds the JSON document alone; the scan's summary line once
+    # followed it there, and json.loads failed with "Extra data"
+    cfg = write_config(tmp_path, omega_min=-0.2, omega_max=0.2, omega_step=0.2, j_window=1)
+    rc, out, err = run(capsys, [command, "--config", cfg, "--format", "json"])
     doc = json.loads(out)
-    assert doc["columns"][0] == "r_plus"
-    assert isinstance(doc["rows"][0]["r_plus"], float)
+    assert rc == 0 and doc["rows"]
+    if command == "horizons":
+        assert doc["columns"][0] == "r_plus"
+        assert isinstance(doc["rows"][0]["r_plus"], float)
+    if command == "scan":
+        assert err.startswith(f"verdict={doc['verdict']} min_amplitude=")
 
 
 def test_exit_code_2_validation(tmp_path, capsys):
@@ -542,6 +552,41 @@ def test_every_knads_exception_declares_its_exit_code():
     assert {"ConfigError", "ParameterOverflow", "NoHorizon", "GridTooCoarse"} <= {c.__name__ for c in classes}
     for cls in classes:
         assert issubclass(cls, InputError) != issubclass(cls, Refusal), cls
+
+
+# Public names that only the tests call, each kept for what it checks.
+_TEST_ONLY = {
+    "amplitude_weight",  # acceptance criterion 9
+    "n_in_joint_lp_set",  # acceptance criterion 2
+    "l2_tail_test", "infinity_growth_exponents",  # acceptance criterion 3
+    "periodicity_verdict",  # acceptance criterion 8
+    "load_fixtures",  # reads the packaged oracle fixtures
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public top-level function, class or method counts as used when a
+    # module, script or benchmark file names it, or the README does
+    root = pathlib.Path(__file__).resolve().parents[1]
+    defined, used = set(), set()
+    for path in [*(root / "src" / "knads").glob("*.py"), *(root / "scripts").glob("*.py"),
+                 *(root / "perfbench").glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent.name == "knads":
+            for node in tree.body:
+                members = node.body if isinstance(node, ast.ClassDef) else []
+                defined |= {d.name for d in [node, *members] if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unused = {n for n in defined - used - _TEST_ONLY
+              if not n.startswith("_") and not re.search(rf"\b{n}\b", readme)}
+    assert not unused, sorted(unused)
 
 
 def test_a_bare_value_error_is_a_bug_not_a_refusal(tmp_path, monkeypatch):

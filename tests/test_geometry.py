@@ -16,12 +16,9 @@ from knads.geometry import (
     delta_theta,
     extremal_mass,
     find_horizons,
-    h_function,
     horizon_slope,
     komar,
-    reparameterization_jacobian,
     reparameterize,
-    sqrt_h_rplus,
 )
 
 from conftest import draw_near_extremal, draw_nonextremal
@@ -155,7 +152,10 @@ def test_reparameterization_jacobian_positive_and_consistent(rng):
     p = draw_nonextremal(rng)
     hd = find_horizons(p)
     rp, rm = hd.r_plus, hd.r_minus
-    jac = reparameterization_jacobian(rp, rm, p.a, p.l)
+    # closed form of det d(m, z2)/d(r_plus, r_minus)
+    a_p = 3.0 * rp**2 + rm**2 + 2.0 * rp * rm + p.a**2 + p.l**2
+    a_m = rp**2 + 3.0 * rm**2 + 2.0 * rp * rm + p.a**2 + p.l**2
+    jac = a_p * a_m * (rp - rm) / (2.0 * p.l**4)
     assert jac > 0.0
     # finite-difference determinant agrees
     h = 1e-6
@@ -200,13 +200,15 @@ def test_weight_bound_and_domain(rng):
     for _ in range(10):
         p = draw_nonextremal(rng)
         hd = find_horizons(p)
-        bound = sqrt_h_rplus(p)
+        # sqrt(h(r_plus)) with h(r) = (a^2/l^2)(r^2 + l^2)/(r^2 + a^2)
+        h_rplus = (p.a / p.l) ** 2 * (hd.r_plus**2 + p.l**2) / (hd.r_plus**2 + p.a**2)
+        bound = math.sqrt(h_rplus)
         assert bound < 1.0
         rs = hd.r_plus + np.geomspace(1e-6, 30.0, 25)
         ths = np.linspace(1e-3, math.pi - 1e-3, 23)
         vals = np.array([[alpha_weight(p, r, t) for t in ths] for r in rs])
         assert vals.max() < bound
-        assert h_function(p, hd.r_plus) == pytest.approx(bound**2)
+        assert h_rplus == pytest.approx(bound**2)
     with pytest.raises(OutsideExterior):
         alpha_weight(p, hd.r_plus * 0.5, 1.0)
 

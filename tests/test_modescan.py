@@ -140,10 +140,11 @@ def test_self_adjointness_precondition():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        coupled_scan(P0, CTX, [0.3, 0.1], j_window=1)
-    with pytest.raises(ValueError):
-        coupled_scan(P0, CTX, [0.3], j_window=1)
+    # NaN compares false, so a NaN grid once passed the ordering check and
+    # ended in a WindowTooWide refusal that named the Magnus mesh
+    for grid in ([0.3, 0.1], [0.3], [0.0, math.nan, 0.2], [0.0, 0.1, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(InputError, match="omega_grid must be finite and strictly increasing"):
+            coupled_scan(P0, CTX, grid, j_window=1)
 
 
 @pytest.mark.parametrize("j_window", [0, -1, 2.5])

@@ -14,9 +14,9 @@ from knads.oracle import discretize_radial_confined
 from knads.operators import (
     ModeContext,
     TortoiseMap,
+    _radial_terms,
     gauss_segments,
     phi_plus,
-    radial_potential_from_u,
     tortoise_map,
 )
 from knads.radial import (
@@ -262,7 +262,8 @@ def _linear_continuation_amplitudes(p, ctx, lams, omegas, y_far=1e3, delta=DEFAU
     tm = tortoise_map(p)
 
     def minus_a(y, x):
-        v11, v22, v12 = radial_potential_from_u(p, ctx, lams, tm.u_of_y(y))
+        diag, conf, v12 = _radial_terms(p, ctx, lams, tm.u_of_y(y))
+        v11, v22 = diag + conf, diag - conf
         x0, x1 = x.reshape(-1, 2).T
         dx = np.column_stack([v12 * x0 + (v22 - omegas) * x1, (omegas - v11) * x0 - v12 * x1])
         return -dx.ravel()
@@ -429,7 +430,7 @@ def test_levinson_segments_resolve_the_confining_deviation():
 
     def leading(y):
         u = tm.u_of_y(y)
-        _, _, v12 = radial_potential_from_u(P0, CTX, LAM, u)
+        _, _, v12 = _radial_terms(P0, CTX, LAM, u)
         conf = CTX.mu * (tm.r_plus + u) * v12 / LAM
         return np.sqrt(2.0 * (conf**2 + v12**2))
 
