@@ -19,12 +19,13 @@ Near each pole the recessive (power-law bounded) solution is selected by
 the Frobenius phase at theta = eps.
 
 mesh_intervals fixes n, a power of two, from (p, ctx, c, eps) and a bound
-on |lambda| and domega alone; each solve checks it at n/2 and doubles it
-while the estimated eigenvalue error exceeds tol. Eigenvalues are the roots
-of the matching defect D = eta_left(c) - eta_right(c) at multiples m*pi; D
-is strictly increasing in lambda and the integer m doubles as a global mode
-label. Because the mesh depends only on an item's or window's own bounds,
-no eigenvalue depends on what else shares its batch.
+on |lambda| and domega alone; every eigenvalue is an item of
+magnus.solve_items, checked at n/2 on its own mesh, doubled while the
+estimated error exceeds tol. Eigenvalues are the roots of the matching
+defect D = eta_left(c) - eta_right(c) at multiples m*pi; D is strictly
+increasing in lambda and the integer m doubles as a global mode label.
+Because the mesh depends only on an item's or window's own bounds, no
+eigenvalue depends on what else shares its batch.
 """
 
 from functools import lru_cache
@@ -35,8 +36,9 @@ import numpy as np
 
 from .classify import angular_exponents, classify_angular
 from .geometry import InputError, Refusal, delta_theta
-from .magnus import (GAUSS, GRADE, PHASE_STEP, chandrupatla_batched, magnus_terms, mesh_size,
-                     omega_table, refined, solve_window, sweep, window_brackets)
+from . import magnus
+from .magnus import (GAUSS, GRADE, PHASE_STEP, magnus_terms, mesh_size, omega_table, solve_window,
+                     sweep_ends, window_bound, window_brackets)
 from .operators import _angular_entries, dirac_d
 # Unused; perfbench's test_wrappers_restore_original_bindings needs it bound.
 from .rk import integrate  # noqa: F401
@@ -54,11 +56,6 @@ __all__ = [
 DEFAULT_EPSILON = 1e-6 * math.pi
 DEFAULT_MATCHING_POINT = math.pi / 2
 _SIGMA_MAX = 1e30  # sigma^10 stays finite: Omega multiplies up to 5 samples of A, q squares it
-# solve_items predicts each root on n // _COARSE intervals, to a bracket of _COARSE_TOL.
-_COARSE = 8
-_COARSE_TOL = 1e-6
-# Mesh error ~ h^6 (sixth-order Magnus): the n/_COARSE and n/2 roots extrapolate to the n root.
-_RICHARDSON = (2.0**6 - 1.0) / (_COARSE**6 - 2.0**6)
 
 
 class NotLimitPoint(Refusal):
@@ -170,121 +167,52 @@ def _require_limit_point(p, ctx, beta_left, beta_right):
         )
 
 
-def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega=None, n=None):
+def _defect(p, ctx, lams, c, eps, beta_left, beta_right, domega, n):
     """Matching defect eta_left(c) - eta_right(c) per row, both sides shot
     for a whole array of lambda values at once, from theta = eps and theta =
-    pi - eps to the matching point c.
+    pi - eps to the matching point c, on n Magnus intervals per side (a
+    scalar or one per row).
 
-    n gives the Magnus intervals per side (a scalar or one per row); by
-    default each row gets mesh_intervals of its own |lambda| and offset.
-    domega gives optional per-row frequency offsets (the recessive
-    initialization is frequency independent since the omega term vanishes
-    to first order at the fixed points)."""
+    domega gives the frequency offsets (a scalar or one per row; the
+    recessive initialization is frequency independent since the omega term
+    vanishes to first order at the fixed points)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    dw = np.zeros(lams.shape) if domega is None else np.broadcast_to(
-        np.asarray(domega, dtype=float), lams.shape
-    )
-    if n is None:
-        n = mesh_intervals(p, ctx, np.abs(lams), dw, c, eps)
-    n = np.broadcast_to(np.asarray(n), lams.shape)
     nu, rho0 = angular_exponents(ctx.k, dirac_d(p, ctx), ctx.gauge_b)
     mu_a = ctx.mu * p.a
-    eta0 = np.concatenate(
-        [
-            np.full(lams.shape, float(beta))
-            if beta is not None
-            else sign * _frobenius_init(exponent, lams, mu_a, p.xi, eps)
-            for sign, exponent, beta in ((1.0, nu, beta_left), (-1.0, rho0, beta_right))
-        ]
-    )
-    ends = np.empty(2 * lams.size)
-    for nn in np.unique(n):
-        rows = np.flatnonzero(n == nn)
-        both = np.concatenate([rows, lams.size + rows])
-        ends[both], _ = sweep(_magnus_tables(p, ctx, c, eps, int(nn)), lams[rows], dw[rows],
-                              eta0[both], False)
+    eta0 = np.concatenate([np.full(lams.shape, float(beta)) if beta is not None
+                           else sign * _frobenius_init(exponent, lams, mu_a, p.xi, eps)
+                           for sign, exponent, beta in ((1.0, nu, beta_left), (-1.0, rho0, beta_right))])
+    ends = sweep_ends(lambda nn: _magnus_tables(p, ctx, c, eps, nn), n, lams, domega, eta0)
     return ends[: lams.size] - ends[lams.size:]
 
 
-def angular_eigenvalues(
-    p,
-    ctx,
-    window,
-    c=DEFAULT_MATCHING_POINT,
-    eps=DEFAULT_EPSILON,
-    beta_left=None,
-    beta_right=None,
-    tol=1e-10,
-):
+def angular_eigenvalues(p, ctx, window, c=DEFAULT_MATCHING_POINT, eps=DEFAULT_EPSILON,
+                        beta_left=None, beta_right=None, tol=1e-10):
     """All eigenvalues in the window: the roots of the matching defect
     D(lambda) = eta_left(c) - eta_right(c) at multiples of pi, located by
-    solve_window on the window's Magnus mesh. The mesh is doubled and the
-    window solved again while the n/2 check estimates an eigenvalue error
-    above tol."""
+    solve_window from the window's Magnus mesh, each item's mesh doubled
+    while its n/2 check estimates an eigenvalue error above tol. A window
+    without finite ends lam_lo < lam_hi is an InputError."""
+    lo, hi, bound = window_bound(window)
     _require_limit_point(p, ctx, beta_left, beta_right)
-    bound = max(abs(float(window[0])), abs(float(window[1])))
-
-    def defect(lams, n):
-        return _defect(p, ctx, lams, c, eps, beta_left, beta_right, n=n)
-
-    return solve_window(defect, *window, tol, mesh_intervals(p, ctx, bound, 0.0, c, eps),
+    return solve_window(lambda lams, n: _defect(p, ctx, lams, c, eps, beta_left, beta_right, 0.0, n),
+                        lo, hi, tol, mesh_intervals(p, ctx, bound, 0.0, c, eps),
                         f"|lambda| <= {bound:g} and {_sigma(p, ctx)[1]}")
 
 
 def solve_items(p, ctx, targets, lo, hi, domega, tol):
-    """Roots of the matching defect at the integer targets m (D = m*pi),
-    one per item, inside the brackets [lo, hi] and at the frequency offsets
-    domega from ctx.omega, shooting to the default matching point from the
-    default pole offset.
-
-    Each item gets the Magnus mesh of its own bracket and frequency. Its
-    root is predicted on coarser meshes (two-grid, Xu & Zhou, Math. Comp.
-    70, 2001): chandrupatla_batched solves on n // _COARSE intervals to a
-    bracket narrower than _COARSE_TOL, Newton steps with its secant slope
-    give the roots r_c there and r_2 on n/2 intervals, and since the
-    Magnus error scales as h^6 they extrapolate (Richardson) to the
-    full-mesh root x1. Where the full-mesh defect at x1 -+ tol / 8
-    straddles the target, that enclosure is the item's bracket, elsewhere
-    its own bracket is; one chandrupatla_batched call narrows every bracket
-    below tol / 2. Each root is checked against n/2, with the coarse slope;
-    an item whose estimated eigenvalue error exceeds tol is solved again on
-    the doubled mesh. So every root depends on its own item alone. Returns
-    (roots, |residuals|)."""
-    tpi = np.asarray(targets, dtype=float) * math.pi
-    lo, hi, dw = (np.asarray(v, dtype=float) for v in (lo, hi, domega))
+    """Roots and |residuals| of the matching defect D = m*pi at the integer
+    targets m in the brackets [lo, hi], at the offsets domega from ctx.omega
+    (default matching point and pole offset): the items of
+    magnus.solve_items, each from the mesh of its own bracket and frequency."""
+    dw = np.asarray(domega, dtype=float)
     bound = np.maximum(np.abs(lo), np.abs(hi))
     c, eps = DEFAULT_MATCHING_POINT, DEFAULT_EPSILON
-    n = np.broadcast_to(mesh_intervals(p, ctx, bound, dw, c, eps), tpi.shape).copy()
-    roots, resid = np.empty(tpi.shape), np.empty(tpi.shape)
-    todo = np.arange(tpi.size)
-    while todo.size:
-
-        def f(xs, idx, todo=todo, div=1):
-            sel = todo[idx]
-            return _defect(p, ctx, xs, c, eps, None, None, dw[sel], n[sel] // div) - tpi[sel]
-
-        def at_ends(a, b, idx, div=1):
-            ends = f(np.concatenate([a, b]), np.concatenate([idx, idx]), div=div)
-            return ends[: idx.size], ends[idx.size:]
-
-        k, a, b = np.arange(todo.size), lo[todo], hi[todo]
-        x, fx, slope = chandrupatla_batched(lambda xs, idx: f(xs, idx, div=_COARSE), a, b,
-                                            *at_ends(a, b, k, _COARSE), _COARSE_TOL)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r_c, r_2 = x - fx / slope, x - f(x, k, div=2) / slope
-            x = np.fmin(np.fmax(r_2 - (r_c - r_2) * _RICHARDSON, a), b)  # a nan step lands on a
-        fa, fb = at_ends(x - tol / 8, x + tol / 8, k)
-        hit = fa * fb <= 0.0  # the enclosure straddles the target; nan never does
-        a, b = np.where(hit, (x - tol / 8, x + tol / 8), (a, b))
-        if (miss := np.flatnonzero(~hit)).size:
-            fa[miss], fb[miss] = at_ends(a[miss], b[miss], miss)
-        x, fx, _ = chandrupatla_batched(f, a, b, fa, fb, 0.5 * tol)
-        ok = np.abs(f(x, k, div=2) - fx) <= tol * slope
-        roots[todo[ok]], resid[todo[ok]] = x[ok], fx[ok]
-        todo = todo[~ok]
-        for i in todo:
-            n[i] = refined(int(n[i]), f"|lambda| <= {bound[i]:g} and {_sigma(p, ctx)[1]}")
-    return roots, np.abs(resid)
+    roots, resid, _ = magnus.solve_items(
+        lambda xs, items, n: _defect(p, ctx, xs, c, eps, None, None, dw[items], n), targets, lo, hi,
+        mesh_intervals(p, ctx, bound, dw, c, eps), tol,
+        lambda i: f"|lambda| <= {bound[i]:g} and {_sigma(p, ctx)[1]}")
+    return roots, resid
 
 
 def label_brackets(p, ctx, labels):
@@ -299,7 +227,7 @@ def label_brackets(p, ctx, labels):
     w = max(abs(j) for j in want) + 2.0 + abs(ctx.k) + abs(ctx.omega) * p.a
     while True:
         _, targets, found, a, b, *_ = window_brackets(
-            lambda lams, n: _defect(p, ctx, lams, DEFAULT_MATCHING_POINT, DEFAULT_EPSILON, None, None, n=n),
+            lambda lams, n: _defect(p, ctx, lams, DEFAULT_MATCHING_POINT, DEFAULT_EPSILON, None, None, 0.0, n),
             -w, w, mesh_intervals(p, ctx, w), f"|lambda| <= {w:g} and {_sigma(p, ctx)[1]}")
         if np.count_nonzero(keep := np.isin(found, want)) == len(want):
             return targets[keep], a[keep], b[keep]

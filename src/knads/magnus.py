@@ -1,4 +1,4 @@
-"""The sixth-order Magnus sweep and the window root finder shared by the
+"""The sixth-order Magnus sweep and the one eigen-solver shared by the
 angular and the radial solver, whose traceless systems psi' = A psi are
 affine in two spectral variables.
 
@@ -6,12 +6,13 @@ magnus_terms and omega_table turn samples of A at the GAUSS nodes into the
 coefficients of each interval's Omega (Blanes, Casas & Ros, BIT 40, 2000)
 as a polynomial in the two variables, once per mesh as in MATSLISE (Ledoux,
 Van Daele & Vanden Berghe, ACM TOMS 31, 2005); sweep carries the Prüfer
-phase, and the log amplitude where asked, across the mesh. mesh_size and
-refined size the mesh; window_brackets counts, brackets and labels the
-roots of a window on a grid, and solve_window solves them by
-chandrupatla_batched and doubles n while its n/2 check asks. Every
-operation is elementwise over the batch or a product of fixed shape, so no
-result depends on what else shares its batch.
+phase, and the log amplitude where asked, across the mesh, and sweep_ends
+each row on its own mesh. mesh_size and refined size the mesh. Every
+eigenvalue is an item of solve_items, which checks it at n/2 and doubles
+its own mesh while the check asks; solve_window solves the roots of a
+window that window_brackets counts, brackets and labels on a grid. No
+result depends on what else shares its batch: every operation is
+elementwise over the batch or a product of fixed shape.
 """
 
 from dataclasses import dataclass
@@ -38,6 +39,11 @@ _WIDTH = 8
 # the step budget of one root-finder call.
 _STALE_STEPS = 3
 _MAX_ROOT_STEPS = 200
+# solve_items predicts each root on n // _COARSE intervals, to a bracket of _COARSE_TOL.
+_COARSE = 8
+_COARSE_TOL = 1e-6
+# Mesh error ~ h^6 (sixth-order Magnus): the n/_COARSE and n/2 roots extrapolate to the n root.
+_RICHARDSON = (2.0**6 - 1.0) / (_COARSE**6 - 2.0**6)
 _SINC = [1.0 / math.factorial(2 * k + 1) for k in range(9)]  # sinh(s)/s in q = s^2; 1/19! < 2^-53
 # Gauss-Legendre nodes of one interval, as fractions of its length.
 GAUSS = 0.5 + (math.sqrt(15.0) / 10.0) * np.array([-1.0, 0.0, 1.0])
@@ -57,10 +63,11 @@ MAX_WINDOW_SEGMENTS = 2000
 
 @dataclass(frozen=True)
 class SpectrumWindow:
-    """Sorted eigenvalues in [lam_lo, lam_hi] with matching-defect residuals
-    and signed mode labels (ordered by value, positive labels above lambda=0).
-    mesh_error is the a-posteriori eigenvalue error estimate from the
-    coarser mesh's defect."""
+    """Sorted eigenvalues in [lam_lo, lam_hi] with signed mode labels
+    (ordered by value, positive labels above lambda = 0). residuals are
+    |D - m*pi| at each returned root, the matching defect's distance from
+    its target in phase radians. mesh_error is the largest per-root n/2
+    estimate |D_{n/2} - D_n| / D' at the roots, in eigenvalue units."""
 
     lam_lo: float
     lam_hi: float
@@ -120,6 +127,15 @@ def chandrupatla_batched(fun, lo, hi, flo, fhi, tol):
     return np.where(use_a, a, b), np.where(use_a, fa, fb), (fb - fa) / (b - a)
 
 
+def window_bound(window):
+    """(lo, hi, max(|lo|, |hi|)) of a window (lo, hi) with finite ends lo <
+    hi, checked before any mesh is sized; else an InputError names it."""
+    lo, hi = (float(v) for v in window)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InputError(f"window must have finite ends lam_lo < lam_hi, got [{lo}, {hi}]")
+    return lo, hi, max(abs(lo), abs(hi))
+
+
 def window_brackets(defect, lo, hi, n, cause):
     """Count, bracket and label the roots of defect(x, n) = m*pi in [lo,
     hi], m integer, for a strictly increasing matching defect on a mesh of n
@@ -134,9 +150,6 @@ def window_brackets(defect, lo, hi, n, cause):
     Returns (n, targets, labels, a, b, fa, fb): the mesh reached and, per
     target m in increasing order, its label, its segment [a, b] and the
     defect minus m*pi at the segment ends."""
-    lo, hi = float(lo), float(hi)
-    if not hi > lo:
-        raise InputError("window must satisfy lam_lo < lam_hi")
     if not hi - lo <= 0.5 * MAX_WINDOW_SEGMENTS:
         raise WindowTooWide(f"window [{lo}, {hi}] is wider than {0.5 * MAX_WINDOW_SEGMENTS}")
     nseg = max(2, int(math.ceil((hi - lo) / 0.5)))
@@ -157,31 +170,74 @@ def window_brackets(defect, lo, hi, n, cause):
             dgrid[seg] - tpi, dgrid[seg + 1] - tpi)
 
 
+def solve_items(defect, targets, lo, hi, n, tol, cause, ends=None):
+    """Roots of defect(x, items, n) = m*pi at the integer targets m inside
+    the float arrays lo, hi of brackets, item i from n[i] intervals (n may
+    be a scalar); defect takes an item index and a mesh size per row. Each
+    root is predicted (two-grid, Xu & Zhou, Math. Comp. 70, 2001): Newton
+    steps with the slope of a chandrupatla_batched solve on n // _COARSE
+    intervals, to _COARSE_TOL, give roots there and on n/2 intervals, which
+    extrapolate (Richardson, Magnus error ~ h^6) to the full-mesh root x1.
+    Where the full-mesh defect at x1 -+ tol / 8 straddles the target, that
+    enclosure is the item's bracket, elsewhere its own bracket is; the
+    finder narrows it below tol / 2. Given ends, the defect minus m*pi at
+    the bracket ends on the starting mesh, the finder starts there at once:
+    its last steps land far inside tol, where an enclosure returns an end.
+    An item whose n/2 check, by the coarse slope (else the finder's last),
+    estimates an error above tol is predicted again on its doubled mesh
+    (refined, naming cause(i) at the cap). Returns per item the root,
+    |defect - m*pi| there (phase radians) and the n/2 estimate (eigenvalue
+    units); each depends on its own item alone."""
+    tpi = np.asarray(targets, dtype=float) * math.pi
+    n = np.broadcast_to(n, tpi.shape).copy()
+    roots, resid, error = np.empty((3,) + tpi.shape)
+    todo = np.arange(tpi.size)
+    while todo.size:
+
+        def f(xs, idx, todo=todo, div=1):
+            sel = todo[idx]
+            return defect(xs, sel, n[sel] // div) - tpi[sel]
+
+        def at_ends(a, b, idx, div=1):
+            vals = f(np.concatenate([a, b]), np.concatenate([idx, idx]), div=div)
+            return vals[: idx.size], vals[idx.size:]
+
+        k, a, b = np.arange(todo.size), lo[todo], hi[todo]
+        if ends is None:
+            x, fx, slope = chandrupatla_batched(lambda xs, idx: f(xs, idx, div=_COARSE), a, b,
+                                                *at_ends(a, b, k, _COARSE), _COARSE_TOL)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                r_c, r_2 = x - fx / slope, x - f(x, k, div=2) / slope
+                x = np.fmin(np.fmax(r_2 - (r_c - r_2) * _RICHARDSON, a), b)  # a nan step lands on a
+            fa, fb = at_ends(x - tol / 8, x + tol / 8, k)
+            hit = fa * fb <= 0.0  # the enclosure straddles the target; nan never does
+            a, b = np.where(hit, (x - tol / 8, x + tol / 8), (a, b))
+            if (miss := np.flatnonzero(~hit)).size:
+                fa[miss], fb[miss] = at_ends(a[miss], b[miss], miss)
+        else:
+            (fa, fb), slope = ends, None
+        x, fx, last = chandrupatla_batched(f, a, b, fa, fb, 0.5 * tol)
+        slope, ends = last if slope is None else slope, None
+        err = np.abs(f(x, k, div=2) - fx)
+        ok = err <= tol * slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots[todo[ok]], resid[todo[ok]], error[todo[ok]] = x[ok], fx[ok], err[ok] / slope[ok]
+        todo = todo[~ok]
+        for i in todo:
+            n[i] = refined(int(n[i]), cause(i))
+    return roots, np.abs(resid), error
+
+
 def solve_window(defect, lo, hi, tol, n, cause):
     """Every root of defect(x, n) = m*pi in [lo, hi], bracketed and labelled
-    by window_brackets and located by chandrupatla_batched to a bracket
-    narrower than tol / 2. mesh_error is the largest |defect(x, n // 2) -
-    defect(x, n)| at a root over the secant slope of the finder's final
-    bracket, infinite where that slope is not finite and positive; while it
-    exceeds tol, n doubles (refined) and the window is solved again."""
-    while True:
-        n, targets, labels, a, b, fa, fb = window_brackets(defect, lo, hi, n, cause)
-        if targets.size == 0:
-            return SpectrumWindow(float(lo), float(hi), (), (), (), 0, mesh_error=0.0)
-        tpi = targets * math.pi
-        roots, resid, slope = chandrupatla_batched(lambda xs, idx: defect(xs, n) - tpi[idx],
-                                                   a, b, fa, fb, 0.5 * tol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = np.abs(defect(roots, n // 2) - tpi - resid) / slope
-        mesh_error = float(np.max(np.where(np.isfinite(slope) & (slope > 0.0), err, np.inf)))
-        if mesh_error <= tol:
-            break
-        n = refined(n, cause)
-
-    order = np.argsort(roots)
-    return SpectrumWindow(float(lo), float(hi), tuple(roots[order].tolist()),
-                          tuple(np.abs(resid)[order].tolist()), tuple(labels[order].tolist()),
-                          int(targets.size), mesh_error)
+    by window_brackets and solved by solve_items from the mesh the grid pass
+    reached and its defect at the bracket ends; defect takes a mesh size per
+    row."""
+    n, targets, labels, a, b, fa, fb = window_brackets(defect, lo, hi, n, cause)
+    roots, resid, error = solve_items(lambda xs, _, nn: defect(xs, nn), targets, a, b, n, tol,
+                                      lambda _: cause, (fa, fb))
+    return SpectrumWindow(lo, hi, tuple(roots.tolist()), tuple(resid.tolist()),
+                          tuple(labels.tolist()), int(targets.size), float(np.max(error, initial=0.0)))
 
 
 def mesh_size(need, causes):
@@ -366,3 +422,15 @@ def sweep(tabs, lams, domega, eta0, record):
             etas.append(steps[keep[i0 + 1:i1 + 1]])
             logs.append(growth[keep[i0 + 1:i1 + 1]])
     return eta, None if record is False else (np.concatenate(etas), np.concatenate(logs))
+
+
+def sweep_ends(tables, n, lams, domega, eta0):
+    """End phases of sweep for rows (lams, domega) stacked per side, row i on
+    n[i] intervals (n may be a scalar): one sweep of tables(size) per size."""
+    lams, domega, n = np.broadcast_arrays(lams, domega, n)
+    ends = np.empty(eta0.shape)
+    for nn in np.unique(n):
+        rows = np.flatnonzero(n == nn)
+        every = np.concatenate([rows + side * lams.size for side in range(eta0.size // lams.size)])
+        ends[every], _ = sweep(tables(int(nn)), lams[rows], domega[rows], eta0[every], False)
+    return ends

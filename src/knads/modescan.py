@@ -19,7 +19,7 @@ independent of the rest of the grid: no sequential hand-off, no
 branch-swap risk. Each root is predicted by Richardson extrapolation from
 an eighth and from half of the item's Magnus mesh and enclosed on the full
 mesh; an item whose enclosure misses is solved from its bracket on the
-full mesh (angular.solve_items).
+full mesh (magnus.solve_items, the one item solver, by angular.solve_items).
 
 The scan is evidence, not proof: the amplitude threshold is conservative
 policy and every raw number is emitted for audit.

@@ -17,7 +17,8 @@ mesh as a polynomial in (omega, lambda) (_radial_tables): the confined solve
 on two sides, the certificates and the continuation evidence on recorded
 legs (_leg). One rule, _leg_intervals, sizes every mesh a priori: per row of
 a recorded leg, and for the confined solve as the larger of its two sides at
-the window's |omega| bound, checked there at n/2.
+the window's |omega| bound, from which magnus.solve_window checks each
+eigenvalue at n/2.
 
 Certificate evidence is numeric and reproducible: decade-resolved integrals
 with Cauchy-tail ratios, linear fits of Prüfer phase slopes, and growth
@@ -32,7 +33,8 @@ import numpy as np
 
 from .angular import NotLimitPoint
 from .geometry import Refusal, find_horizons
-from .magnus import GAUSS, GRADE, PHASE_STEP, magnus_terms, mesh_size, omega_table, solve_window, sweep
+from .magnus import (GAUSS, GRADE, PHASE_STEP, magnus_terms, mesh_size, omega_table, solve_window, sweep,
+                     sweep_ends, window_bound)
 from .operators import (
     _radial_terms,
     confinement_density,
@@ -188,11 +190,12 @@ def _leg(p, ctx, leg, omegas, lams, eta0, keep):
 
 def _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n):
     """Phase mismatch per omega at the common end of legs, the shots from r0
-    (phase _BETA) and from y = delta, on n intervals per leg."""
+    (phase _BETA) and from y = delta, on n intervals per leg (a scalar or
+    one per omega)."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     inf0 = _infinity_init(p, ctx, lam, omegas, delta) if beta_infinity is None else beta_infinity
     eta0 = np.concatenate([np.full(omegas.shape, _BETA), np.broadcast_to(inf0, omegas.shape)])
-    phases, _ = sweep(_radial_tables(p, ctx, legs, n), omegas, float(lam), eta0, False)
+    phases = sweep_ends(lambda nn: _radial_tables(p, ctx, legs, nn), n, omegas, float(lam), eta0)
     return phases[: omegas.size] - phases[omegas.size:]
 
 
@@ -205,8 +208,10 @@ def hinf_eigenvalues(p, ctx, lam, r0=None, window=(-5.0, 5.0), beta_infinity=Non
     1/2, in which case that endpoint is limit circle and an explicit
     beta_infinity is required. The two sides meet at y(r0)/2; the matching
     defect is strictly increasing in omega, and solve_window locates every
-    eigenvalue to 1e-10 on the _leg_intervals mesh of the window's |omega|
-    bound, doubled while the n/2 check estimates a larger error."""
+    eigenvalue to 1e-10 from the _leg_intervals mesh of the window's |omega|
+    bound, each item's mesh doubled while its n/2 check estimates a larger
+    error. A window without finite ends lo < hi is an InputError."""
+    lo, hi, bound = window_bound(window)
     if ctx.mu == 0.0:
         raise NotConfining("mu = 0 has no confining term; spectrum not discrete")
     if ctx.mu * p.l < 0.5 and beta_infinity is None:
@@ -217,10 +222,9 @@ def hinf_eigenvalues(p, ctx, lam, r0=None, window=(-5.0, 5.0), beta_infinity=Non
     tm = tortoise_map(p)
     s0, sc, sd = math.log(r0 - tm.r_plus), float(tm.log_u_of_y(0.5 * y0)), float(tm.log_u_of_y(delta))
     legs = (("exp", s0, sc), ("exp", sd, sc))
-    bound = max(abs(float(window[0])), abs(float(window[1])))
     n = max(int(_leg_intervals(p, ctx, leg, [bound], [lam])[0]) for leg in legs)
     return solve_window(lambda omegas, n: _defect_hinf(p, ctx, lam, omegas, legs, delta, beta_infinity, n),
-                        *window, _TOL, n, f"|omega| <= {bound:g}")
+                        lo, hi, _TOL, n, f"|omega| <= {bound:g}")
 
 
 def _deviation_segments(p, ctx, lam, breaks):

@@ -19,7 +19,7 @@ from knads.angular import (
 from knads.angular import _defect
 from knads.classify import angular_exponents
 from knads.geometry import BlackHoleParams, InputError, Refusal, delta_theta
-from knads.magnus import MAX_MESH_INTERVALS, MIN_MESH_INTERVALS, WindowTooWide, solve_window
+from knads.magnus import MAX_MESH_INTERVALS, WindowTooWide
 from knads.operators import ModeContext, _angular_entries, dirac_d, sigma_function, tortoise_map
 from knads.oracle import load_fixtures
 from knads.radial import _RADIAL_LAYOUT, DEFAULT_DELTA, _radial_tables, default_r0
@@ -177,14 +177,14 @@ def test_frobenius_exponent_recovered_from_trace():
 def test_defect_monotone_and_pi_anchored():
     ctx = ModeContext(mu=1.0, e=0.1, k=0.5)
     lams = np.linspace(-3.0, 3.0, 25)
-    dv = _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None)
+    dv = _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None, 0.0,
+                 mesh_intervals(ROTATING, ctx, np.abs(lams)))
     assert np.all(np.diff(dv) > 0)
     sw = angular_eigenvalues(ROTATING, ctx, (-3.0, 3.0))
     # defect passes a multiple of pi at each eigenvalue
-    de = _defect(
-        ROTATING, ctx, np.array(sw.eigenvalues), DEFAULT_MATCHING_POINT,
-        math.pi * 1e-6, None, None,
-    )
+    ev = np.array(sw.eigenvalues)
+    de = _defect(ROTATING, ctx, ev, DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None, 0.0,
+                 mesh_intervals(ROTATING, ctx, np.abs(ev)))
     assert np.max(np.abs(de / math.pi - np.round(de / math.pi))) < 1e-9
 
 
@@ -193,10 +193,11 @@ def test_batched_frequency_offsets_match_scalar_runs():
     lams = np.array([-1.3, 0.9, 2.1])
     offs = np.array([-0.25, 0.0, 0.6])
     dv = _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6,
-                 None, None, domega=offs)
+                 None, None, offs, mesh_intervals(ROTATING, ctx, np.abs(lams), offs))
     for lam, dw, want in zip(lams, offs, dv):
         one = _defect(ROTATING, ctx.with_omega(0.4 + dw), np.array([lam]),
-                      DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None)
+                      DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None, 0.0,
+                      mesh_intervals(ROTATING, ctx.with_omega(0.4 + dw), abs(lam)))
         assert want == pytest.approx(one[0], abs=1e-8)
 
 
@@ -273,11 +274,12 @@ def test_defect_rows_do_not_depend_on_their_batch():
         ctx = ModeContext(mu=1.0, e=0.1, k=k, omega=0.4)
         lams = np.array([-3.1, -0.2, 0.9, 2.6])
         offs = np.array([0.3, -0.1, 0.0, 0.45])
+        n = mesh_intervals(ROTATING, ctx, np.abs(lams), offs)
         dv = _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6,
-                     None, None, domega=offs)
+                     None, None, offs, n)
         for i in range(lams.size):
             one = _defect(ROTATING, ctx, lams[i:i + 1], DEFAULT_MATCHING_POINT,
-                          math.pi * 1e-6, None, None, domega=offs[i:i + 1])
+                          math.pi * 1e-6, None, None, offs[i:i + 1], n[i:i + 1])
             assert one[0] == dv[i], k
         # Every Omega product has one shape per table: a row's bits depend
         # only on its own values, whether it sweeps alone, in a pair or in a
@@ -285,22 +287,24 @@ def test_defect_rows_do_not_depend_on_their_batch():
         rng = np.random.default_rng(11)
         lams, offs = rng.uniform(-4.0, 4.0, 480), rng.uniform(-0.5, 0.5, 480)
         args = (DEFAULT_MATCHING_POINT, math.pi * 1e-6, None, None)
-        wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
+        n = mesh_intervals(ROTATING, ctx, np.abs(lams), offs)
+        wide = _defect(ROTATING, ctx, lams, *args, offs, n)
         assert np.all(np.isfinite(wide)), k
         for start in (0, 7, 250, 477):
             for size in (1, 2, 3):
                 rows = slice(start, start + size)
-                got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
+                got = _defect(ROTATING, ctx, lams[rows], *args, offs[rows], n[rows])
                 assert np.array_equal(got, wide[rows]), (k, start, size)
         # Rows are padded to a multiple of 8 columns, so no row falls in a
         # narrower tail product: check the rows past 480 of a 487-row batch,
         # alone and in pairs.
         lams, offs = rng.uniform(-4.0, 4.0, 487), rng.uniform(-0.5, 0.5, 487)
-        wide = _defect(ROTATING, ctx, lams, *args, domega=offs)
+        n = mesh_intervals(ROTATING, ctx, np.abs(lams), offs)
+        wide = _defect(ROTATING, ctx, lams, *args, offs, n)
         for start in range(480, 487):
             for size in (1, 2):
                 rows = slice(start, min(start + size, 487))
-                got = _defect(ROTATING, ctx, lams[rows], *args, domega=offs[rows])
+                got = _defect(ROTATING, ctx, lams[rows], *args, offs[rows], n[rows])
                 assert np.array_equal(got, wide[rows]), (k, start, size)
 
 
@@ -341,7 +345,7 @@ def test_magnus_mesh_converges_at_sixth_order():
 
     def d(n):
         return _defect(ROTATING, ctx, lams, DEFAULT_MATCHING_POINT, math.pi * 1e-6,
-                       None, None, n=n)
+                       None, None, 0.0, n)
 
     d128, d256, d512 = d(128), d(256), d(512)
     ratio = np.max(np.abs(d256 - d128)) / np.max(np.abs(d512 - d256))
@@ -399,22 +403,6 @@ def test_mesh_intervals_take_the_signed_offset_exactly(omega, dom, want, triangl
     assert mesh_intervals(ROTATING, ctx.with_omega(abs(omega) + abs(dom)), lam).tolist() == triangle
     # per item, each row gets the mesh of its own signed offset
     assert np.array_equal(mesh_intervals(ROTATING, ctx, lam, np.full(lam.size, dom)), got)
-
-
-def test_a_defect_that_does_not_rise_on_the_grid_is_refined():
-    # The defect rises strictly in lambda. Where the grid says otherwise, or
-    # is not finite, the mesh does not resolve it: the window is solved again
-    # on a doubled mesh, up to the cap. Here a magnetic coupling d = 5e9 turns
-    # the pole intervals' Omega faster than any mesh below the cap resolves.
-    for bad in (lambda x, n: -x, lambda x, n: np.full(x.shape, np.nan)):
-        meshes = []
-        with pytest.raises(WindowTooWide, match=f"at the test defect stays above tol at {MAX_MESH_INTERVALS}"):
-            solve_window(lambda x, n: meshes.append(n) or bad(x, n), -1.0, 1.0, 1e-10, MIN_MESH_INTERVALS,
-                         "the test defect")
-        assert meshes == [2**k for k in range(8, 17)]
-    p = dataclasses.replace(SPHERE, q_m=0.5)
-    with pytest.raises(WindowTooWide, match=f"at {MAX_MESH_INTERVALS} intervals"):
-        angular_eigenvalues(p, ModeContext(mu=0.0, e=1e10, k=-5.5), (-4.5, 4.5))
 
 
 def test_refused_refinement_names_sigma():

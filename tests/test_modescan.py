@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import knads.angular as angular_mod
+import knads.magnus as magnus
 from knads.geometry import BlackHoleParams, InputError, Refusal, reparameterize
 from knads.angular import eigenvalues_by_label, label_brackets
 from knads.modescan import (
     _ITEM_TOL,
-    _TRACK_MARGIN,
     ExtremalUnsupported,
     _solve_items,
     coupled_scan,
@@ -18,7 +18,7 @@ from knads.modescan import (
 )
 from knads.operators import ModeContext
 
-from conftest import SEED, draw_nonextremal
+from conftest import GRID_81, P_BASE, SEED, draw_nonextremal, logged_defect, padded, tracking_items
 
 P0 = BlackHoleParams(m=1.0, a=0.2, q_e=0.1, q_m=0.0, l=1.0)
 CTX = ModeContext(mu=1.0, e=0.1, k=0.5)
@@ -213,14 +213,9 @@ def test_periodicity_refuses_too_many_harmonics(scan):
     assert time.perf_counter() - start < 1.0
 
 
-# Criterion 8's background and default grid.
-P_BASE = BlackHoleParams(m=1.0, a=0.2, q_e=0.1, q_m=0.0, l=1.0)
-GRID_81 = -2.0 + 0.05 * np.arange(81)
-
-
 def test_tracking_items_do_not_depend_on_their_batch():
     # coupled_scan's tracking items on criterion 8's grid, as it builds them
-    ctx0, items = _tracking_items(first=0, every=1)
+    ctx0, items = tracking_items(first=0, every=1)
 
     roots, res = _solve_items(P_BASE, ctx0, *items)
     assert np.max(res) < 1e-8
@@ -281,48 +276,17 @@ def test_criterion_8_scan_work_is_bounded(monkeypatch):
         work.append(lams.size * tabs.shape[1])
         return sweep(tabs, lams, *args)
 
-    sweep = angular_mod.sweep
-    monkeypatch.setattr(angular_mod, "sweep", counted)
+    sweep = magnus.sweep
+    monkeypatch.setattr(magnus, "sweep", counted)
     coupled_scan(P_BASE, CTX, GRID_81, j_window=3)
     assert sum(work) <= 520_000
-
-
-def _tracking_items(first=1, every=1):
-    """coupled_scan's tracking items (targets, lo, hi, domega) on criterion
-    8's grid, at every every-th frequency from GRID_81[first] on."""
-    labels = (-3, -2, -1, 1, 2, 3)
-    ctx0 = CTX.with_omega(float(GRID_81[0]))
-    targets, lo, hi = label_brackets(P_BASE, ctx0, labels)
-    dom = np.repeat(GRID_81[first::every] - GRID_81[0], len(labels))
-    reps = dom.size // len(labels)
-    return ctx0, (np.tile(targets, reps), np.tile(lo, reps), np.tile(hi, reps), dom)
-
-
-def _logged_defect(monkeypatch):
-    """Spies on angular._defect: the list it returns gets (lambdas, meshes)
-    of every call, one mesh per row."""
-    calls = []
-    defect = angular_mod._defect
-
-    def logged(p, ctx, lams, c, eps, bl, br, domega, n):
-        calls.append((np.array(lams), np.broadcast_to(n, np.shape(lams)).copy()))
-        return defect(p, ctx, lams, c, eps, bl, br, domega, n)
-
-    monkeypatch.setattr(angular_mod, "_defect", logged)
-    return calls
-
-
-def _padded(p, lo, hi, dom):
-    """The brackets _solve_items hands to angular.solve_items."""
-    pad = np.where(dom == 0.0, 0.0, abs(p.a) * np.abs(dom) + _TRACK_MARGIN)
-    return lo - pad, hi + pad
 
 
 def _missed(p, ctx0, calls, items):
     """(lambda, mesh) rows of the logged calls that took an item's defect on
     its full mesh at an end of its own bracket: there its enclosure missed."""
     _, lo, hi, dom = items
-    lo, hi = _padded(p, lo, hi, dom)
+    lo, hi = padded(p, lo, hi, dom)
     n0 = angular_mod.mesh_intervals(p, ctx0, np.maximum(np.abs(lo), np.abs(hi)), dom)
     ends = set(zip(lo.tolist(), n0.tolist())) | set(zip(hi.tolist(), n0.tolist()))
     return {x for lams, n in calls for x in zip(lams.tolist(), n.tolist()) if x in ends}
@@ -332,8 +296,8 @@ def test_criterion_8_batch_hits_every_enclosure(monkeypatch):
     # Richardson extrapolation of the n/8 and n/2 roots lands within 3e-13 of
     # the full-mesh root here, well inside the tol / 8 half-width: no item
     # falls back to its own bracket.
-    ctx0, items = _tracking_items(first=0)
-    calls = _logged_defect(monkeypatch)
+    ctx0, items = tracking_items(first=0)
+    calls = logged_defect(monkeypatch)
     _solve_items(P_BASE, ctx0, *items)
     assert not _missed(P_BASE, ctx0, calls, items)
 
@@ -342,11 +306,11 @@ def test_criterion_8_batch_meshes_each_item_at_its_own_frequency(monkeypatch):
     # The frequency part of the mesh bound is |a| |omega + domega|, so an item
     # gets the mesh of a window solve at its own frequency, and the 30 items
     # of labels +-3 at omega >= 1.3 no longer sit on 512 intervals.
-    ctx0, items = _tracking_items(first=0)
-    calls = _logged_defect(monkeypatch)
+    ctx0, items = tracking_items(first=0)
+    calls = logged_defect(monkeypatch)
     _solve_items(P_BASE, ctx0, *items)
     _, lo, hi, dom = items
-    bound = np.maximum(*np.abs(_padded(P_BASE, lo, hi, dom)))
+    bound = np.maximum(*np.abs(padded(P_BASE, lo, hi, dom)))
     omegas = np.repeat(GRID_81, dom.size // GRID_81.size)
     own = np.array([angular_mod.mesh_intervals(P_BASE, ctx0.with_omega(float(w)), b, 0.0)
                     for b, w in zip(bound, omegas)])
@@ -370,56 +334,10 @@ def test_family_batches_hit_their_enclosures(monkeypatch):
         dom = np.repeat(grid - grid[0], targets.size)
         items = tuple(np.tile(v, grid.size) for v in (targets, lo, hi)) + (dom,)
         with monkeypatch.context() as m:
-            calls = _logged_defect(m)
+            calls = logged_defect(m)
             roots, _ = _solve_items(p, ctx0, *items)
         assert not _missed(p, ctx0, calls, items), (p, k)
         with monkeypatch.context() as m:
-            m.setattr(angular_mod, "_COARSE_TOL", 1.0)
+            m.setattr(magnus, "_COARSE_TOL", 1.0)
             want, _ = _solve_items(p, ctx0, *items)
         assert np.max(np.abs(roots - want)) <= _ITEM_TOL, (p, k)
-
-
-def test_items_whose_enclosure_misses_fall_back_to_their_bracket(monkeypatch):
-    # With a coarse tolerance wider than every bracket the prediction starts
-    # from a bracket end, so its Newton steps on n/8 and n/2 intervals land
-    # far from the root, the extrapolated root misses its tol / 4 enclosure,
-    # and every item is solved from its own bracket on its full mesh.
-    ctx0, items = _tracking_items(every=8)
-    want, _ = _solve_items(P_BASE, ctx0, *items)
-    calls = _logged_defect(monkeypatch)
-    monkeypatch.setattr(angular_mod, "_COARSE_TOL", 1.0)
-    roots, res = _solve_items(P_BASE, ctx0, *items)
-    assert np.max(np.abs(roots - want)) <= _ITEM_TOL
-    assert np.max(res) < 1e-8
-    # the brackets' ends went to the coarse mesh, then all of them to the full one
-    _, lo, hi, dom = items
-    lo, hi = _padded(P_BASE, lo, hi, dom)
-    meshes = [n for lams, n in calls if np.array_equal(lams, np.concatenate([lo, hi]))]
-    n0 = angular_mod.mesh_intervals(P_BASE, ctx0, np.maximum(np.abs(lo), np.abs(hi)), dom)
-    assert len(meshes) == 2 and np.array_equal(meshes[1], np.tile(n0, 2))
-    # and each item passed its n/2 check there: no mesh was doubled
-    assert max(np.max(n) for _, n in calls) <= np.max(n0)
-
-
-@pytest.mark.parametrize("bad", [0.0, np.nan])
-def test_a_zero_or_nan_coarse_slope_costs_one_doubling(monkeypatch, bad):
-    # The Newton steps of the prediction divide by the coarse slope under
-    # np.errstate, since pytest turns a RuntimeWarning into an error. With a
-    # zero or nan slope the prediction is nan, lands on its bracket's lower
-    # end, every enclosure misses and every n/2 check fails, so each item is
-    # solved again on its doubled mesh, with a true slope.
-    ctx0, items = _tracking_items(every=40)
-    want, _ = _solve_items(P_BASE, ctx0, *items)
-    coarse = []
-
-    def spoil(fun, lo, hi, flo, fhi, tol):
-        x, fx, slope = finder(fun, lo, hi, flo, fhi, tol)
-        if tol == angular_mod._COARSE_TOL:
-            coarse.append(x.size)
-            slope = np.full_like(slope, bad) if len(coarse) == 1 else slope
-        return x, fx, slope
-
-    finder = angular_mod.chandrupatla_batched
-    monkeypatch.setattr(angular_mod, "chandrupatla_batched", spoil)
-    roots, _ = _solve_items(P_BASE, ctx0, *items)
-    assert coarse == [12, 12] and np.max(np.abs(roots - want)) <= _ITEM_TOL

@@ -376,6 +376,11 @@ def test_defect_rows_do_not_depend_on_their_batch():
         for size in (1, 2, 3):
             rows = slice(start, start + size)
             assert np.array_equal(_defect_hinf(P0, CTX, LAM, omegas[rows], legs, *rest), wide[rows])
+    # With one mesh size per row, each row equals its call on that mesh alone.
+    n = np.where(np.arange(omegas.size) % 3 == 0, 512, 256)
+    mixed = _defect_hinf(P0, CTX, LAM, omegas, legs, DEFAULT_DELTA, None, n)
+    assert np.array_equal(mixed[n == 256], wide[n == 256])
+    assert np.array_equal(mixed[n == 512], _defect_hinf(P0, CTX, LAM, omegas[n == 512], legs, DEFAULT_DELTA, None, 512))
 
 
 def test_confining_term_sets_no_mesh_on_the_infinity_leg():
