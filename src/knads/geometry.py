@@ -91,12 +91,11 @@ class BlackHoleParams:
 @dataclass(frozen=True)
 class HorizonData:
     """Real roots of Delta_r. r_plus is the outer horizon (largest root);
-    r_minus is the next one down (present when the quartic has two real
-    roots, possibly 0). extremal marks a double outer root."""
+    r_minus is the next one down (possibly 0). extremal marks a double
+    outer root."""
 
     r_plus: float
-    r_minus: float | None
-    all_real_roots: tuple
+    r_minus: float
     extremal: bool
 
 
@@ -217,7 +216,7 @@ def find_horizons(p):
         )
     if v_c > -1e-15 * scale:
         # Grazing double root at the minimum.
-        return HorizonData(r_c, r_c, (r_c, r_c), True)
+        return HorizonData(r_c, r_c, True)
 
     # Every real root is nonnegative, but with a = 0 and a tiny z2 the polish
     # can step a root within rounding of 0 to a tiny negative value.
@@ -226,7 +225,7 @@ def find_horizons(p):
     if r_plus < r_minus:
         r_plus, r_minus = r_minus, r_plus
     extremal = (r_plus - r_minus) <= 1e-8 * max(abs(r_plus), 1e-300)
-    return HorizonData(r_plus, r_minus, (r_minus, r_plus), extremal)
+    return HorizonData(r_plus, r_minus, extremal)
 
 
 def komar(p):
@@ -286,12 +285,35 @@ def alpha_weight(p, r, theta):
     )
 
 
+def quartic_q2(p, r):
+    """q2(r) = r^2 + (r_plus + r_minus) r + c0 of the factored quartic
+    Delta_r = (r - r_plus)(r - r_minus) q2(r) / l^2, where
+    c0 = q2(0) = r_plus^2 + r_minus^2 + r_plus r_minus + a^2 + l^2. Vectorized."""
+    hd = find_horizons(p)
+    rp, rm = hd.r_plus, hd.r_minus
+    return (r + (rp + rm)) * r + (rp * rp + rm * rm + rp * rm + p.a**2 + p.l**2)
+
+
+def horizon_gap(p):
+    """r_plus - r_minus, or 0 where find_horizons declares the horizon extremal
+    (an exact double root): Delta_r = u (u + gap) q2(r) / l^2, u = r - r_plus."""
+    hd = find_horizons(p)
+    return 0.0 if hd.extremal else hd.r_plus - hd.r_minus
+
+
+def horizon_coefficient(p):
+    """a_inf = l^2 (r_plus^2 + a^2) / q2(r_plus), so that dy/du tends to
+    -a_inf / (u (u + gap)) at the horizon: y ~ a_inf / u at an extremal one."""
+    rp = find_horizons(p).r_plus
+    return p.l**2 * ((rp * rp + p.a**2) / quartic_q2(p, rp))
+
+
 def horizon_slope(p):
-    """(r_plus^2 + a^2) / Delta_r'(r_plus): the rate at which the tortoise
-    coordinate grows per e-fold of approach to a non-extremal horizon,
+    """a_inf / (r_plus - r_minus) = (r_plus^2 + a^2) / Delta_r'(r_plus) from
+    the factored quartic, exactly the u -> 0 limit of -dy/ds: the tortoise
+    coordinate's growth per e-fold of approach to a non-extremal horizon,
     y ~ -horizon_slope * log(r - r_plus). Reciprocal of twice the surface
     gravity."""
-    hd = find_horizons(p)
-    if hd.extremal:
+    if find_horizons(p).extremal:
         raise Refusal("non-extremal horizon required")
-    return (hd.r_plus**2 + p.a**2) / delta_r_prime(p, hd.r_plus)
+    return horizon_coefficient(p) / horizon_gap(p)

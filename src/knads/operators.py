@@ -6,8 +6,8 @@ dtheta / sqrt(Delta_theta); its potential matrix M(theta) is symmetric with
 M22 = -M11. The radial Hamiltonian acts on two-component functions of the
 tortoise coordinate; its potential V tends to phi_plus * I at the horizon.
 
-Near-horizon quantities are evaluated through the factored form of Delta_r,
-Delta_r = (r - r_plus)(r - r_minus) q2(r) / l^2, which is free of the
+Near-horizon quantities are evaluated through the factored form of Delta_r
+(geometry.quartic_q2 and geometry.horizon_gap), which is free of the
 cancellation the monomial quartic suffers at small r - r_plus.
 """
 
@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .geometry import (InputError, OutsideExterior, Refusal, delta_theta, find_horizons, horizon_slope,
-                       require_finite)
+from .geometry import (InputError, OutsideExterior, Refusal, delta_theta, find_horizons, horizon_coefficient,
+                       horizon_gap, horizon_slope, quartic_q2, require_finite)
 
 
 class ParameterOverflow(InputError):
@@ -89,30 +89,20 @@ def phi_plus(p, ctx):
     return _p_function(p, ctx, hd.r_plus) / (hd.r_plus**2 + p.a**2)
 
 
-def _factored_quartic_terms(p):
-    """(r_plus, r_minus, q2 coefficients, u_max) with Delta_r =
-    (r-r_plus)(r-r_minus) q2(r) / l^2 and q2(r) = r^2 + c1 r + c0, and the
-    u = r - r_plus past which sqrt_delta_r_from_u refuses."""
-    hd = find_horizons(p)
-    rp = hd.r_plus
-    rm = hd.r_minus if hd.r_minus is not None else 0.0
-    c1 = rp + rm
-    c0 = rp * rp + rm * rm + rp * rm + p.a**2 + p.l**2
-    return rp, rm, c1, c0, min(1e75, 1e150 / math.sqrt(c0))
+def _u_max(p):
+    """min(1e75, 1e150 / sqrt(c0)), c0 = q2(0): past this u = r - r_plus,
+    u^2 q2(r) could overflow (q2 <= r^2 + 3 r sqrt(c0) + c0)."""
+    return min(1e75, 1e150 / math.sqrt(quartic_q2(p, 0.0)))
 
 
 def sqrt_delta_r_from_u(p, u):
-    """sqrt(Delta_r) at r = r_plus + u, via the factored quartic; exact at
-    u = 0 and stable for tiny u, vectorized. Refuses u past min(1e75, 1e150
-    / sqrt(c0)), where u^2 q2(r) could overflow (q2 <= r^2 + 3 r sqrt(c0) +
-    c0)."""
-    rp, rm, c1, c0, u_max = _factored_quartic_terms(p)
+    """sqrt(Delta_r) = sqrt(u (u + gap) q2(r)) / l at r = r_plus + u, via
+    the factored quartic; exact at u = 0 and stable for tiny u, vectorized.
+    Refuses u past _u_max."""
     u = np.asarray(u, dtype=float)
-    if np.any(u > u_max):
+    if np.any(u > (u_max := _u_max(p))):
         raise Refusal(f"r - r_plus = {np.max(u):.3g} is past {u_max:.3g}, where Delta_r overflows")
-    r = rp + u
-    q2 = (r + c1) * r + c0
-    return np.sqrt(u * (u + (rp - rm)) * q2) / p.l
+    return np.sqrt(u * (u + horizon_gap(p)) * quartic_q2(p, find_horizons(p).r_plus + u)) / p.l
 
 
 def _radial_terms(p, ctx, lam, u):
@@ -217,12 +207,11 @@ class TortoiseMap:
 
     y(r) = integral_r^infinity (t^2 + a^2) / Delta_t dt is strictly
     decreasing with y -> infinity at the horizon and y -> 0+ at infinity;
-    x = -y. Built once per parameter set: a table of degree-15 Chebyshev
-    panels in sigma = -s = log v, with s = log(r - r_plus) and v = 1/u,
-    spans the bulk (and, for an extremal horizon, the v-branch), a closed
-    quadrature covers the far tail, and asymptotic branches extend both ends
-    (exponential approach for a non-extremal horizon, 1/y approach for an
-    extremal one).
+    x = -y. Built once per parameter set: one table of degree-15 Chebyshev
+    panels in sigma = -s, with s = log(r - r_plus), spans [s_lo, s_hi] for
+    both horizon types, a closed quadrature covers the far tail, and below
+    s_lo the map continues along its horizon asymptotics (linear in s at a
+    non-extremal horizon, linear in 1/u at an extremal one).
 
     The panel values at the Chebyshev points are Gauss-Legendre integrals of
     the analytic dy/dsigma, summed from the tail value at s_hi towards the
@@ -240,53 +229,38 @@ class TortoiseMap:
         self.p = p
         self.r_plus = hd.r_plus
         self.extremal = hd.extremal
-        _, rm, c1, c0, self._u_max = _factored_quartic_terms(p)
-        self._rm, self._c1, self._c0 = rm, c1, c0
+        self._gap, self._a_inf, self._u_max = horizon_gap(p), horizon_coefficient(p), _u_max(p)
 
         self.r_big = 50.0 * max(self.r_plus, p.l)
         # dy/ds squares r up to r_big; r_plus < 1e103 (find_horizons), so l sets it.
-        if not math.isfinite((self.r_big + c1) * self.r_big + c0):
+        if not math.isfinite(quartic_q2(p, self.r_big)):
             raise InputError(f"l = {p.l:.4g} is too large: Delta_r overflows at the tortoise "
                              f"map's far radius 50 l = {self.r_big:.4g}")
         s_hi = math.log(self.r_big - self.r_plus)
         if self.extremal:
-            # Stop the bulk at a moderate u and hand over to v = 1/u, where
-            # the horizon is taken as an exact double root.
-            s_lo = math.log(0.25 * self.r_plus)
-            self.v_hi = math.exp(-s_lo) * 1e15
+            # Down to u = 1e-15 r_plus / 4, where y ~ a_inf / u to roundoff.
+            s_lo = math.log(0.25 * self.r_plus) - 15.0 * math.log(10.0)
         else:
             s_lo = math.log(1e-12 * max(self.r_plus, p.l))
         self.s_lo, self.s_hi = s_lo, s_hi
 
-        edges = _panel_edges(-s_hi, -s_lo)
-        gap = np.full(edges.size - 1, self.r_plus - rm)
-        if self.extremal:
-            v_edges = _panel_edges(-s_lo, math.log(self.v_hi))
-            gap = np.concatenate([gap, np.zeros(v_edges.size - 1)])
-            edges = np.concatenate([edges, v_edges[1:]])
-        self._edges = edges
+        self._edges = edges = _panel_edges(-s_hi, -s_lo)
         self._mid = 0.5 * (edges[:-1] + edges[1:])
         self._half = 0.5 * np.diff(edges)
         # Integrals from each panel's left end to its Chebyshev points.
         sig = self._mid[:, None, None] + self._half[:, None, None] * _PANEL_QUAD_X
-        f = -self._dyds(-sig, gap[:, None, None])
+        f = -self._dyds(-sig)
         part = (f @ _PANEL_GL_W) * (0.5 * (_CHEB_X + 1.0)) * self._half[:, None]
         y_big = float(_tail_integral(p, self.r_big))
         self._left = np.cumsum(np.concatenate([[y_big], part[:-1, -1]]))
         self._coef = part @ _CHEB_FROM_VALUES
 
         self.y_at_s_lo = float(self._series(np.array([-s_lo]))[0])
-        # Horizon-side asymptotics.
-        if not self.extremal:
-            self.slope = horizon_slope(p)
-        else:
-            q2e = (self.r_plus + c1) * self.r_plus + c0
-            self._a_inf = p.l**2 * (self.r_plus**2 + p.a**2) / q2e
-            self.y_at_v_hi = float(self._series(edges[-1:])[0])
-        # Seed table of the inverse, from the extremal v-branch (or s_lo)
-        # into the far tail (y ~ l^2 / r, down to y ~ 1e-12 l^2 / r_big); s
-        # descends so that log y ascends, as np.interp needs.
-        self._s_table = np.linspace(s_hi + 12.0 * math.log(10.0), -edges[-1], _SEED_POINTS)
+        self.slope = None if self.extremal else horizon_slope(p)
+        # Seed table of the inverse, from s_lo into the far tail (y ~ l^2 / r,
+        # down to y ~ 1e-12 l^2 / r_big); s descends so that log y ascends, as
+        # np.interp needs.
+        self._s_table = np.linspace(s_hi + 12.0 * math.log(10.0), s_lo, _SEED_POINTS)
         self._logy_table = np.log(self.y_of_s(self._s_table))
         # Past r - r_plus = 1e150, r^2 in dy/ds overflows; log_u_of_y
         # refuses y below its image.
@@ -294,15 +268,13 @@ class TortoiseMap:
 
     # -- forward map ------------------------------------------------------
 
-    def _dyds(self, s, gap=None):
-        """dy/ds at r = r_plus + e^s through the factored Delta_r, with
-        gap = r_plus - r_minus unless given (0 on the extremal v-branch)."""
-        if gap is None:
-            gap = self.r_plus - self._rm
+    def _dyds(self, s):
+        """dy/ds = -l^2 ((r^2 + a^2) / q2(r)) / (u + gap) at r = r_plus + u,
+        u = e^s, through the factored Delta_r; tends to -horizon_slope as
+        u -> 0 at a non-extremal horizon."""
         u = np.exp(s)
         r = self.r_plus + u
-        q2 = (r + self._c1) * r + self._c0
-        return -(self.p.l**2) * ((r * r + self.p.a**2) / q2) / (u + gap)
+        return -(self.p.l**2) * ((r * r + self.p.a**2) / quartic_q2(self.p, r)) / (u + self._gap)
 
     def _series(self, sig):
         """y at sigma = -s: the panel's left-end value plus its Chebyshev
@@ -325,9 +297,9 @@ class TortoiseMap:
 
     def y_of_s(self, s):
         """y at r = r_plus + e^s, scalar or array, also where e^s underflows:
-        below s_lo the non-extremal map continues linearly in s, the extremal
-        one past v_hi linearly in v = e^-s (there y ~ a_inf e^-s overflows
-        once s is below about log(a_inf) - 709)."""
+        below s_lo the non-extremal map continues linearly in s with slope
+        horizon_slope, the extremal one linearly in e^-s with slope a_inf
+        (y overflows once s is below about log(a_inf) - 709)."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
@@ -335,7 +307,7 @@ class TortoiseMap:
         far = s >= self.s_hi
         if far.any():
             out[far] = _tail_integral(self.p, self.r_plus + np.exp(s[far]))
-        deep = -s > self._edges[-1]
+        deep = s < self.s_lo
         inside = ~far & ~deep
         if inside.any():
             out[inside] = self._series(-s[inside])
@@ -343,7 +315,7 @@ class TortoiseMap:
             if not self.extremal:
                 out[deep] = self.y_at_s_lo + self.slope * (self.s_lo - s[deep])
             else:
-                out[deep] = self.y_at_v_hi + self._a_inf * (np.exp(-s[deep]) - self.v_hi)
+                out[deep] = self.y_at_s_lo + self._a_inf * (np.exp(-s[deep]) - math.exp(-self.s_lo))
         return float(out[0]) if scalar else out
 
     def x(self, r):

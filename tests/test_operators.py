@@ -258,10 +258,7 @@ def _dyds(p, s):
 
 def _seams(tm):
     """s values where y_of_s switches branch."""
-    seams = [tm.s_lo, tm.s_hi]
-    if tm.extremal:
-        seams.append(-math.log(tm.v_hi))
-    return seams
+    return [tm.s_lo, tm.s_hi]
 
 
 @pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])
@@ -312,14 +309,13 @@ def _y_reference(p, tm, ss):
     ids=["P0", "near-extremal", "extremal"],
 )
 def test_y_of_s_matches_a_quadrature_reference(p):
-    # The panel table against piecewise quad over the bulk, both sides of
-    # every seam and the extremal v-branch. The seam points stay within
+    # The panel table against piecewise quad over [s_lo, s_hi] and both
+    # sides of every seam. The seam points stay within
     # 1e-9 of it: the linear branch past a non-extremal s_lo drops a
     # relative (r - r_plus) / (r_plus - r_minus) of dy/ds, 1e-8 at offset
     # 1e-4, which is not the table's error.
     tm = tortoise_map(p)
-    s_min = -math.log(tm.v_hi) if tm.extremal else tm.s_lo
-    ss = np.linspace(s_min, tm.s_hi + 3.0, 41)
+    ss = np.linspace(tm.s_lo, tm.s_hi + 3.0, 41)
     near = [s + d * max(1.0, abs(s)) for s in _seams(tm) for d in (-1e-9, 1e-9)]
     ss = np.concatenate([ss, near])
     want = _y_reference(p, tm, ss)
@@ -389,9 +385,10 @@ def test_log_u_of_y_round_trips(p, log10_y):
     ds=st.floats(-9.0, -1.0),
 )
 def test_y_strictly_decreasing_on_every_branch(p, t, dr, s, ds):
-    # r runs from a few ulps above r_plus (the linear branch past s_lo, or
-    # the dense v-branch of an extremal horizon) through the bulk into the
-    # far tail; s also reaches the extremal v > v_hi branch that no float r
+    # r runs from a few ulps above r_plus (the linear branch past a
+    # non-extremal s_lo, or the panels that reach 1e-15 r_plus / 4 from an
+    # extremal horizon) through the bulk into the far tail; s also reaches
+    # the extremal branch past s_lo, linear in e^-s, that no float r
     # resolves.
     tm = tortoise_map(p)
     r1 = tm.r_plus * (1.0 + 10.0**t)
