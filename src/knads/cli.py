@@ -8,8 +8,7 @@ floats printed with 17 significant digits, row order deterministic, so a
 rerun with the same config and flags is byte-identical.
 
 Exit codes: 0 success, 2 on an InputError and 3 on a Refusal (geometry.py);
-any other exception is a bug and ends in a traceback. KNADS_FIXTURES
-overrides the oracle fixtures path (see oracle.fixtures_path).
+any other exception is a bug and ends in a traceback.
 """
 
 import argparse
@@ -405,7 +404,6 @@ def build_parser():
         prog="knads",
         description="Spectral toolkit for the separated Dirac equation on "
         "Kerr-Newman-AdS backgrounds.",
-        epilog="KNADS_FIXTURES overrides the oracle fixtures file path.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

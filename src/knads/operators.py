@@ -241,7 +241,8 @@ class TortoiseMap:
             # Down to u = 1e-15 r_plus / 4, where y ~ a_inf / u to roundoff.
             s_lo = math.log(0.25 * self.r_plus) - 15.0 * math.log(10.0)
         else:
-            s_lo = math.log(1e-12 * max(self.r_plus, p.l))
+            # The linear branch below drops u / gap of dy/ds: at most 1e-12.
+            s_lo = math.log(1e-12 * min(max(self.r_plus, p.l), self._gap))
         self.s_lo, self.s_hi = s_lo, s_hi
 
         self._edges = edges = _panel_edges(-s_hi, -s_lo)

@@ -25,7 +25,6 @@ edge rows.
 from dataclasses import dataclass
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +44,11 @@ class GridTooCoarse(Refusal):
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """Weighted-symmetric tridiagonal discretization of a 2x2 first-order
-    system. diag/offdiag define the symmetric matrix; weights holds the
-    discrete measure per interleaved degree of freedom (component 1 on even
-    indices)."""
+    system: diag/offdiag define the symmetric matrix (component 1 on even
+    indices), already weighted by the discrete measure."""
 
     diag: np.ndarray
     offdiag: np.ndarray
-    weights: np.ndarray
 
     def eigenvalues_in_window(self, lo, hi):
         """All eigenvalues in (lo, hi], ascending."""
@@ -81,7 +78,7 @@ def _staggered(lo, hi, N, first, dof, entries):
     g_mid, _, _, v12 = at((first + 0.25 + 0.5 * k[:-1]) * h)
     even = k % 2 == 0
     off = (np.where(even[:-1], 1.0, -1.0) + 0.5 * h * g_mid * v12) / (h * np.sqrt(g[:-1] * g[1:]))
-    return DiscretizedOperator(diag=np.where(even, v11, v22), offdiag=off, weights=h * g)
+    return DiscretizedOperator(diag=np.where(even, v11, v22), offdiag=off)
 
 
 def discretize_angular(p, ctx, N):
@@ -133,13 +130,6 @@ def discretize_radial_confined(p, ctx, lam, r0, N, delta=1e-3):
 _DEFAULT_FIXTURES = Path(__file__).parent / "data" / "fixtures.json"
 
 
-def fixtures_path():
-    """Fixture file location; the KNADS_FIXTURES environment variable takes
-    precedence over the packaged default."""
-    env = os.environ.get("KNADS_FIXTURES")
-    return Path(env) if env else _DEFAULT_FIXTURES
-
-
 def load_fixtures(path=None):
-    with open(path or fixtures_path()) as fh:
+    with open(path or _DEFAULT_FIXTURES) as fh:
         return json.load(fh)

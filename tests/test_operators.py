@@ -305,21 +305,37 @@ def _y_reference(p, tm, ss):
 
 @pytest.mark.parametrize(
     "p",
-    [P0, extremal_params(0.6, offset=1e-4), extremal_params()],
-    ids=["P0", "near-extremal", "extremal"],
+    [P0, extremal_params(0.6, offset=1e-1), extremal_params(0.6, offset=1e-4),
+     extremal_params(0.6, offset=1e-6), extremal_params()],
+    ids=["P0", "near-extremal-1e-1", "near-extremal", "near-extremal-1e-6", "extremal"],
 )
+# quad flags roundoff on the pieces below s_lo, where dy/ds is flat; an
+# mpmath quadrature agrees with it at the deep points to 1.2e-15.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_y_of_s_matches_a_quadrature_reference(p):
     # The panel table against piecewise quad over [s_lo, s_hi] and both
-    # sides of every seam. The seam points stay within
-    # 1e-9 of it: the linear branch past a non-extremal s_lo drops a
-    # relative (r - r_plus) / (r_plus - r_minus) of dy/ds, 1e-8 at offset
-    # 1e-4, which is not the table's error.
+    # sides of every seam, then the asymptotic branch deep below s_lo. A
+    # non-extremal table stops at u = 1e-12 (r_plus - r_minus) at most, so
+    # the linear branch drops at most 1e-12 of dy/ds; with the cutoff at
+    # 1e-12 max(r_plus, l) it was off by 2e-13, 8e-10 and 7e-7 at offsets
+    # 1e-1, 1e-4 and 1e-6.
     tm = tortoise_map(p)
     ss = np.linspace(tm.s_lo, tm.s_hi + 3.0, 41)
     near = [s + d * max(1.0, abs(s)) for s in _seams(tm) for d in (-1e-9, 1e-9)]
-    ss = np.concatenate([ss, near])
-    want = _y_reference(p, tm, ss)
-    assert np.max(np.abs(tm.y_of_s(ss) / want - 1.0)) < 1e-14
+    deep = tm.s_lo - np.array([1.0, 10.0, 50.0])
+    want = _y_reference(p, tm, np.concatenate([ss, near, deep]))
+    assert np.max(np.abs(tm.y_of_s(np.concatenate([ss, near])) / want[:-3] - 1.0)) < 1e-14
+    assert np.max(np.abs(tm.y_of_s(deep) / want[-3:] - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("offset", [1e-1, 1e-4, 1e-6])
+def test_horizon_slope_is_the_limit_of_the_maps_dy_ds(offset):
+    # Both take Delta_r from the one factored quartic, so where r_plus + u
+    # rounds to r_plus and u + gap to gap, -dy/ds is horizon_slope. The
+    # monomial Delta_r'(r_plus) was off by 1.3e-9 and 8.1e-7 at 1e-4 and 1e-6.
+    p = extremal_params(0.6, offset=offset)
+    tm = tortoise_map(p)
+    assert -tm._dyds(tm.s_lo - 60.0) == pytest.approx(horizon_slope(p), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [P0, extremal_params()], ids=["P0", "extremal"])

@@ -1,4 +1,3 @@
-import json
 import math
 from pathlib import Path
 import subprocess
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import knads.oracle as oracle_mod
 from knads.angular import angular_eigenvalues
 from knads.geometry import BlackHoleParams
 from knads.operators import ModeContext, tortoise_map
@@ -15,7 +15,6 @@ from knads.oracle import (
     GridTooCoarse,
     discretize_angular,
     discretize_radial_confined,
-    fixtures_path,
     load_fixtures,
 )
 
@@ -115,32 +114,41 @@ def test_radial_cutoff_robustness():
     assert abs(vals[0] - case["eigenvalues"][0]) < 1e-4
 
 
-def test_env_var_overrides_fixture_path(tmp_path, monkeypatch):
-    alt = tmp_path / "alt.json"
-    alt.write_text(json.dumps({"version": 1, "marker": True}))
-    monkeypatch.setenv("KNADS_FIXTURES", str(alt))
-    assert fixtures_path() == alt
-    assert load_fixtures()["marker"] is True
-    monkeypatch.delenv("KNADS_FIXTURES")
-    assert fixtures_path().name == "fixtures.json"
-    assert "angular" in load_fixtures()
+def _node_weights(monkeypatch, build):
+    """The discrete measure h * g on the nodes: the density g that a
+    discretization's entries hand _staggered on its first call, the nodes."""
+    weights = []
+    staggered = oracle_mod._staggered
+
+    def spy(lo, hi, N, first, dof, entries):
+        def recorded(x, dx):
+            out = entries(x, dx)
+            weights.append(out[0] / N)
+            return out
+        return staggered(lo, hi, N, first, dof, recorded)
+
+    monkeypatch.setattr(oracle_mod, "_staggered", spy)
+    build()
+    return weights[0]
 
 
-def test_weights_positive_and_measure_sane():
-    op = discretize_angular(ROTATING, CTX, 400)
-    assert np.all(op.weights > 0.0)
+def test_weights_positive_and_measure_sane(monkeypatch):
+    weights = _node_weights(monkeypatch, lambda: discretize_angular(ROTATING, CTX, 400))
+    assert np.all(weights > 0.0)
     # total discrete measure approximates integral of 1/sqrt(Delta_theta)
-    total = op.weights.sum()
+    total = weights.sum()
     ths = np.linspace(1e-6, math.pi - 1e-6, 20001)
     dth = 1.0 - (ROTATING.a / ROTATING.l) ** 2 * np.cos(ths) ** 2
     want = 2.0 * np.trapezoid(1.0 / np.sqrt(dth), ths)
     assert total == pytest.approx(want, rel=1e-3)
     # radial: each component's weights approximate the length of [x(r0), -delta]
     r0, delta = 2.0, 1e-3
-    op = discretize_radial_confined(ROTATING, CTX, 1.0, r0, 400, delta=delta)
-    assert np.all(op.weights > 0.0)
+    weights = _node_weights(
+        monkeypatch, lambda: discretize_radial_confined(ROTATING, CTX, 1.0, r0, 400, delta=delta)
+    )
+    assert np.all(weights > 0.0)
     length = -delta - tortoise_map(ROTATING).x(r0)
-    for part in (op.weights[0::2], op.weights[1::2]):
+    for part in (weights[0::2], weights[1::2]):
         assert part.sum() == pytest.approx(length, rel=1e-4)
 
 
