@@ -316,9 +316,8 @@ def test_y_of_s_matches_a_quadrature_reference(p):
     # The panel table against piecewise quad over [s_lo, s_hi] and both
     # sides of every seam, then the asymptotic branch deep below s_lo. A
     # non-extremal table stops at u = 1e-12 (r_plus - r_minus) at most, so
-    # the linear branch drops at most 1e-12 of dy/ds; with the cutoff at
-    # 1e-12 max(r_plus, l) it was off by 2e-13, 8e-10 and 7e-7 at offsets
-    # 1e-1, 1e-4 and 1e-6.
+    # the linear branch drops at most 1e-12 of dy/ds however near
+    # extremality the background is.
     tm = tortoise_map(p)
     ss = np.linspace(tm.s_lo, tm.s_hi + 3.0, 41)
     near = [s + d * max(1.0, abs(s)) for s in _seams(tm) for d in (-1e-9, 1e-9)]
@@ -331,8 +330,8 @@ def test_y_of_s_matches_a_quadrature_reference(p):
 @pytest.mark.parametrize("offset", [1e-1, 1e-4, 1e-6])
 def test_horizon_slope_is_the_limit_of_the_maps_dy_ds(offset):
     # Both take Delta_r from the one factored quartic, so where r_plus + u
-    # rounds to r_plus and u + gap to gap, -dy/ds is horizon_slope. The
-    # monomial Delta_r'(r_plus) was off by 1.3e-9 and 8.1e-7 at 1e-4 and 1e-6.
+    # rounds to r_plus and u + gap to gap, -dy/ds is horizon_slope; the
+    # monomial Delta_r'(r_plus) cancels near extremality.
     p = extremal_params(0.6, offset=offset)
     tm = tortoise_map(p)
     assert -tm._dyds(tm.s_lo - 60.0) == pytest.approx(horizon_slope(p), rel=1e-15, abs=0.0)

@@ -115,8 +115,8 @@ def test_radial_cutoff_robustness():
 
 
 def _node_weights(monkeypatch, build):
-    """The discrete measure h * g on the nodes: the density g that a
-    discretization's entries hand _staggered on its first call, the nodes."""
+    """The discrete measure h * g on the nodes, where g is the density that
+    a discretization's entries hand _staggered in its first call."""
     weights = []
     staggered = oracle_mod._staggered
 
